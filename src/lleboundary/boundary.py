@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .analytic import AnalyticCoeffs
-from .lle import LleMatrix, build_lle_matrix, resolve_c, solve_barycentric
+from .lle import LleMatrix, _lle_kernel, resolve_c
 from .neighbors import EpsilonBall, NeighborGraph
 from .samplers import PointCloud
 
@@ -56,32 +56,20 @@ def indicator(cloud: PointCloud, graph: NeighborGraph,
     """Barycentric boundary indicator B_k for every point.
 
     When an already-built LleMatrix is passed, its cached solves are reused
-    (the indicator needs only N_k and y_k^T 1). Points without neighbors are
-    marked missing and excluded from classification.
+    (the indicator needs only N_k and y_k^T 1); otherwise the batched solves
+    run without assembling W. Points without neighbors are marked missing and
+    excluded from classification.
     """
     if not isinstance(graph.scheme, EpsilonBall):
         raise ValueError("the indicator is defined for the epsilon-ball scheme")
     eps = graph.scheme.eps
-    counts = graph.counts
-    if lle is None and not np.any(counts == 0):
-        lle = build_lle_matrix(cloud, graph, c_rule)
-    if lle is not None:
-        c = lle.c
-        n_k = lle.n_k.astype(float)
-        y_sum = lle.y_sum
-        missing = n_k == 0
-    else:
+    if lle is None:
         c = resolve_c(cloud, graph, c_rule)
-        n = cloud.n
-        y_sum = np.zeros(n)
-        missing = counts == 0
-        for k in range(n):
-            idx = graph.neighbors[k]
-            if len(idx) == 0:
-                continue
-            G = (cloud.points[idx] - cloud.points[k]).T
-            y_sum[k] = solve_barycentric(G, c).y_sum
-        n_k = counts.astype(float)
+        _, y_sum = _lle_kernel(cloud.points, graph, c)
+        n_k = graph.counts.astype(float)
+    else:
+        c, y_sum, n_k = lle.c, lle.y_sum, lle.n_k.astype(float)
+    missing = n_k == 0
     b = np.full(len(n_k), np.nan)
     ok = ~missing
     b[ok] = (n_k[ok] - c * y_sum[ok]) / n_k[ok]

@@ -7,13 +7,16 @@ picked by default. Row-normalizing y gives the barycentric weights, hence the
 row-stochastic LLE matrix W. The module also builds the comparison kernels:
 the alpha-family interpolating between the 0-1 kernel and the signed LLE
 kernel, and the Gaussian diffusion-map matrix.
+
+The matrix builders batch the gram route over the CSR neighbor graph;
+solve_barycentric is the per-row oracle they are tested against.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -85,11 +88,6 @@ def augmented_vector_discrete(G: np.ndarray, c: float) -> np.ndarray:
     return U @ (inv * (U.T @ G.sum(axis=1)))
 
 
-def _solve_gram(G: np.ndarray, c: float) -> np.ndarray:
-    Tn = augmented_vector_discrete(G, c)
-    return (1.0 - G.T @ Tn) / c
-
-
 def solve_barycentric(G: np.ndarray, c: float, path: str = "auto") -> BarycentricSolution:
     """Solve (G^T G + c I) y = 1 and normalize.
 
@@ -103,7 +101,7 @@ def solve_barycentric(G: np.ndarray, c: float, path: str = "auto") -> Barycentri
     if path == "direct":
         y = _solve_direct(G, c)
     elif path == "gram":
-        y = _solve_gram(G, c)
+        y = (1.0 - G.T @ augmented_vector_discrete(G, c)) / c
     else:
         raise ValueError(f"unknown path {path!r}")
     y_sum = float(y.sum())
@@ -165,56 +163,93 @@ def resolve_c(cloud: PointCloud, graph: NeighborGraph,
     return c
 
 
-def build_lle_matrix(cloud: PointCloud, graph: NeighborGraph,
-                     c_rule: Union[float, str] = "auto",
-                     eps: Optional[float] = None,
-                     workers: int = 0) -> LleMatrix:
-    """Assemble the n x n LLE matrix from per-point barycentric solves.
+def _row_sums(values: np.ndarray, graph: NeighborGraph) -> np.ndarray:
+    """Per-row sums of an edge array; nan on rows without neighbors."""
+    # np.add.reduceat does not give 0 on an empty segment: skip those rows
+    nonempty = graph.counts > 0
+    out = np.full(graph.n, np.nan)
+    out[nonempty] = np.add.reduceat(values, graph.indptr[:-1][nonempty])
+    return out
 
-    The rows are independent functions of the immutable (cloud, graph) pair
-    and write to disjoint slices, so with workers > 0 they are solved by a
-    thread pool; the assembled matrix is identical regardless of schedule.
+
+def _gram_dots(points: np.ndarray, graph: NeighborGraph, c: float,
+               rows: np.ndarray) -> np.ndarray:
+    """(x_j - x_k)^T T_n(x_k) on the edges of the rows in the mask (all with
+    neighbors), in CSR order: augmented_vector_discrete for all rows at once.
+
+    G G^T and G 1 are summed per row with np.add.reduceat, one entry pair
+    (a, b) at a time so that no per-edge p x p tensor is formed; one stacked
+    eigh factors them, with the rank threshold of _gram_eig per row.
     """
-    n = cloud.n
-    counts = graph.counts
-    if np.any(counts == 0):
-        isolated = np.nonzero(counts == 0)[0]
-        raise ValueError(f"isolated points (no neighbors): {isolated.tolist()}")
-    c = resolve_c(cloud, graph, c_rule, eps)
-    points = cloud.points
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    indices = np.concatenate(graph.neighbors)
-    wdata = np.empty(indptr[-1])
-    ydata = np.empty(indptr[-1])
-    y_sum = np.empty(n)
+    counts = graph.counts[rows]
+    X = np.ascontiguousarray(points.T)
+    p = X.shape[0]
+    D = X[:, graph.indices[np.repeat(rows, graph.counts)]]  # p x E: the columns of every G
+    for a in range(p):
+        D[a] -= np.repeat(X[a, rows], counts)
+    starts = np.cumsum(counts) - counts
+    gram = np.empty((len(counts), p, p))
+    for a in range(p):
+        for b in range(a + 1):
+            gram[:, a, b] = gram[:, b, a] = np.add.reduceat(D[a] * D[b], starts)
+    lam, U = np.linalg.eigh(gram)  # ascending per row
+    thr = np.maximum(p, counts) * np.finfo(float).eps * np.maximum(lam[:, -1], 0.0)
+    inv = np.where(lam > thr[:, None], 1.0 / (lam + c), 0.0)
+    g1 = np.add.reduceat(D, starts, axis=1).T
+    Tn = np.einsum("kab,kb->ka", U, inv * np.einsum("kba,kb->ka", U, g1))
+    return sum(D[a] * np.repeat(Tn[:, a], counts) for a in range(p))
 
-    def solve_row(k: int) -> None:
-        idx = graph.neighbors[k]
-        G = (points[idx] - points[k]).T
-        sol = solve_barycentric(G, c)
+
+def _kernel_y(points: np.ndarray, graph: NeighborGraph, c: float) -> np.ndarray:
+    """Kernel y on every edge: rows with N_k > p take the batched gram route,
+    the others the direct solve, as solve_barycentric's "auto" route does."""
+    p = points.shape[1]
+    counts, indptr, indices = graph.counts, graph.indptr, graph.indices
+    gram = counts > p
+    y = np.empty(len(indices))
+    if np.any(gram):
+        y[np.repeat(gram, counts)] = (1.0 - _gram_dots(points, graph, c, gram)) / c
+    for k in np.flatnonzero((counts > 0) & ~gram):
         lo, hi = indptr[k], indptr[k + 1]
-        wdata[lo:hi] = sol.w
-        ydata[lo:hi] = sol.y
-        y_sum[k] = sol.y_sum
+        y[lo:hi] = _solve_direct((points[indices[lo:hi]] - points[k]).T, c)
+    return y
 
-    if workers > 0:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(solve_row, range(n), chunksize=256))
-    else:
-        for k in range(n):
-            solve_row(k)
+
+def _lle_kernel(points: np.ndarray, graph: NeighborGraph, c: float):
+    """y and its row sums (nan on rows without neighbors); y_sum <= 0 is reported."""
+    y = _kernel_y(points, graph, c)
+    y_sum = _row_sums(y, graph)
     if np.any(y_sum <= 0):
         bad = np.nonzero(y_sum <= 0)[0]
         warnings.warn(f"rows with nonpositive kernel sum (weights flip sign): {bad.tolist()}")
-    W = sp.csr_matrix((wdata, indices, indptr), shape=(n, n))
-    Y = sp.csr_matrix((ydata, indices.copy(), indptr.copy()), shape=(n, n))
-    meta = {"n": n, "c": c, "d": cloud.intrinsic_dim, "seed": cloud.seed}
+    return y, y_sum
+
+
+def _isolated_check(graph: NeighborGraph) -> None:
+    counts = graph.counts
+    if np.any(counts == 0):
+        raise ValueError(f"isolated points (no neighbors): {np.nonzero(counts == 0)[0].tolist()}")
+
+
+def _csr(data: np.ndarray, graph: NeighborGraph) -> sp.csr_matrix:
+    # own column indices: sort_indices on a KNN matrix must not reorder the graph
+    return sp.csr_matrix((data, graph.indices.copy(), graph.indptr), shape=(graph.n, graph.n))
+
+
+def build_lle_matrix(cloud: PointCloud, graph: NeighborGraph,
+                     c_rule: Union[float, str] = "auto",
+                     eps: Optional[float] = None) -> LleMatrix:
+    """Assemble the n x n LLE matrix from the barycentric solves of every row."""
+    _isolated_check(graph)
+    c = resolve_c(cloud, graph, c_rule, eps)
+    y, y_sum = _lle_kernel(cloud.points, graph, c)
+    counts = graph.counts
+    meta = {"n": cloud.n, "c": c, "d": cloud.intrinsic_dim, "seed": cloud.seed}
     meta.update(_scheme_meta(graph.scheme))
     if eps is not None:
         meta["epsilon"] = eps
-    return LleMatrix(weights=W, kernel=Y, y_sum=y_sum, n_k=counts, c=c, meta=meta)
+    return LleMatrix(weights=_csr(y / np.repeat(y_sum, counts), graph), kernel=_csr(y, graph),
+                     y_sum=y_sum, n_k=counts, c=c, meta=meta)
 
 
 def apply_shifted(lle: Union[LleMatrix, sp.spmatrix, np.ndarray], f: np.ndarray) -> np.ndarray:
@@ -237,40 +272,20 @@ def build_alpha_kernel_matrix(cloud: PointCloud, graph: NeighborGraph,
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    n = cloud.n
+    _isolated_check(graph)
     counts = graph.counts
-    if np.any(counts == 0):
-        raise ValueError(f"isolated points: {np.nonzero(counts == 0)[0].tolist()}")
-    points = cloud.points
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    indices = np.concatenate(graph.neighbors)
-    kdata = np.empty(indptr[-1])
-    wdata = np.empty(indptr[-1])
-    row_sum = np.empty(n)
-    degenerate: List[int] = []
-    for k in range(n):
-        idx = graph.neighbors[k]
-        G = (points[idx] - points[k]).T
-        Tn = augmented_vector_discrete(G, c)
-        vals = alpha - (1.0 - alpha) * (G.T @ Tn)
-        s = float(vals.sum())
-        lo, hi = indptr[k], indptr[k + 1]
-        kdata[lo:hi] = vals
-        row_sum[k] = s
-        if s <= 0:
-            degenerate.append(k)
-            wdata[lo:hi] = vals
-        else:
-            wdata[lo:hi] = vals / s
+    # G^T T_n = 1 - c y (push-through identity), so the LLE solves serve here too
+    vals = alpha - (1.0 - alpha) * (1.0 - c * _kernel_y(cloud.points, graph, c))
+    row_sum = _row_sums(vals, graph)
+    degenerate = np.nonzero(row_sum <= 0)[0].tolist()
     if degenerate:
         warnings.warn(f"alpha-kernel rows with nonpositive sum left unnormalized: {degenerate}")
-    W = sp.csr_matrix((wdata, indices, indptr), shape=(n, n))
-    K = sp.csr_matrix((kdata, indices.copy(), indptr.copy()), shape=(n, n))
-    meta = {"n": n, "c": c, "d": cloud.intrinsic_dim, "seed": cloud.seed,
+    wdata = vals / np.repeat(np.where(row_sum > 0, row_sum, 1.0), counts)
+    meta = {"n": cloud.n, "c": c, "d": cloud.intrinsic_dim, "seed": cloud.seed,
             "alpha": alpha, "degenerate_rows": degenerate}
     meta.update(_scheme_meta(graph.scheme))
-    return LleMatrix(weights=W, kernel=K, y_sum=row_sum, n_k=counts, c=c, meta=meta)
+    return LleMatrix(weights=_csr(wdata, graph), kernel=_csr(vals, graph), y_sum=row_sum,
+                     n_k=counts, c=c, meta=meta)
 
 
 def build_dm_matrix(cloud: PointCloud, eps: float, alpha: float) -> sp.csr_matrix:
@@ -286,15 +301,8 @@ def build_dm_matrix(cloud: PointCloud, eps: float, alpha: float) -> sp.csr_matri
         raise ValueError("alpha must lie in [0, 1]")
     n = cloud.n
     graph = build_graph(cloud, EpsilonBall(4.0 * eps))
-    rows, cols, vals = [], [], []
-    for k in range(n):
-        idx = graph.neighbors[k]
-        h = np.exp(-(graph.distances[k] / eps) ** 2)
-        rows.append(np.full(len(idx) + 1, k))
-        cols.append(np.concatenate([idx, [k]]))
-        vals.append(np.concatenate([h, [1.0]]))  # self affinity H(0) = 1
-    H = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(n, n))
+    # self affinity H(0) = 1 on the diagonal
+    H = _csr(np.exp(-(graph.dist / eps) ** 2), graph) + sp.eye(n, format="csr")
     p_eps = np.asarray(H.sum(axis=1)).ravel()
     if alpha > 0:
         scale = p_eps ** (-alpha)

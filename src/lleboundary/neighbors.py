@@ -3,16 +3,19 @@
 Two schemes are supported: the open epsilon-radius ball (membership is the
 strict inequality ||x_j - x_k|| < eps) and K nearest neighbors with ties
 broken toward the smaller index. The epsilon scheme is accelerated by a
-uniform grid over cells of side eps; results are exactly those of the brute
-force scan because candidates are always checked against the true distance.
+k-d tree; results are exactly those of the brute force scan because
+candidates are always checked against the true distance. The graph is stored
+in CSR layout (indptr, indices, dist), the layout the LLE assembly reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Union
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .samplers import PointCloud
 
@@ -49,53 +52,59 @@ Scheme = Union[EpsilonBall, Knn]
 
 @dataclass(frozen=True, repr=False)
 class NeighborGraph:
+    """CSR neighbor lists: row k is indices[indptr[k]:indptr[k + 1]] (by index
+    for the epsilon ball, by distance for KNN), dist its distances to x_k."""
+
     scheme: Scheme
-    neighbors: List[np.ndarray]
-    distances: List[np.ndarray]
+    indptr: np.ndarray
+    indices: np.ndarray
+    dist: np.ndarray
 
     @property
     def n(self) -> int:
-        return len(self.neighbors)
+        return len(self.indptr) - 1
 
     @property
     def counts(self) -> np.ndarray:
-        return np.array([len(ix) for ix in self.neighbors], dtype=int)
+        return np.diff(self.indptr)
+
+    @cached_property
+    def neighbors(self) -> List[np.ndarray]:  # per-row views
+        return np.split(self.indices, self.indptr[1:-1])
+
+    @cached_property
+    def distances(self) -> List[np.ndarray]:
+        return np.split(self.dist, self.indptr[1:-1])
 
     def __repr__(self) -> str:
-        # a summary: the field-by-field repr of the per-point lists runs to
-        # tens of megabytes on a full-size cloud
-        return f"NeighborGraph(scheme={self.scheme!r}, n={self.n}, edges={int(self.counts.sum())})"
+        # a summary: the field-by-field repr runs to megabytes on a full-size cloud
+        return f"NeighborGraph(scheme={self.scheme!r}, n={self.n}, edges={len(self.indices)})"
 
 
-def _sq_dists(points: np.ndarray, cand: np.ndarray, k: int) -> np.ndarray:
+def _sq_dists(points: np.ndarray, cand: np.ndarray, k) -> np.ndarray:
     diff = points[cand] - points[k]
     return np.einsum("ij,ij->i", diff, diff)
 
 
-def _grid_eps_lists(points: np.ndarray, eps: float):
-    n, p = points.shape
-    cells = np.floor(points / eps).astype(np.int64)
-    buckets: dict = {}
-    for i in range(n):
-        buckets.setdefault(tuple(cells[i]), []).append(i)
-    offsets = np.array(np.meshgrid(*([[-1, 0, 1]] * p), indexing="ij")).reshape(p, -1).T
-    e2 = eps * eps
-    nbrs, dists = [], []
-    for k in range(n):
-        base = cells[k]
-        cand: list = []
-        for off in offsets:
-            cand.extend(buckets.get(tuple(base + off), ()))
-        cand = np.asarray(cand, dtype=int)
-        d2 = _sq_dists(points, cand, k)
-        sel = (d2 < e2) & (cand != k)
-        order = np.argsort(cand[sel], kind="stable")
-        nbrs.append(cand[sel][order])
-        dists.append(np.sqrt(d2[sel][order]))
-    return nbrs, dists
+def _eps_csr(points: np.ndarray, eps: float):
+    """Epsilon-ball graph: a k-d tree finds the pairs i < j within a slightly
+    inflated radius, the exact d^2 < eps^2 test (the brute force scan's own
+    arithmetic) filters them, and the mirrored pairs are sorted by (row, col)."""
+    n = points.shape[0]
+    pairs = cKDTree(points).query_pairs(eps * (1.0 + 1e-9), output_type="ndarray")
+    d2 = _sq_dists(points, pairs[:, 1], pairs[:, 0])
+    keep = d2 < eps * eps
+    pairs, dist = pairs[keep], np.sqrt(d2[keep])
+    rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    cols = np.concatenate([pairs[:, 1], pairs[:, 0]]).astype(np.int32)
+    # one sort on the unique key row * n + col orders by (row, col)
+    order = np.argsort(rows * n + cols)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr, cols[order], np.concatenate([dist, dist])[order]
 
 
-def _brute_eps_lists(points: np.ndarray, eps: float):
+def _brute_eps_csr(points: np.ndarray, eps: float):
     n = points.shape[0]
     e2 = eps * eps
     all_idx = np.arange(n)
@@ -105,15 +114,17 @@ def _brute_eps_lists(points: np.ndarray, eps: float):
         sel = (d2 < e2) & (all_idx != k)
         nbrs.append(all_idx[sel])
         dists.append(np.sqrt(d2[sel]))
-    return nbrs, dists
+    indptr = np.concatenate([[0], np.cumsum([len(ix) for ix in nbrs])])
+    return indptr, np.concatenate(nbrs), np.concatenate(dists)
 
 
-def _knn_lists(points: np.ndarray, k: int, block: int = 512):
+def _knn_csr(points: np.ndarray, k: int, block: int = 512):
     n = points.shape[0]
     if k >= n:
         raise ValueError(f"knn requires k < n (got k={k}, n={n})")
     sq = (points ** 2).sum(axis=1)
-    nbrs, dists = [], []
+    nbrs = np.empty((n, k), dtype=np.int32)
+    dists = np.empty((n, k))
     for lo in range(0, n, block):
         hi = min(lo + block, n)
         d2 = sq[lo:hi, None] - 2.0 * points[lo:hi] @ points.T + sq[None, :]
@@ -123,44 +134,36 @@ def _knn_lists(points: np.ndarray, k: int, block: int = 512):
             row[lo + r] = np.inf
             # ascending distance, ties to the smaller index
             order = np.lexsort((np.arange(n), row))[:k]
-            nbrs.append(order)
-            dists.append(np.sqrt(row[order]))
-    return nbrs, dists
+            nbrs[lo + r] = order
+            dists[lo + r] = np.sqrt(row[order])
+    return np.arange(0, n * k + 1, k, dtype=np.int64), nbrs.ravel(), dists.ravel()
 
 
 def build_graph(cloud: PointCloud, scheme: Scheme) -> NeighborGraph:
     """Exact neighbor lists of every point under the given scheme.
 
-    Points with no neighbor under the epsilon scheme get an empty list;
+    Points with no neighbor under the epsilon scheme get an empty row;
     downstream constructions decide how to treat them.
     """
     points = cloud.points
     if isinstance(scheme, EpsilonBall):
-        # the grid enumerates 3^p cells per query; fall back for high p
-        if points.shape[1] <= 6 and points.shape[0] > 64:
-            nbrs, dists = _grid_eps_lists(points, scheme.eps)
-        else:
-            nbrs, dists = _brute_eps_lists(points, scheme.eps)
-    elif isinstance(scheme, Knn):
-        nbrs, dists = _knn_lists(points, scheme.k)
-    else:
-        raise TypeError(f"unknown scheme {scheme!r}")
-    return NeighborGraph(scheme, [np.asarray(ix, dtype=int) for ix in nbrs], dists)
+        return NeighborGraph(scheme, *_eps_csr(points, scheme.eps))
+    if isinstance(scheme, Knn):
+        return NeighborGraph(scheme, *_knn_csr(points, scheme.k))
+    raise TypeError(f"unknown scheme {scheme!r}")
 
 
 def brute_force_neighbors(cloud: PointCloud, scheme: Scheme) -> NeighborGraph:
     """Reference implementation used as the oracle for build_graph."""
     points = cloud.points
     if isinstance(scheme, EpsilonBall):
-        nbrs, dists = _brute_eps_lists(points, scheme.eps)
-    else:
-        nbrs, dists = _knn_lists(points, scheme.k, block=points.shape[0])
-    return NeighborGraph(scheme, [np.asarray(ix, dtype=int) for ix in nbrs], dists)
+        return NeighborGraph(scheme, *_brute_eps_csr(points, scheme.eps))
+    return NeighborGraph(scheme, *_knn_csr(points, scheme.k, block=points.shape[0]))
 
 
 def local_data_matrix(cloud: PointCloud, graph: NeighborGraph, k: int) -> np.ndarray:
     """p x N_k matrix whose columns are the centered neighbors x_{k,j} - x_k."""
-    idx = graph.neighbors[k]
+    idx = graph.indices[graph.indptr[k]:graph.indptr[k + 1]]
     if len(idx) == 0:
         raise ValueError(f"point {k} has no neighbors (empty neighborhood)")
     return (cloud.points[idx] - cloud.points[k]).T

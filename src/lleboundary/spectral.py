@@ -80,11 +80,8 @@ def _fix_phase(vecs: np.ndarray) -> np.ndarray:
 
 
 def _residuals(W, vals, vecs) -> np.ndarray:
-    res = np.empty(len(vals))
-    for j in range(len(vals)):
-        v = vecs[:, j]
-        res[j] = np.linalg.norm(W @ v - vals[j] * v) / np.linalg.norm(v)
-    return res
+    """||W v - lambda v|| / ||v|| for every eigenpair, from one product W @ V."""
+    return np.linalg.norm(W @ vecs - vecs * vals, axis=0) / np.linalg.norm(vecs, axis=0)
 
 
 def eig(W: MatrixLike, k: Optional[int] = None, ordering: str = "real_desc",

@@ -57,15 +57,21 @@ def test_empty_matrix(tmp_path):
     assert loaded.shape == (0, 0)
 
 
-def test_file_independent_of_thread_schedule(tmp_path):
+@pytest.mark.parametrize("kind", ["disk", "ten_point_knn5"])
+def test_batched_matrix_file_round_trip_bit_exact(tmp_path, kind):
+    # the batched W survives save_matrix -> load_matrix bit for bit; the KNN
+    # rows are stored in distance order and come back in index order
     from lleboundary.samplers import sample_disk
-    cloud = sample_disk(600, seed=3)
-    graph = build_graph(cloud, EpsilonBall(0.25))
-    seq = build_lle_matrix(cloud, graph, "auto")
-    par = build_lle_matrix(cloud, graph, "auto", workers=3)
-    a = lio.save_matrix(seq, tmp_path / "seq.csv")
-    b = lio.save_matrix(par, tmp_path / "par.csv")
-    assert a.read_bytes() == b.read_bytes()
+    if kind == "disk":
+        cloud, scheme, c_rule = sample_disk(600, seed=3), EpsilonBall(0.25), "auto"
+    else:
+        cloud, scheme, c_rule = ten_point_cloud(), Knn(5), 1e-3
+    lle = build_lle_matrix(cloud, build_graph(cloud, scheme), c_rule)
+    loaded, _ = lio.load_matrix(lio.save_matrix(lle, tmp_path / "w.csv"))
+    ref = lle.weights.sorted_indices()
+    assert np.array_equal(loaded.indptr, ref.indptr)
+    assert np.array_equal(loaded.indices, ref.indices)
+    assert np.array_equal(loaded.data.view(np.uint64), ref.data.view(np.uint64))
 
 
 def test_ten_point_spectrum_round_trip(tmp_path):

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import s1_grid_cloud, s1_grid_eps
-from lleboundary.lle import (apply_shifted, augmented_vector_discrete,
+from conftest import s1_grid_cloud, s1_grid_eps, ten_point_cloud
+from lleboundary.lle import (_gram_eig, apply_shifted, augmented_vector_discrete,
                              build_alpha_kernel_matrix, build_dm_matrix, build_lle_matrix,
                              default_regularizer, solve_barycentric)
-from lleboundary.neighbors import EpsilonBall, Knn, build_graph, local_data_matrix
-from lleboundary.samplers import PointCloud, sample_disk
+from lleboundary.neighbors import (EpsilonBall, Knn, brute_force_neighbors, build_graph,
+                                   local_data_matrix)
+from lleboundary.samplers import (PointCloud, sample_disk, sample_interval,
+                                  sample_truncated_torus)
 
 
 def test_symmetric_pair_gives_half_half():
@@ -188,13 +190,133 @@ def test_dm_matrix():
     assert np.allclose(M0.sum(axis=1), 1.0)
 
 
-def test_threaded_build_matches_sequential():
-    cloud = sample_disk(900, seed=12)
-    graph = build_graph(cloud, EpsilonBall(0.2))
-    seq = build_lle_matrix(cloud, graph, c_rule="auto")
-    par = build_lle_matrix(cloud, graph, c_rule="auto", workers=4)
-    assert (seq.weights != par.weights).nnz == 0
-    assert np.array_equal(seq.y_sum, par.y_sum)
+# The batched kernel against the per-row oracle. w is compared absolutely;
+# y is of the size of 1/c (up to ~1e4 here), so it is compared relative to
+# the row's largest |y|, and y_sum relative to itself.
+ORACLE_TOL = 1e-12
+
+
+def assert_rows_match_oracle(cloud, graph, lle):
+    W, Y = lle.weights, lle.kernel
+    for k in range(cloud.n):
+        sol = solve_barycentric(local_data_matrix(cloud, graph, k), lle.c)
+        lo, hi = W.indptr[k], W.indptr[k + 1]
+        assert np.max(np.abs(W.data[lo:hi] - sol.w)) <= ORACLE_TOL
+        assert np.max(np.abs(Y.data[lo:hi] - sol.y)) <= ORACLE_TOL * np.max(np.abs(sol.y))
+        assert abs(lle.y_sum[k] - sol.y_sum) <= ORACLE_TOL * abs(sol.y_sum)
+
+
+def assert_alpha_rows_match_oracle(cloud, graph, c, alpha):
+    K = build_alpha_kernel_matrix(cloud, graph, c, alpha).kernel
+    for k in range(cloud.n):
+        G = local_data_matrix(cloud, graph, k)
+        vals = alpha - (1.0 - alpha) * (G.T @ augmented_vector_discrete(G, c))
+        row = K.data[K.indptr[k]:K.indptr[k + 1]]
+        assert np.max(np.abs(row - vals)) <= ORACLE_TOL * max(1.0, np.max(np.abs(vals)))
+
+
+def batched_fixture(kind):
+    if kind == "disk":
+        return sample_disk(900, seed=12), EpsilonBall(0.2), "auto"
+    if kind == "torus":
+        return sample_truncated_torus(1500, seed=4), EpsilonBall(0.6), "auto"
+    if kind == "interval":
+        return sample_interval(1000, seed=3), EpsilonBall(0.02), "auto"
+    return ten_point_cloud(), Knn(5), 1e-3
+
+
+@pytest.mark.parametrize("kind", ["disk", "torus", "interval", "ten_point_knn5"])
+def test_batched_build_matches_per_row_oracle(kind):
+    cloud, scheme, c_rule = batched_fixture(kind)
+    graph = build_graph(cloud, scheme)
+    lle = build_lle_matrix(cloud, graph, c_rule)
+    assert np.all(lle.n_k > cloud.ambient_dim)  # every row on the gram route
+    assert_rows_match_oracle(cloud, graph, lle)
+    assert_alpha_rows_match_oracle(cloud, graph, lle.c, alpha=0.75)
+
+
+@pytest.mark.parametrize("direction", [[0.6, 0.8], [2.0 / 7.0, 3.0 / 7.0, 6.0 / 7.0]])
+def test_batched_rank_deficient_gram(direction):
+    # collinear points in R^2 and R^3: every G G^T has rank 1, and the rank
+    # threshold annihilates the other directions in both paths alike
+    t = np.sort(np.random.default_rng(0).uniform(0.0, 1.0, 60))
+    cloud = PointCloud(t[:, None] * np.array(direction)[None, :], intrinsic_dim=1, seed=0,
+                       manifold_tag="raw")
+    graph = build_graph(cloud, EpsilonBall(0.15))
+    for k in (0, 30, 59):
+        assert _gram_eig(local_data_matrix(cloud, graph, k), 1e-3)[3] == 1
+    # at c = 1e-40 a rounding-level eigenvalue that escaped the threshold
+    # would be amplified to O(1) in T_n
+    for c in (1e-3, 1e-6, 1e-40):
+        assert_rows_match_oracle(cloud, graph, build_lle_matrix(cloud, graph, c_rule=c))
+        assert_alpha_rows_match_oracle(cloud, graph, c, alpha=0.75)
+
+
+def test_batched_direct_route_rows():
+    # a tight cluster (N_k > p, gram route) beside a sparse chain (N_k <= p,
+    # direct route) in R^3
+    rng = np.random.default_rng(9)
+    cluster = rng.normal(scale=0.05, size=(12, 3))
+    chain = np.column_stack([np.arange(1, 7) * 0.3, np.zeros(6), np.zeros(6)])
+    cloud = PointCloud(np.vstack([cluster, chain]), intrinsic_dim=3, seed=0, manifold_tag="raw")
+    graph = build_graph(cloud, EpsilonBall(0.35))
+    counts = graph.counts
+    assert np.any(counts <= 3) and np.any(counts > 3) and np.all(counts > 0)
+    # at c = 1e-9 the gram route would miss the direct solve by more than 1e-12
+    for c in (1e-3, 1e-9):
+        assert_rows_match_oracle(cloud, graph, build_lle_matrix(cloud, graph, c_rule=c))
+
+
+def test_batched_isolated_point():
+    # an isolated point: the indicator marks it missing and solves the other
+    # rows as the per-row oracle does; the LLE build refuses the graph
+    from lleboundary.boundary import indicator
+    rng = np.random.default_rng(2)
+    pts = np.vstack([rng.uniform(0.0, 1.0, size=(80, 2)), [[9.0, 9.0]]])
+    cloud = PointCloud(pts, intrinsic_dim=2, seed=0, manifold_tag="raw")
+    graph = build_graph(cloud, EpsilonBall(0.3))
+    assert graph.counts[80] == 0 and np.all(graph.counts[:80] > 2)
+    rep = indicator(cloud, graph, c_rule=1e-2)
+    assert rep.missing.tolist() == [False] * 80 + [True]
+    assert np.isnan(rep.b_values[80])
+    for k in range(80):
+        y_sum = solve_barycentric(local_data_matrix(cloud, graph, k), 1e-2).y_sum
+        expect = (graph.counts[k] - 1e-2 * y_sum) / graph.counts[k]
+        assert abs(rep.b_values[k] - expect) <= ORACLE_TOL * max(1.0, abs(expect))
+    with pytest.raises(ValueError, match=r"\[80\]"):
+        build_lle_matrix(cloud, graph, c_rule=1e-2)
+
+
+def test_batched_nonpositive_row_sum_warns():
+    # row 0's three neighbors coincide at offset 1 and c = 2^-70 is lost next
+    # to G G^T = 3, so T_n = 1 and y = (1 - 1)/c = 0 exactly on both paths
+    from lleboundary.boundary import indicator
+    cloud = PointCloud(np.array([[0.0], [1.0], [1.0], [1.0]]), intrinsic_dim=1, seed=0,
+                       manifold_tag="raw")
+    graph = build_graph(cloud, EpsilonBall(1.5))
+    c = 2.0 ** -70
+    with np.errstate(invalid="ignore"):  # w = 0/0 on that row
+        assert solve_barycentric(local_data_matrix(cloud, graph, 0), c).y_sum == 0.0
+        with pytest.warns(UserWarning, match=r"nonpositive kernel sum.*\[0\]"):
+            lle = build_lle_matrix(cloud, graph, c_rule=c)
+    assert lle.y_sum[0] == 0.0 and np.all(lle.y_sum[1:] > 0)
+    with pytest.warns(UserWarning, match=r"nonpositive kernel sum.*\[0\]"):
+        rep = indicator(cloud, graph, c_rule=c)
+    assert rep.b_values[0] == 1.0
+
+
+def test_batched_knn_ties_to_smaller_index():
+    # a 4 x 4 unit grid: an interior point has four neighbors at distance 1,
+    # and Knn(3) keeps the three with the smallest indices
+    xs, ys = np.meshgrid(np.arange(4.0), np.arange(4.0), indexing="ij")
+    cloud = PointCloud(np.column_stack([xs.ravel(), ys.ravel()]), intrinsic_dim=2, seed=0,
+                       manifold_tag="grid")
+    graph = build_graph(cloud, Knn(3))
+    assert graph.neighbors[5].tolist() == [1, 4, 6]  # not 9
+    ref = brute_force_neighbors(cloud, Knn(3))
+    assert np.array_equal(graph.indices, ref.indices)
+    assert np.array_equal(graph.dist, ref.dist)
+    assert_rows_match_oracle(cloud, graph, build_lle_matrix(cloud, graph, c_rule=1e-3))
 
 
 def test_kernel_sums_positive_on_standard_clouds(interval_runs):
