@@ -65,50 +65,55 @@ def sphere_ratio_check(d: int) -> bool:
 
 
 # --- cap integrals I(s) = int_0^s of the three integrand families ------------
+# s may be an array; d <= 3 are closed forms, d >= 4 adaptive quadrature per entry.
 
-def _int_flat(s: float, d: int) -> float:
+def _quad(f, s):
+    """int_0^s f(x) dx for every entry of s."""
+    return np.vectorize(lambda b: quad(f, 0.0, b, epsabs=1e-12, epsrel=1e-12)[0],
+                        otypes=[float])(s)
+
+
+def _int_flat(s, d: int):
     """int_0^s (1 - x^2)^((d-1)/2) dx."""
     if d == 1:
         return s
     if d == 2:
-        return 0.5 * (s * math.sqrt(1.0 - s * s) + math.asin(s))
+        return 0.5 * (s * np.sqrt(1.0 - s * s) + np.arcsin(s))
     if d == 3:
         return s - s ** 3 / 3.0
-    return quad(lambda x: (1.0 - x * x) ** ((d - 1) / 2.0), 0.0, s,
-                epsabs=1e-12, epsrel=1e-12)[0]
+    return _quad(lambda x: (1.0 - x * x) ** ((d - 1) / 2.0), s)
 
 
-def _int_steep(s: float, d: int) -> float:
+def _int_steep(s, d: int):
     """int_0^s (1 - x^2)^((d+1)/2) dx."""
     if d == 1:
         return s - s ** 3 / 3.0
     if d == 2:
-        return (s * (5.0 - 2.0 * s * s) * math.sqrt(1.0 - s * s) + 3.0 * math.asin(s)) / 8.0
+        return (s * (5.0 - 2.0 * s * s) * np.sqrt(1.0 - s * s) + 3.0 * np.arcsin(s)) / 8.0
     if d == 3:
         return s - 2.0 * s ** 3 / 3.0 + s ** 5 / 5.0
-    return quad(lambda x: (1.0 - x * x) ** ((d + 1) / 2.0), 0.0, s,
-                epsabs=1e-12, epsrel=1e-12)[0]
+    return _quad(lambda x: (1.0 - x * x) ** ((d + 1) / 2.0), s)
 
 
-def _int_sq(s: float, d: int) -> float:
+def _int_sq(s, d: int):
     """int_0^s x^2 (1 - x^2)^((d-1)/2) dx."""
     if d == 1:
         return s ** 3 / 3.0
     if d == 2:
-        return (math.asin(s) - s * (1.0 - 2.0 * s * s) * math.sqrt(1.0 - s * s)) / 8.0
+        return (np.arcsin(s) - s * (1.0 - 2.0 * s * s) * np.sqrt(1.0 - s * s)) / 8.0
     if d == 3:
         return s ** 3 / 3.0 - s ** 5 / 5.0
-    return quad(lambda x: x * x * (1.0 - x * x) ** ((d - 1) / 2.0), 0.0, s,
-                epsabs=1e-12, epsrel=1e-12)[0]
+    return _quad(lambda x: x * x * (1.0 - x * x) ** ((d - 1) / 2.0), s)
 
 
 @dataclass(frozen=True)
 class AnalyticCoeffs:
     """Evaluator for the sigma functions and derived coefficients at fixed (d, eps).
 
-    All sigma functions take the boundary distance t >= 0, are continuous,
-    and are constant for t >= eps (interior values). Evaluation exactly at
-    t = eps returns that interior constant.
+    All sigma functions and the coefficients built from them take the
+    boundary distance t >= 0 as a scalar or an array (scalars give numpy
+    scalars), are continuous, and are constant for t >= eps (interior
+    values). Evaluation exactly at t = eps returns that interior constant.
     """
 
     d: int
@@ -129,52 +134,45 @@ class AnalyticCoeffs:
     def cap(self) -> float:
         return cap_coefficient(self.d)
 
-    def _s(self, t: float) -> float:
-        if t < 0:
+    def _s(self, t):
+        """Scaled depth min(t/eps, 1); the sigma functions are constant from s = 1 on."""
+        t = np.asarray(t, dtype=float)
+        if np.any(t < 0):
             raise ValueError("t must be >= 0")
-        return t / self.eps
+        return np.minimum(t / self.eps, 1.0)
 
-    def sigma0(self, t: float) -> float:
-        d = self.d
-        if t >= self.eps:
-            return self.sphere / d
-        return self.sphere / (2 * d) + self.cap * _int_flat(self._s(t), d)
+    def sigma0(self, t):
+        d, s = self.d, self._s(t)
+        layer = self.sphere / (2 * d) + self.cap * _int_flat(s, d)
+        return np.where(s < 1, layer, self.sphere / d)[()]
 
-    def sigma1d(self, t: float) -> float:
-        d = self.d
-        if t >= self.eps:
-            return 0.0
-        s = self._s(t)
-        return -self.cap / (d + 1) * (1.0 - s * s) ** ((d + 1) / 2.0)
+    def sigma1d(self, t):
+        d, s = self.d, self._s(t)
+        layer = -self.cap / (d + 1) * (1.0 - s * s) ** ((d + 1) / 2.0)
+        return np.where(s < 1, layer, 0.0)[()]
 
-    def sigma2(self, t: float) -> float:
-        d = self.d
-        if t >= self.eps:
-            return self.sphere / (d * (d + 2))
-        return self.sphere / (2 * d * (d + 2)) + self.cap / (d + 1) * _int_steep(self._s(t), d)
+    def sigma2(self, t):
+        d, s = self.d, self._s(t)
+        layer = self.sphere / (2 * d * (d + 2)) + self.cap / (d + 1) * _int_steep(s, d)
+        return np.where(s < 1, layer, self.sphere / (d * (d + 2)))[()]
 
-    def sigma2d(self, t: float) -> float:
-        d = self.d
-        if t >= self.eps:
-            return self.sphere / (d * (d + 2))
-        return self.sphere / (2 * d * (d + 2)) + self.cap * _int_sq(self._s(t), d)
+    def sigma2d(self, t):
+        d, s = self.d, self._s(t)
+        layer = self.sphere / (2 * d * (d + 2)) + self.cap * _int_sq(s, d)
+        return np.where(s < 1, layer, self.sphere / (d * (d + 2)))[()]
 
-    def sigma3(self, t: float) -> float:
-        d = self.d
-        if t >= self.eps:
-            return 0.0
-        s = self._s(t)
-        return -self.cap / ((d + 1) * (d + 3)) * (1.0 - s * s) ** ((d + 3) / 2.0)
+    def sigma3(self, t):
+        d, s = self.d, self._s(t)
+        layer = -self.cap / ((d + 1) * (d + 3)) * (1.0 - s * s) ** ((d + 3) / 2.0)
+        return np.where(s < 1, layer, 0.0)[()]
 
-    def sigma3d(self, t: float) -> float:
-        d = self.d
-        if t >= self.eps:
-            return 0.0
-        s = self._s(t)
-        return (-self.cap / ((d + 1) * (d + 3))
-                * (2.0 + (d + 1) * s * s) * (1.0 - s * s) ** ((d + 1) / 2.0))
+    def sigma3d(self, t):
+        d, s = self.d, self._s(t)
+        layer = (-self.cap / ((d + 1) * (d + 3))
+                 * (2.0 + (d + 1) * s * s) * (1.0 - s * s) ** ((d + 1) / 2.0))
+        return np.where(s < 1, layer, 0.0)[()]
 
-    def sigma(self, kind: str, t: float) -> float:
+    def sigma(self, kind: str, t):
         table = {"s0": self.sigma0, "s1d": self.sigma1d, "s2": self.sigma2,
                  "s2d": self.sigma2d, "s3": self.sigma3, "s3d": self.sigma3d}
         try:
@@ -184,29 +182,27 @@ class AnalyticCoeffs:
 
     # --- operator coefficients -------------------------------------------
 
-    def _denom(self, t: float) -> float:
+    def _denom(self, t):
         return self.sigma2d(t) * self.sigma0(t) - self.sigma1d(t) ** 2
 
-    def phi(self, t: float) -> Tuple[float, float]:
+    def phi(self, t) -> Tuple:
         """Second-order coefficients (phi1, phi2); both equal 1/(2(d+2)) for t >= eps."""
-        if t >= self.eps:
-            interior = 1.0 / (2.0 * (self.d + 2))
-            return interior, interior
+        layer = self._s(t) < 1
+        interior = 1.0 / (2.0 * (self.d + 2))
         den = 2.0 * self._denom(t)
         phi1 = (self.sigma2d(t) * self.sigma2(t) - self.sigma3(t) * self.sigma1d(t)) / den
         phi2 = (self.sigma2d(t) ** 2 - self.sigma3d(t) * self.sigma1d(t)) / den
-        return phi1, phi2
+        return np.where(layer, phi1, interior)[()], np.where(layer, phi2, interior)[()]
 
-    def potential_v(self, t: float, p_val: float) -> float:
+    def potential_v(self, t, p_val: float):
         """First-order (drift) coefficient V <= 0; zero for t >= eps."""
         if not p_val > 0:
             raise ValueError("density value must be positive")
         return self.sigma1d(t) / (p_val * self._denom(t))
 
-    def b_function(self, t: float) -> float:
-        """Boundary-indicator limit sigma1d^2/(sigma0 sigma2d) for t < eps, else 0."""
-        if t >= self.eps:
-            return 0.0
+    def b_function(self, t):
+        """Boundary-indicator limit sigma1d^2/(sigma0 sigma2d); 0 for t >= eps, where
+        sigma1d is exactly 0."""
         return self.sigma1d(t) ** 2 / (self.sigma0(t) * self.sigma2d(t))
 
     def b_at_boundary(self) -> float:
@@ -222,20 +218,19 @@ class AnalyticCoeffs:
         """
         kernel_inf = 1.0 - self.cap * 2.0 * self.d * (self.d + 2) / ((self.d + 1) * self.sphere)
 
-        def boundary_slope(t: float) -> float:
+        def boundary_slope(t):
             return -self.sigma1d(t) / (self.sigma2d(t) * self.eps)
 
         return {"kernel_inf": kernel_inf, "boundary_slope": boundary_slope}
 
-    def dm_coeffs(self, t: float) -> dict:
+    def dm_coeffs(self, t) -> dict:
         """Diffusion-map coefficients psi1 = sigma2/(2 sigma0), psi2 = sigma2d/(2 sigma0),
         and the order-eps drift sigma1d/sigma0 (curvature term excluded)."""
-        if t >= self.eps:
-            interior = 1.0 / (2.0 * (self.d + 2))
-            return {"psi1": interior, "psi2": interior, "drift": 0.0}
+        layer = self._s(t) < 1
+        interior = 1.0 / (2.0 * (self.d + 2))
         s0 = self.sigma0(t)
-        return {"psi1": 0.5 * self.sigma2(t) / s0,
-                "psi2": 0.5 * self.sigma2d(t) / s0,
+        return {"psi1": np.where(layer, 0.5 * self.sigma2(t) / s0, interior)[()],
+                "psi2": np.where(layer, 0.5 * self.sigma2d(t) / s0, interior)[()],
                 "drift": self.sigma1d(t) / s0}
 
     # --- degeneracy locus --------------------------------------------------
@@ -470,10 +465,7 @@ def sl_functions(t: float, eps: float, a: float) -> dict:
 def coefficient_table(d: int, eps: float, ts, p_val: float = 1.0) -> np.ndarray:
     """Rows (t/eps, s0, s1d, s2, s2d, s3, s3d, phi1, phi2, V, B) on a t grid."""
     cf = AnalyticCoeffs(d, eps)
-    out = np.empty((len(ts), 11))
-    for i, t in enumerate(ts):
-        phi1, phi2 = cf.phi(t)
-        out[i] = (t / eps, cf.sigma0(t), cf.sigma1d(t), cf.sigma2(t), cf.sigma2d(t),
-                  cf.sigma3(t), cf.sigma3d(t), phi1, phi2,
-                  cf.potential_v(t, p_val), cf.b_function(t))
-    return out
+    t = np.asarray(ts, dtype=float)
+    return np.column_stack([t / eps, cf.sigma0(t), cf.sigma1d(t), cf.sigma2(t), cf.sigma2d(t),
+                            cf.sigma3(t), cf.sigma3d(t), *cf.phi(t),
+                            cf.potential_v(t, p_val), cf.b_function(t)])

@@ -94,25 +94,21 @@ def classify(report: BoundaryReport, tau: Optional[float] = None) -> BoundaryRep
     return replace(report, threshold=float(tau), labels=labels)
 
 
-def _invert_b_profile(cf: AnalyticCoeffs, b: float) -> float:
-    """Depth estimate from an indicator value: the t in [0, eps] with b_function(t) = b.
+def _invert_b_profile(cf: AnalyticCoeffs, b: np.ndarray) -> np.ndarray:
+    """Depth estimates from indicator values: the t in [0, eps] with b_function(t) = b.
 
-    b_function is strictly decreasing from b(0) to 0 on [0, eps]; values at or
-    above b(0) clamp to 0, values at or below 0 clamp to eps.
+    b_function is strictly decreasing from b(0) to 0 on [0, eps], so 80
+    bisection steps run on every entry at once. Values at or above b(0) clamp
+    to 0, values at or below 0 clamp to eps, and non-finite values map to inf.
     """
-    b0 = cf.b_function(0.0)
-    if b >= b0:
-        return 0.0
-    if b <= 0.0:
-        return cf.eps
-    lo, hi = 0.0, cf.eps
+    b = np.asarray(b, dtype=float)
+    lo, hi = np.zeros_like(b), np.full_like(b, cf.eps)
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if cf.b_function(mid) > b:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        above = cf.b_function(mid) > b
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+    return np.select([~np.isfinite(b), b >= cf.b_function(0.0), b <= 0.0],
+                     [np.inf, 0.0, cf.eps], 0.5 * (lo + hi))
 
 
 def partition_regions(cloud: PointCloud, eps: float, tstar_val: float,
@@ -130,8 +126,7 @@ def partition_regions(cloud: PointCloud, eps: float, tstar_val: float,
         dist = gt.boundary_dist
     elif report is not None:
         cf = AnalyticCoeffs(cloud.intrinsic_dim, eps)
-        dist = np.array([_invert_b_profile(cf, b) if np.isfinite(b) else np.inf
-                         for b in report.b_values])
+        dist = _invert_b_profile(cf, report.b_values)
         dist = np.where(dist >= cf.eps, 2.0 * eps + eps, dist)
     else:
         raise ValueError("no ground-truth boundary distance and no indicator report")

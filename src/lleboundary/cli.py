@@ -21,7 +21,7 @@ from .boundary import clip as clip_matrix
 from .harness import (PRESETS, ExperimentConfig, build_pipeline, run_convergence,
                       run_eigenfunctions, run_indicator, run_null_case, sample,
                       wave_partition)
-from .spectral import eig
+from .spectral import DENSE_CUTOFF, eig
 
 _CONFIG_KEYS = {"manifold", "n", "eps", "knn", "c", "c_rule", "seed", "k_eigs",
                 "alpha", "out", "tstar_clip", "scale", "f_test", "tau", "d", "grid"}
@@ -163,7 +163,7 @@ def main(argv=None) -> int:
     elif args.command == "spectrum":
         out = _need_out(cfg)
         cloud, graph, lle = build_pipeline(cfg)
-        k = cfg.k_eigs if lle.n > 2000 else None
+        k = cfg.k_eigs if lle.n > DENSE_CUTOFF else None
         spec = eig(lle.weights, k=k, ordering="real_desc")
         lio.save_spectrum(spec, out / "spectrum.csv")
         lio.save_eigenvectors(spec, out / "eigenvectors.csv", meta={"seed": cfg.seed})

@@ -154,15 +154,11 @@ def _operator_targets(cloud: PointCloud, eps: float, f_test: str) -> np.ndarray:
     bdist = gt.boundary_dist
     normal = gt.outward_normal_tangent
     cf = AnalyticCoeffs(cloud.intrinsic_dim, eps)
-    out = np.empty(cloud.n)
-    for k in range(cloud.n):
-        nvec = normal[k]
-        h_nn = float(nvec @ hess[k] @ nvec)
-        trace = float(np.trace(hess[k]))
-        dn = float(grad[k] @ nvec)
-        phi1, phi2 = cf.phi(bdist[k])
-        out[k] = phi1 * (trace - h_nn) + phi2 * h_nn + cf.potential_v(bdist[k], p_val) * dn
-    return out
+    h_nn = np.einsum("ki,kij,kj->k", normal, hess, normal)
+    trace = np.einsum("kii->k", hess)
+    dn = np.einsum("ki,ki->k", grad, normal)
+    phi1, phi2 = cf.phi(bdist)
+    return phi1 * (trace - h_nn) + phi2 * h_nn + cf.potential_v(bdist, p_val) * dn
 
 
 def wave_partition(cloud: PointCloud, graph: NeighborGraph, lle: LleMatrix,
@@ -225,7 +221,6 @@ def run_eigenfunctions(config: ExperimentConfig) -> dict:
     if out is not None:
         _eigfun_csv(out, "eigenfunctions.csv", cloud, np.arange(cloud.n), spec)
     if config.tstar_clip:
-        cf = AnalyticCoeffs(cloud.intrinsic_dim, config.eps)
         regions = wave_partition(cloud, graph, lle, config)
         Wr, kept = clip(lle, regions)
         spec_r = eig(Wr, k=config.k_eigs, ordering="real_desc")

@@ -129,13 +129,11 @@ def _knn_csr(points: np.ndarray, k: int, block: int = 512):
         hi = min(lo + block, n)
         d2 = sq[lo:hi, None] - 2.0 * points[lo:hi] @ points.T + sq[None, :]
         np.maximum(d2, 0.0, out=d2)
-        for r in range(hi - lo):
-            row = d2[r].copy()
-            row[lo + r] = np.inf
-            # ascending distance, ties to the smaller index
-            order = np.lexsort((np.arange(n), row))[:k]
-            nbrs[lo + r] = order
-            dists[lo + r] = np.sqrt(row[order])
+        d2[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+        # ascending distance; the stable sort keeps ties in index order
+        order = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        nbrs[lo:hi] = order
+        dists[lo:hi] = np.sqrt(np.take_along_axis(d2, order, axis=1))
     return np.arange(0, n * k + 1, k, dtype=np.int64), nbrs.ravel(), dists.ravel()
 
 

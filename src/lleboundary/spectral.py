@@ -70,13 +70,13 @@ def _sort_key(vals: np.ndarray, ordering: str) -> np.ndarray:
 
 
 def _fix_phase(vecs: np.ndarray) -> np.ndarray:
-    out = vecs.copy()
-    for j in range(out.shape[1]):
-        i = int(np.argmax(np.abs(out[:, j])))
-        pivot = out[i, j]
-        if pivot != 0:
-            out[:, j] *= np.abs(pivot) / pivot
-    return out
+    """Scale each column in place so its largest-modulus entry is real and positive."""
+    pivot = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
+    nonzero = pivot != 0
+    phase = np.ones_like(pivot)
+    phase[nonzero] = np.abs(pivot[nonzero]) / pivot[nonzero]
+    vecs *= phase
+    return vecs
 
 
 def _residuals(W, vals, vecs) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -42,13 +43,19 @@ def test_sigma_interior_constants(d):
     eps = 0.37
     cf = AnalyticCoeffs(d, eps)
     S = sphere_volume(d - 1)
-    for t in (eps, 1.3 * eps, 10.0):
-        assert cf.sigma1d(t) == 0.0
-        assert cf.sigma3(t) == 0.0
-        assert cf.sigma3d(t) == 0.0
-        assert abs(cf.sigma0(t) - S / d) < 1e-14
-        assert abs(cf.sigma2(t) - S / (d * (d + 2))) < 1e-15
-        assert abs(cf.sigma2d(t) - S / (d * (d + 2))) < 1e-15
+    # scalars and one array of depths both give the interior constants exactly
+    for t in (eps, 1.3 * eps, 10.0, np.array([eps, 1.3 * eps, 10.0])):
+        assert np.all(cf.sigma1d(t) == 0.0)
+        assert np.all(cf.sigma3(t) == 0.0)
+        assert np.all(cf.sigma3d(t) == 0.0)
+        assert np.all(cf.sigma0(t) == S / d)
+        assert np.all(cf.sigma2(t) == S / (d * (d + 2)))
+        assert np.all(cf.sigma2d(t) == S / (d * (d + 2)))
+        assert np.all(cf.b_function(t) == 0.0)
+        assert np.all(cf.potential_v(t, 1.0) == 0.0)
+        assert all(np.all(v == 1.0 / (2.0 * (d + 2))) for v in cf.phi(t))
+    assert np.shape(cf.sigma0(np.array([eps, 0.0]))) == (2,)
+    assert np.ndim(cf.sigma0(eps / 2)) == 0
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 7])
@@ -86,12 +93,38 @@ def test_moments_odd_symmetric_vanish():
     assert abs(moments_oracle(3, 0.5, 0.2, [1, 1, 1])) < 1e-12
 
 
+def _cap_moment_1d(d, s, m, tangential):
+    """Cap moment of x_d^m (times x_1^2 when tangential) over {|x| <= 1, x_d <= s},
+    with the d - 1 tangential directions integrated out: the slice at x_d = x is a
+    ball of radius r = sqrt(1 - x^2) and volume V r^(d-1), on which x_1^2
+    integrates to V r^(d+1) / (d + 1)."""
+    vol = math.pi ** ((d - 1) / 2) / math.gamma((d + 1) / 2)
+    q, c = ((d + 1) / 2, vol / (d + 1)) if tangential else ((d - 1) / 2, vol)
+    return quad(lambda x: c * x ** m * (1 - x * x) ** q, -1.0, min(s, 1.0),
+                epsabs=1e-13, epsrel=1e-13)[0]
+
+
 def test_moments_match_sigma_at_half_depth():
-    d, eps = 2, 0.3
-    cf = AnalyticCoeffs(d, eps)
-    t = eps / 2
-    mu = moments_oracle(d, eps, t, [0, 1]) / eps ** (d + 1)
-    assert abs(mu - cf.sigma1d(t)) <= 1e-4
+    # every sigma on one array of depths through the layer (half depth included),
+    # for d = 1..5: closed forms up to d = 3, adaptive quadrature from d = 4
+    eps = 0.3
+    s = np.array([0.0, 0.25, 0.5, 0.75, 1.0, 1.5])
+    for d in range(1, 6):
+        cf = AnalyticCoeffs(d, eps)
+        kinds = {"s0": (0, False), "s1d": (1, False), "s2d": (2, False), "s3d": (3, False)}
+        if d > 1:  # x_1 is tangential only for d >= 2
+            kinds.update({"s2": (0, True), "s3": (1, True)})
+        for kind, (m, tangential) in kinds.items():
+            sig = cf.sigma(kind, s * eps)
+            assert sig.shape == s.shape
+            ref = [_cap_moment_1d(d, si, m, tangential) for si in s]
+            assert np.max(np.abs(sig - ref)) <= 1e-10, (d, kind)
+            if d <= 2:
+                # the tensor-grid oracle costs 64^(d-1) nodes per moment, seconds
+                # from d = 3 on (criterion 4 runs it there)
+                v = [2 if tangential else 0] + [0] * (d - 2) + [m] if d > 1 else [m]
+                mu = [moments_oracle(d, eps, si * eps, v) / eps ** (d + sum(v)) for si in s]
+                assert np.max(np.abs(sig - mu)) <= 1e-10, (d, kind)
 
 
 def test_moments_validation():
@@ -135,7 +168,7 @@ def test_potential_values():
         assert cfd.potential_v(0.3, 2.0) == 0.0
         assert cfd.potential_v(1.0, 2.0) == 0.0
         ts = np.linspace(0.0, 0.3, 40)
-        assert all(cfd.potential_v(t, 1.3) <= 0.0 for t in ts)
+        assert np.all(cfd.potential_v(ts, 1.3) <= 0.0)
     with pytest.raises(ValueError):
         cf.potential_v(0.1, 0.0)
 
@@ -160,19 +193,26 @@ def test_tstar_and_deltas():
 
 
 def test_monotone_sigmas_on_layer():
-    for d in (1, 2, 3):
+    for d in (1, 2, 3, 5):
         cf = AnalyticCoeffs(d, 0.4)
-        ts = np.linspace(0.0, 0.4, 60)
-        for fn in (cf.sigma0, cf.sigma1d, cf.sigma2, cf.sigma2d):
-            vals = np.array([fn(t) for t in ts])
-            assert np.all(np.diff(vals) >= -1e-14)
+        ts = np.linspace(0.0, 0.8, 120)  # the layer and as far again into the interior
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for fn in (cf.sigma0, cf.sigma1d, cf.sigma2, cf.sigma2d):
+                vals = fn(ts)
+                assert np.all(np.diff(vals) >= -1e-14)
+                with pytest.raises(ValueError):
+                    fn(np.array([0.1, -1e-12]))
+            for fn in (cf.sigma3, cf.sigma3d, cf.b_function, cf.phi, cf.dm_coeffs,
+                       lambda t: cf.potential_v(t, 1.0)):
+                fn(ts)
 
 
 def test_phi1_positive_and_phi2_single_sign_change():
     for d in (1, 2, 3, 5):
         cf = AnalyticCoeffs(d, 1.0)
         ts = np.linspace(0.0, 1.0, 400)
-        phi = np.array([cf.phi(t) for t in ts])
+        phi = np.column_stack(cf.phi(ts))
         assert np.all(phi[:, 0] > 0.0)
         signs = np.sign(phi[:, 1])
         changes = np.nonzero(np.diff(signs) != 0)[0]
@@ -248,8 +288,7 @@ def test_b_function():
         assert cfd.b_function(0.4) == 0.0
         assert cfd.b_function(2.0) == 0.0
         ts = np.linspace(0.0, 0.4, 80)
-        vals = [cfd.b_function(t) for t in ts]
-        assert np.all(np.diff(vals) <= 1e-14)
+        assert np.all(np.diff(cfd.b_function(ts)) <= 1e-14)
         assert abs(cfd.b_at_boundary() - cfd.b_function(0.0)) < 1e-12
 
 
@@ -292,3 +331,14 @@ def test_coefficient_table():
     assert table.shape == (3, 11)
     assert abs(table[0, 8] + 1.0 / 12.0) < 1e-12  # phi2 column at t = 0
     assert abs(table[0, 10] - 0.75) < 1e-12       # B column at t = 0
+    # each row equals the scalar calls at its depth, for d = 1..5
+    for d in range(1, 6):
+        cf = AnalyticCoeffs(d, 0.25)
+        ts = [0.0, 0.1, 0.2, 0.25, 0.4]
+        table = coefficient_table(d, 0.25, ts, p_val=0.7)
+        for row, t in zip(table, ts):
+            ref = (t / 0.25, cf.sigma0(t), cf.sigma1d(t), cf.sigma2(t), cf.sigma2d(t),
+                   cf.sigma3(t), cf.sigma3d(t), *cf.phi(t), cf.potential_v(t, 0.7),
+                   cf.b_function(t))
+            assert np.allclose(row, ref, rtol=1e-14, atol=0.0)
+    assert coefficient_table(2, 0.25, []).shape == (0, 11)

@@ -5,8 +5,8 @@ import pytest
 
 from conftest import s1_grid_cloud, s1_grid_eps
 from lleboundary.analytic import AnalyticCoeffs
-from lleboundary.boundary import (classify, clip, default_threshold, indicator,
-                                  partition_regions)
+from lleboundary.boundary import (_invert_b_profile, classify, clip, default_threshold,
+                                  indicator, partition_regions)
 from lleboundary.lle import build_lle_matrix
 from lleboundary.neighbors import EpsilonBall, Knn, build_graph
 from lleboundary.samplers import GroundTruth, PointCloud, sample_interval
@@ -99,6 +99,36 @@ def test_partition_boundary_cases():
     assert regions[0] == "interior"
     assert regions[1] == "near_boundary"  # closed lower bound at exactly t*
     assert regions[2] == "wave"
+
+
+def _bisect_depth(cf, b):
+    """Scalar bisection for the t in [0, eps] with b_function(t) = b."""
+    if not np.isfinite(b):
+        return np.inf
+    if b >= cf.b_function(0.0):
+        return 0.0
+    if b <= 0.0:
+        return cf.eps
+    lo, hi = 0.0, cf.eps
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if cf.b_function(mid) > b:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_invert_b_profile_matches_scalar_bisection(d):
+    eps = 0.3
+    cf = AnalyticCoeffs(d, eps)
+    b0 = cf.b_function(0.0)
+    b = np.concatenate([np.linspace(-0.1, b0 + 0.1, 301), [0.0, b0, np.nan, np.inf]])
+    depth = _invert_b_profile(cf, b)
+    ref = np.array([_bisect_depth(cf, v) for v in b])
+    np.testing.assert_allclose(depth, ref, rtol=0.0, atol=1e-12 * eps)
+    assert depth[-4:].tolist() == [eps, 0.0, np.inf, np.inf]
 
 
 def test_partition_via_indicator_proxy(interval_runs):

@@ -7,8 +7,8 @@ import pytest
 from lleboundary.analytic import AnalyticCoeffs
 from lleboundary.cli import main
 from lleboundary.harness import (PRESETS, ExperimentConfig, TEST_FUNCTIONS,
-                                 run_convergence, run_eigenfunctions, run_indicator,
-                                 run_null_case, sample)
+                                 _operator_targets, run_convergence, run_eigenfunctions,
+                                 run_indicator, run_null_case, sample)
 from lleboundary.lle import apply_shifted
 
 
@@ -82,6 +82,25 @@ def test_interval_near_boundary_operator_value(interval_runs):
                        for ti in t[band]])
     assert abs(cf.potential_v(eps / 2, 1.0) + 8.0 / 9.0) < 1e-12
     assert abs(vals[band].mean() - target.mean()) <= 0.06
+
+
+@pytest.mark.parametrize("manifold,eps", [("interval", 0.02), ("disk", 0.15)])
+def test_operator_targets_match_per_point_loop(manifold, eps):
+    cloud = sample(ExperimentConfig(manifold, n=1000, eps=eps, seed=3))
+    gt = cloud.ground_truth
+    p_val = 1.0 if manifold == "interval" else 1.0 / np.pi
+    cf = AnalyticCoeffs(cloud.intrinsic_dim, eps)
+    for f_test in ("squared_radius", "trig"):
+        _, grad, hess = TEST_FUNCTIONS[f_test](cloud.points)
+        ref = np.empty(cloud.n)
+        for k in range(cloud.n):
+            nvec, t = gt.outward_normal_tangent[k], gt.boundary_dist[k]
+            h_nn = nvec @ hess[k] @ nvec
+            phi1, phi2 = cf.phi(t)
+            ref[k] = (phi1 * (np.trace(hess[k]) - h_nn) + phi2 * h_nn
+                      + cf.potential_v(t, p_val) * (grad[k] @ nvec))
+        got = _operator_targets(cloud, eps, f_test)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_run_null_case_scaled():

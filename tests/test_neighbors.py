@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from lleboundary.neighbors import (EpsilonBall, Knn, brute_force_neighbors, build_graph,
-                                   local_data_matrix)
+from lleboundary.neighbors import (EpsilonBall, Knn, _knn_csr, brute_force_neighbors,
+                                   build_graph, local_data_matrix)
 from lleboundary.samplers import PointCloud, sample_disk
 
 
@@ -24,6 +24,16 @@ def test_collinear_knn_tie_to_smaller_index():
     cloud = cloud_from([[0.0], [1.0], [2.0]])
     g = build_graph(cloud, Knn(1))
     assert [list(ix) for ix in g.neighbors] == [[1], [0], [1]]
+    # a 4 x 4 grid has four-way ties; with blocks smaller than n and larger, every
+    # row is the per-row sort by (distance, index)
+    xs, ys = np.meshgrid(np.arange(4.0), np.arange(4.0), indexing="ij")
+    pts = np.column_stack([xs.ravel(), ys.ravel()])
+    for block in (3, 512):
+        _, indices, _ = _knn_csr(pts, 3, block=block)
+        for k, row in enumerate(indices.reshape(16, 3)):
+            d = np.linalg.norm(pts - pts[k], axis=1)
+            d[k] = np.inf
+            assert np.array_equal(row, np.lexsort((np.arange(16), d))[:3])
 
 
 def test_grid_equals_brute_force_on_disk():
