@@ -3,7 +3,9 @@
 Dense Hessenberg-based solves below the crossover size, implicitly restarted
 Arnoldi above it. Every returned eigenpair carries a verified residual
 ||W v - lambda v|| / ||v||, and eigenvector phases are fixed by making the
-largest-modulus component real and positive so output files are reproducible.
+largest-modulus component real and positive. Arnoldi starts from a fixed
+vector, so repeated calls on the same matrix give the same bits and output
+files are reproducible.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .lle import LleMatrix
+from .rng import CounterStream
 
 __all__ = [
     "Spectrum",
@@ -91,7 +94,7 @@ def eig(W: MatrixLike, k: Optional[int] = None, ordering: str = "real_desc",
     Full dense solve for n <= DENSE_CUTOFF, otherwise restarted Arnoldi
     targeting the k eigenvalues largest by the requested ordering (k is then
     required). Residuals are checked against the 1e-8 contract when vectors
-    are computed.
+    are computed; with want_vectors=False both solvers return eigenvalues only.
     """
     A = _as_operator(W)
     n = A.shape[0]
@@ -111,9 +114,11 @@ def eig(W: MatrixLike, k: Optional[int] = None, ordering: str = "real_desc",
             raise ValueError(f"n={n} exceeds the dense cutoff; pass k for the Arnoldi solver")
         which = "LR" if ordering == "real_desc" else "LM"
         ncv = min(n, max(4 * k + 10, 60))
+        # uniform on [-1, 1): the ones vector would not do, W 1 = 1 makes it invariant
+        v0 = 2.0 * CounterStream(0).uniform(n) - 1.0
         try:
-            vals, vecs = spla.eigs(A.astype(float), k=k, which=which, tol=tol,
-                                   maxiter=maxiter, ncv=ncv)
+            out = spla.eigs(A.astype(float), k=k, which=which, tol=tol, maxiter=maxiter,
+                            ncv=ncv, v0=v0, return_eigenvectors=want_vectors)
         except spla.ArpackNoConvergence as exc:
             partial = None
             if len(exc.eigenvalues):
@@ -121,6 +126,7 @@ def eig(W: MatrixLike, k: Optional[int] = None, ordering: str = "real_desc",
                 partial = Spectrum(exc.eigenvalues, pvecs, ordering, "arnoldi-partial",
                                    _residuals(A, exc.eigenvalues, pvecs))
             raise EigenConvergenceError(str(exc), partial) from exc
+        vals, vecs = out if want_vectors else (out, None)
         method = "arnoldi"
     order = _sort_key(vals, ordering)
     if k is not None:

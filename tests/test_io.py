@@ -9,8 +9,9 @@ from lleboundary import io as lio
 from lleboundary.boundary import classify, indicator
 from lleboundary.lle import build_lle_matrix
 from lleboundary.neighbors import EpsilonBall, Knn, build_graph
-from lleboundary.samplers import sample_interval
-from lleboundary.spectral import eig
+from lleboundary.boundary import BoundaryReport
+from lleboundary.samplers import PointCloud, sample_disk, sample_interval
+from lleboundary.spectral import Spectrum, eig
 
 
 def s1_lle(m):
@@ -61,7 +62,6 @@ def test_empty_matrix(tmp_path):
 def test_batched_matrix_file_round_trip_bit_exact(tmp_path, kind):
     # the batched W survives save_matrix -> load_matrix bit for bit; the KNN
     # rows are stored in distance order and come back in index order
-    from lleboundary.samplers import sample_disk
     if kind == "disk":
         cloud, scheme, c_rule = sample_disk(600, seed=3), EpsilonBall(0.25), "auto"
     else:
@@ -152,3 +152,220 @@ def test_report_csv(tmp_path):
     assert len(lines) == 31
     cells = lines[1].split(",")
     assert cells[2] in {"boundary", "interior", "missing"}
+
+
+# Per-entry reference writers: one `format(float(x), ".17g")` per cell and one
+# string per line. The block writers must reproduce their files byte for byte.
+
+def _fmt(x):
+    return format(float(x), ".17g")
+
+
+def _text(lines):
+    return "".join(line + "\n" for line in lines).encode()
+
+
+def ref_matrix(A):
+    A = sp.coo_matrix(A)
+    order = np.lexsort((A.col, A.row))
+    return _text(["row,col,value"]
+                 + [f"{A.row[i]},{A.col[i]},{_fmt(A.data[i])}" for i in order])
+
+
+def ref_cloud(cloud):
+    gt = cloud.ground_truth
+    bdist = None if gt is None else gt.boundary_dist
+    lines = [",".join(f"x{i + 1}" for i in range(cloud.ambient_dim))
+             + ("" if bdist is None else ",bdist")]
+    for i in range(cloud.n):
+        cells = [_fmt(v) for v in cloud.points[i]]
+        if bdist is not None:
+            cells.append(_fmt(bdist[i]))
+        lines.append(",".join(cells))
+    return _text(lines)
+
+
+def ref_spectrum(spec):
+    with_res = spec.residuals is not None
+    lines = ["re,im,residual" if with_res else "re,im"]
+    for i, lam in enumerate(spec.eigenvalues):
+        cells = [_fmt(lam.real), _fmt(lam.imag)]
+        if with_res:
+            cells.append(_fmt(spec.residuals[i]))
+        lines.append(",".join(cells))
+    return _text(lines)
+
+
+def ref_eigenvectors(spec):
+    vecs = spec.eigenvectors
+    return _text([f"{_fmt(vecs[i, j].real)},{_fmt(vecs[i, j].imag)}"
+                  for j in range(vecs.shape[1]) for i in range(vecs.shape[0])])
+
+
+def ref_report(report, bdist):
+    lines = ["idx,B,label,region" + ("" if bdist is None else ",bdist")]
+    for i in range(report.n):
+        b = report.b_values[i]
+        cells = [str(i), _fmt(b) if np.isfinite(b) else "nan",
+                 "" if report.labels is None else str(report.labels[i]),
+                 "" if report.regions is None else str(report.regions[i])]
+        if bdist is not None:
+            cells.append(_fmt(bdist[i]))
+        lines.append(",".join(cells))
+    return _text(lines)
+
+
+EXTREMES = np.array([-0.0, 5e-324, 1e308, -1e308, 1.0 / 3.0, -2.5e-10, 0.1])
+
+
+def _matrix_inputs():
+    knn = ten_point_cloud()
+    disk = sample_disk(600, seed=3)
+    coo = sp.coo_matrix((np.array([1.0, 2.0, 3.0, 4.0]),
+                         (np.array([2, 0, 2, 1]), np.array([1, 1, 0, 2]))), shape=(3, 3))
+    stored_zero = sp.csr_matrix((np.array([0.0, 1.5]), np.array([1, 0]), np.array([0, 1, 2])),
+                                shape=(2, 2))
+    extremes = sp.csr_matrix((EXTREMES, (np.array([0, 0, 1, 2, 3, 4, 4]),
+                                         np.array([4, 0, 1, 3, 2, 4, 0]))), shape=(5, 5))
+    return {
+        "disk": build_lle_matrix(disk, build_graph(disk, EpsilonBall(0.25)), "auto"),
+        "ten_point_knn5": build_lle_matrix(knn, build_graph(knn, Knn(5)), 1e-3),
+        "unsorted_coo": coo,
+        "dense": np.array([[0.0, -1.25, 0.0], [2.0 ** -40, 0.0, 7.0], [0.0, 0.0, 1e-300]]),
+        "empty": sp.csr_matrix((0, 0)),
+        "stored_zero": stored_zero,
+        "extremes": extremes,
+    }
+
+
+@pytest.mark.parametrize("kind", ["disk", "ten_point_knn5", "unsorted_coo", "dense", "empty",
+                                  "stored_zero", "extremes"])
+def test_save_matrix_bytes_match_per_entry_writer(tmp_path, kind):
+    W = _matrix_inputs()[kind]
+    A = W.weights if hasattr(W, "weights") else W
+    before = sp.csr_matrix(A, copy=True)
+    path = lio.save_matrix(W, tmp_path / "w.csv")
+    assert path.read_bytes() == ref_matrix(A)
+    meta = dict(W.meta) if hasattr(W, "meta") else {}
+    sidecar = {key: meta.get(key) for key in lio.SIDECAR_KEYS}
+    sidecar["n"] = int(A.shape[0])
+    sidecar.update({k: v for k, v in meta.items() if k not in lio.SIDECAR_KEYS})
+    expected = json.dumps(sidecar, indent=1, sort_keys=True) + "\n"
+    assert (tmp_path / "w.csv.json").read_text() == expected
+    if sp.issparse(A):
+        # the caller's matrix keeps its own (e.g. distance) order of each row
+        after = sp.csr_matrix(A)
+        assert np.array_equal(after.indices, before.indices)
+        assert np.array_equal(after.data, before.data)
+
+
+def test_save_matrix_sums_coo_duplicates(tmp_path):
+    A = sp.coo_matrix((np.array([0.5, 1.0, 0.25]), (np.array([2, 0, 2]), np.array([0, 1, 0]))),
+                      shape=(3, 3))
+    meta = {"scheme": "knn", "epsilon": None, "K": 1, "c": 1.0, "d": 1, "seed": 0}
+    path = lio.save_matrix(A, tmp_path / "w.csv", meta=meta)
+    assert path.read_text() == "row,col,value\n0,1,1\n2,0,0.75\n"
+    loaded, _ = lio.load_matrix(path)
+    assert loaded[2, 0] == 0.75 and loaded.nnz == 2
+
+
+def _extreme_cloud(with_truth):
+    pts = np.column_stack([EXTREMES, EXTREMES[::-1]])
+    cloud = sample_interval(len(EXTREMES), seed=2)
+    truth = cloud.ground_truth if with_truth else None
+    return PointCloud(pts, intrinsic_dim=2, seed=0, manifold_tag="extremes", ground_truth=truth)
+
+
+@pytest.mark.parametrize("kind", ["interval", "disk", "extremes", "extremes_no_truth"])
+def test_save_cloud_bytes_match_per_entry_writer(tmp_path, kind):
+    cloud = {"interval": lambda: sample_interval(50, seed=4),
+             "disk": lambda: sample_disk(80, seed=5),
+             "extremes": lambda: _extreme_cloud(True),
+             "extremes_no_truth": lambda: _extreme_cloud(False)}[kind]()
+    path = lio.save_cloud(cloud, tmp_path / "cloud.csv")
+    assert path.read_bytes() == ref_cloud(cloud)
+
+
+def _extreme_spectrum(with_residuals):
+    vals = EXTREMES + 1j * EXTREMES[::-1]
+    vecs = np.outer(EXTREMES, [1.0, -1.0j, 0.5 + 0.5j])
+    res = np.abs(EXTREMES) if with_residuals else None
+    return Spectrum(vals, vecs, "real_desc", "dense", res)
+
+
+@pytest.mark.parametrize("kind", ["s1", "extremes", "extremes_no_residuals", "no_vectors"])
+def test_spectrum_files_bytes_match_per_entry_writer(tmp_path, kind):
+    spec = {"s1": lambda: eig(s1_lle(5).weights),
+            "extremes": lambda: _extreme_spectrum(True),
+            "extremes_no_residuals": lambda: _extreme_spectrum(False),
+            "no_vectors": lambda: eig(s1_lle(5).weights, want_vectors=False)}[kind]()
+    assert lio.save_spectrum(spec, tmp_path / "s.csv").read_bytes() == ref_spectrum(spec)
+    if spec.eigenvectors is None:
+        with pytest.raises(ValueError, match="no eigenvectors"):
+            lio.save_eigenvectors(spec, tmp_path / "v.csv")
+    else:
+        vpath = lio.save_eigenvectors(spec, tmp_path / "v.csv")
+        assert vpath.read_bytes() == ref_eigenvectors(spec)
+
+
+@pytest.mark.parametrize("full", [True, False])
+def test_save_report_bytes_match_per_entry_writer(tmp_path, full):
+    b = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 0.5, 1e308])
+    labels = np.array(["missing", "boundary", "interior", "boundary", "interior",
+                       "interior", "boundary"]) if full else None
+    regions = np.array(["wave", "interior", "transition", "near_boundary", "interior",
+                        "wave", "interior"]) if full else None
+    report = BoundaryReport(b_values=b, d=1, eps=0.1, c=1e-3, missing=np.isnan(b),
+                            labels=labels, regions=regions)
+    bdist = EXTREMES if full else None
+    path = lio.save_report(report, tmp_path / "r.csv", bdist=bdist)
+    assert path.read_bytes() == ref_report(report, bdist)
+    # nan, inf and -inf B are all written as nan
+    assert [line.split(",")[1] for line in path.read_text().splitlines()[1:4]] == ["nan"] * 3
+
+
+META3 = {"scheme": "knn", "epsilon": None, "K": 1, "c": 1.0, "d": 1, "seed": 0, "n": 3}
+
+
+@pytest.mark.parametrize("text, line, reason", [
+    ("not,the,header\n0,1,0.5\n", 1, "expected header"),
+    ("row,col,value\n0,1,0.5\n0,oops\n", 3, "expected 3 fields, got 2"),
+    ("row,col,value\n0,1,0.5,7\n", 2, "expected 3 fields, got 4"),
+    ("row,col,value\n0,x,0.5\n", 2, "invalid literal for int"),
+    ("row,col,value\n0,1,0.5\n\n\n1,2,abc\n", 5, "could not convert string to float"),
+    ("row,col,value\n0,1,0.5\n0,99999999999999999999,1\n", 3, "too large"),
+    ("row,col,value\n0,1,0.5\n\n-1,2,0.5\n", 4, r"index \(-1, 2\) outside \[0, 3\)"),
+    ("row,col,value\n0,-2,0.5\n", 2, r"index \(0, -2\) outside"),
+    ("row,col,value\n0,1,0.5\n\n1,3,0.5\n", 4, r"index \(1, 3\) outside \[0, 3\)"),
+    ("row,col,value\n0,1,0.5\n\n2,0,0.5\n1,1,1\n2,0,0.25\n", 6, r"duplicate triplet \(2, 0\)"),
+    ("row,col,value\n2,0,0.5\n\n2,0,0.5\n", 4, r"duplicate triplet \(2, 0\)"),
+], ids=["header", "two_fields", "four_fields", "int_field", "float_field_after_blanks",
+        "int64_overflow", "negative_row", "negative_col", "index_ge_n", "duplicate_unsorted",
+        "duplicate_adjacent"])
+def test_load_matrix_errors_name_file_and_line(tmp_path, text, line, reason):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    (tmp_path / "bad.csv.json").write_text(json.dumps(META3))
+    with pytest.raises(ValueError, match=rf"bad\.csv: line {line}: .*{reason}"):
+        lio.load_matrix(bad)
+
+
+def test_load_matrix_accepts_unsorted_triplets_and_blank_lines(tmp_path):
+    path = tmp_path / "w.csv"
+    path.write_text("row,col,value\n2,1,0.5\n\n0,2,-0.0\n2,0,0.25\n")
+    (tmp_path / "w.csv.json").write_text(json.dumps(META3))
+    loaded, _ = lio.load_matrix(path)
+    assert loaded.has_canonical_format and loaded.nnz == 3
+    assert loaded.toarray().tolist() == [[0, 0, 0], [0, 0, 0], [0.25, 0.5, 0]]
+
+
+def test_arnoldi_eigenvector_files_reproducible(tmp_path):
+    cloud = sample_interval(3000, seed=11)
+    lle = build_lle_matrix(cloud, build_graph(cloud, EpsilonBall(0.01)), "auto")
+    a, b = (eig(lle, k=6, ordering="real_desc") for _ in range(2))
+    assert a.method == "arnoldi"
+    assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
+    assert a.eigenvectors.tobytes() == b.eigenvectors.tobytes()
+    pa = lio.save_eigenvectors(a, tmp_path / "a.csv")
+    pb = lio.save_eigenvectors(b, tmp_path / "b.csv")
+    assert pa.read_bytes() == pb.read_bytes()

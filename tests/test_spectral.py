@@ -119,6 +119,16 @@ def test_arnoldi_path_above_cutoff():
         eig(lle, k=None)
 
 
+def test_arnoldi_without_vectors():
+    cloud = sample_interval(2200, seed=6)
+    lle = build_lle_matrix(cloud, build_graph(cloud, EpsilonBall(0.02)), "auto")
+    full = eig(lle, k=4, ordering="real_desc")
+    bare = eig(lle, k=4, ordering="real_desc", want_vectors=False)
+    assert bare.method == "arnoldi"
+    assert bare.eigenvectors is None and bare.residuals is None
+    assert np.max(np.abs(bare.eigenvalues - full.eigenvalues)) <= 1e-12
+
+
 def test_spectral_radius_report_s1():
     report = spectral_radius_report(s1_lle(5))
     assert report["row_sum_err"] <= 1e-12
