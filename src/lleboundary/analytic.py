@@ -3,12 +3,14 @@
 Everything is expressed through six spherical-cap integrals ("sigma
 functions") of the region between the unit ball and the hyperplane
 x_d = t/eps: the integrals of 1, x_d, x_1^2, x_d^2, x_1^2 x_d and x_d^3.
-From them come the second-order coefficients phi1/phi2, the drift V, the
-degeneracy depth t* where phi2 changes sign, the boundary indicator limit
-B(t), the kernel limit constants, and the diffusion-map coefficients
-psi1/psi2. A tensor-grid quadrature over the cap region serves as the
-independent oracle for the closed forms (moments_oracle), and the
-one-dimensional operator has an explicit three-branch form plus the
+Three of them reduce to int_0^s (1 - x^2)^(m/2) dx, which one reduction
+formula in m gives in closed form for every d; the other three are closed
+forms outright. From them come the second-order coefficients phi1/phi2, the
+drift V, the degeneracy depth t* where phi2 changes sign, the boundary
+indicator limit B(t), the kernel limit constants, and the diffusion-map
+coefficients psi1/psi2. A tensor-grid quadrature over the cap region
+serves as the independent oracle for the closed forms (moments_oracle), and
+the one-dimensional operator has an explicit three-branch form plus the
 Sturm-Liouville data (g, h, p, w) that brings it to divergence form.
 
 Convention: the ratio |S^(d-2)|/(d-1) is defined to be 1 when d = 1; it is
@@ -23,7 +25,6 @@ from functools import lru_cache
 from typing import Callable, Tuple
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "sphere_volume",
@@ -64,46 +65,22 @@ def sphere_ratio_check(d: int) -> bool:
     return lo < mid < hi
 
 
-# --- cap integrals I(s) = int_0^s of the three integrand families ------------
-# s may be an array; d <= 3 are closed forms, d >= 4 adaptive quadrature per entry.
+# --- cap integrals ------------------------------------------------------------
+# I_m(s) = int_0^s (1 - x^2)^(m/2) dx for s in [0, 1] (an array) and every
+# integer m >= -1, by the reduction I_m = (s (1 - s^2)^(m/2) + m I_(m-2)) / (m + 1)
+# from I_(-1) = arcsin s or I_0 = s. sigma0 takes m = d - 1, sigma2 m = d + 1,
+# and sigma2d their difference, since x^2 (1 - x^2)^q = (1 - x^2)^q - (1 - x^2)^(q+1);
+# one reduction step writes that difference as
+# I_(d-1) - I_(d+1) = (I_(d-1) - s (1 - s^2)^((d+1)/2)) / (d + 2).
 
-def _quad(f, s):
-    """int_0^s f(x) dx for every entry of s."""
-    return np.vectorize(lambda b: quad(f, 0.0, b, epsabs=1e-12, epsrel=1e-12)[0],
-                        otypes=[float])(s)
-
-
-def _int_flat(s, d: int):
-    """int_0^s (1 - x^2)^((d-1)/2) dx."""
-    if d == 1:
-        return s
-    if d == 2:
-        return 0.5 * (s * np.sqrt(1.0 - s * s) + np.arcsin(s))
-    if d == 3:
-        return s - s ** 3 / 3.0
-    return _quad(lambda x: (1.0 - x * x) ** ((d - 1) / 2.0), s)
-
-
-def _int_steep(s, d: int):
-    """int_0^s (1 - x^2)^((d+1)/2) dx."""
-    if d == 1:
-        return s - s ** 3 / 3.0
-    if d == 2:
-        return (s * (5.0 - 2.0 * s * s) * np.sqrt(1.0 - s * s) + 3.0 * np.arcsin(s)) / 8.0
-    if d == 3:
-        return s - 2.0 * s ** 3 / 3.0 + s ** 5 / 5.0
-    return _quad(lambda x: (1.0 - x * x) ** ((d + 1) / 2.0), s)
-
-
-def _int_sq(s, d: int):
-    """int_0^s x^2 (1 - x^2)^((d-1)/2) dx."""
-    if d == 1:
-        return s ** 3 / 3.0
-    if d == 2:
-        return (np.arcsin(s) - s * (1.0 - 2.0 * s * s) * np.sqrt(1.0 - s * s)) / 8.0
-    if d == 3:
-        return s ** 3 / 3.0 - s ** 5 / 5.0
-    return _quad(lambda x: x * x * (1.0 - x * x) ** ((d - 1) / 2.0), s)
+def _cap_integral(s, m: int):
+    """int_0^s (1 - x^2)^(m/2) dx for every entry of s, m >= -1 an integer."""
+    s = np.asarray(s, dtype=float)
+    k, out = (1, np.arcsin(s)) if m % 2 else (2, s)
+    root = np.sqrt(1.0 - s * s)
+    for j in range(k, m + 1, 2):
+        out = (s * root ** j + j * out) / (j + 1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -143,7 +120,7 @@ class AnalyticCoeffs:
 
     def sigma0(self, t):
         d, s = self.d, self._s(t)
-        layer = self.sphere / (2 * d) + self.cap * _int_flat(s, d)
+        layer = self.sphere / (2 * d) + self.cap * _cap_integral(s, d - 1)
         return np.where(s < 1, layer, self.sphere / d)[()]
 
     def sigma1d(self, t):
@@ -153,12 +130,13 @@ class AnalyticCoeffs:
 
     def sigma2(self, t):
         d, s = self.d, self._s(t)
-        layer = self.sphere / (2 * d * (d + 2)) + self.cap / (d + 1) * _int_steep(s, d)
+        layer = self.sphere / (2 * d * (d + 2)) + self.cap / (d + 1) * _cap_integral(s, d + 1)
         return np.where(s < 1, layer, self.sphere / (d * (d + 2)))[()]
 
     def sigma2d(self, t):
         d, s = self.d, self._s(t)
-        layer = self.sphere / (2 * d * (d + 2)) + self.cap * _int_sq(s, d)
+        sq = (_cap_integral(s, d - 1) - s * (1.0 - s * s) ** ((d + 1) / 2.0)) / (d + 2)
+        layer = self.sphere / (2 * d * (d + 2)) + self.cap * sq
         return np.where(s < 1, layer, self.sphere / (d * (d + 2)))[()]
 
     def sigma3(self, t):
@@ -276,23 +254,25 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 def _ball_monomial(rho: np.ndarray, exps) -> np.ndarray:
     """Integral of prod u_i^e_i over the ball of radius rho in R^m, m = len(exps).
 
-    Nested Gauss-Legendre with the substitution u = rho sin(theta), which
-    absorbs the square-root behavior of the shrinking cross sections. rho may
-    be an array. No symmetry shortcuts: odd exponents integrate to ~0
-    numerically, which downstream tests rely on as evidence.
+    Nested Gauss-Legendre with the substitution u_i = r_i sin(theta_i), where
+    r_0 = rho and r_(i+1) = r_i cos(theta_i) is the radius of the next cross
+    section; this absorbs their square-root behavior. The integral over the
+    inner coordinates is homogeneous in r_(i+1), so the nested sum equals
+    rho^(m + sum e) times the product over i of the one-dimensional sums
+    sum_j (pi/2) w_j sin^e_i(theta_j) cos^a_i(theta_j), with
+    a_i = 1 + (m - 1 - i) + sum_(l>i) e_l. rho may be an array. No symmetry
+    shortcuts: odd exponents integrate to ~0 numerically, which downstream
+    tests rely on as evidence.
     """
     rho = np.asarray(rho, dtype=float)
-    if len(exps) == 0:
-        return np.ones_like(rho)
-    e = exps[0]
-    out = np.zeros_like(rho)
-    for node, wt in zip(_GL_NODES, _GL_WEIGHTS):
-        theta = 0.5 * math.pi * node  # theta in (-pi/2, pi/2), jacobian weight pi/2
-        u = rho * math.sin(theta)
-        du = rho * math.cos(theta)
-        inner = _ball_monomial(np.sqrt(np.maximum(rho * rho - u * u, 0.0)), exps[1:])
-        out += 0.5 * math.pi * wt * (u ** e) * du * inner
-    return out
+    m = len(exps)
+    theta = 0.5 * math.pi * _GL_NODES  # theta in (-pi/2, pi/2), jacobian weight pi/2
+    sin, cos = np.sin(theta), np.cos(theta)
+    factor = 1.0
+    for i, e in enumerate(exps):
+        a = 1 + (m - 1 - i) + sum(exps[i + 1:])
+        factor *= float(np.sum(0.5 * math.pi * _GL_WEIGHTS * sin ** e * cos ** a))
+    return factor * rho ** (m + sum(exps))
 
 
 def moments_oracle(d: int, eps: float, t_bd: float, v) -> float:

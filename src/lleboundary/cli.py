@@ -186,7 +186,7 @@ def main(argv=None) -> int:
         meta = dict(lle.meta)
         meta["n"] = int(Wr.shape[0])
         lio.save_matrix(Wr, out / "lle_matrix_clipped.csv", meta=meta)
-        np.savetxt(out / "kept_indices.csv", kept, fmt="%d", header="old_index", comments="")
+        lio._write_table(out / "kept_indices.csv", "old_index", "%d\n", [kept])
         print(f"clipped {cloud.n - len(kept)} wave points; kept {len(kept)}")
     elif args.command == "convergence":
         _need_out(cfg)
@@ -216,7 +216,8 @@ def main(argv=None) -> int:
         table = coefficient_table(d, eps, ts)
         header = "t_over_eps,s0,s1d,s2,s2d,s3,s3d,phi1,phi2,V,B"
         path = Path(out) / "sigma_table.csv"
-        np.savetxt(path, table, delimiter=",", header=header, comments="", fmt="%.17g")
+        lio._write_table(path, header, ",".join(["%.17g"] * table.shape[1]) + "\n",
+                         list(table.T))
         print(f"wrote {path} ({len(ts)} rows, d={d}, eps={eps})")
     return 0
 

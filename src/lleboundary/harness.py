@@ -194,16 +194,10 @@ def _write_summary(out: Optional[Path], name: str, payload: dict) -> None:
 
 def _eigfun_csv(out: Path, name: str, cloud: PointCloud, idx: np.ndarray,
                 spec: Spectrum) -> None:
-    p = cloud.ambient_dim
-    cols = [f"x{i + 1}" for i in range(p)] + [f"v{j + 1}" for j in range(len(spec))]
-    lines = [",".join(cols)]
-    vecs = spec.eigenvectors.real
-    for r, i in enumerate(idx):
-        cells = [format(v, ".17g") for v in cloud.points[i]]
-        cells += [format(vecs[r, j], ".17g") for j in range(vecs.shape[1])]
-        lines.append(",".join(cells))
-    with open(out / name, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    p, k = cloud.ambient_dim, len(spec)
+    header = ",".join([f"x{i + 1}" for i in range(p)] + [f"v{j + 1}" for j in range(k)])
+    columns = list(cloud.points[idx].T) + list(spec.eigenvectors.real.T)
+    lio._write_table(out / name, header, ",".join(["%.17g"] * (p + k)) + "\n", columns)
 
 
 def run_eigenfunctions(config: ExperimentConfig) -> dict:
@@ -268,10 +262,9 @@ def run_convergence(config: ExperimentConfig,
     out = _outdir(config)
     if out is not None:
         cols = list(rows[0].keys())
-        lines = [",".join(cols)]
-        lines += [",".join(str(r[c]) for c in cols) for r in rows]
-        with open(out / "convergence.csv", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        columns = [np.array([r[c] for r in rows], dtype=object) for c in cols]
+        lio._write_table(out / "convergence.csv", ",".join(cols),
+                         ",".join(["%s"] * len(cols)) + "\n", columns)
     return rows
 
 
@@ -305,12 +298,9 @@ def run_indicator(config: ExperimentConfig, tau: Optional[float] = None) -> dict
     if out is not None:
         lio.save_report(report, out / "indicator.csv", bdist=bdist)
         if bdist is not None:
-            lines = ["t_over_eps,B"]
             order = np.argsort(bdist)
-            for i in order:
-                lines.append(f"{bdist[i] / config.eps:.17g},{report.b_values[i]:.17g}")
-            with open(out / "profile.csv", "w", encoding="utf-8", newline="\n") as fh:
-                fh.write("\n".join(lines) + "\n")
+            lio._write_table(out / "profile.csv", "t_over_eps,B", "%.17g,%.17g\n",
+                             [bdist[order] / config.eps, report.b_values[order]])
     summary = {"n": cloud.n, "eps": config.eps, "threshold": report.threshold,
                "n_boundary": int(np.sum(report.labels == "boundary"))}
     _write_summary(out, "indicator.json", summary)

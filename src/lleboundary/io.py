@@ -8,7 +8,8 @@ carrying the build metadata, so a load can validate what it reads.
 Writers format whole columns at once: one `%` format of a per-line template
 repeated over a block of rows, applied to the block's cells as Python
 scalars. `%.17g` of a float is the same conversion as `format(x, ".17g")`,
-so the files equal those of a per-entry writer byte for byte. The triplet
+so the files equal those of a per-entry writer byte for byte. The harness
+and CLI write their CSV files through the same helper. The triplet
 reader parses the body in one `np.loadtxt` call and goes back to the file
 only to name the line of an error.
 """
@@ -69,7 +70,8 @@ def _write_sidecar(path: Path, sidecar: dict) -> None:
 def save_matrix(W: Union[LleMatrix, sp.spmatrix, np.ndarray], path,
                 meta: Optional[dict] = None) -> Path:
     """Write triplets `row,col,value` (sorted by row, then col, duplicates
-    summed) plus a JSON sidecar."""
+    summed) plus a JSON sidecar. The sidecar records one size n, so the
+    matrix must be square."""
     path = Path(path)
     if isinstance(W, LleMatrix):
         meta = dict(W.meta) if meta is None else meta
@@ -79,6 +81,8 @@ def save_matrix(W: Union[LleMatrix, sp.spmatrix, np.ndarray], path,
     if meta is None:
         meta = {}
     A = sp.csr_matrix(A, copy=True)  # the copy keeps the caller's row order
+    if A.shape[0] != A.shape[1]:
+        raise ValueError(f"save_matrix needs a square matrix, got shape {A.shape}")
     A.sum_duplicates()
     rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
     _write_table(path, "row,col,value", "%d,%d,%.17g\n", [rows, A.indices, A.data])

@@ -1,13 +1,19 @@
+import itertools
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from lleboundary.analytic import (AnalyticCoeffs, cap_coefficient, coefficient_table,
-                                  d_epsilon_1d, local_cov_check, moments_oracle,
-                                  sl_functions, sphere_ratio_check, sphere_volume)
+from lleboundary.analytic import (AnalyticCoeffs, _ball_monomial, _cap_integral,
+                                  cap_coefficient, coefficient_table, d_epsilon_1d,
+                                  local_cov_check, moments_oracle, sl_functions,
+                                  sphere_ratio_check, sphere_volume)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -67,17 +73,27 @@ def test_sigma_continuity_at_eps(d):
         assert abs(below - fn(eps)) < 1e-7
 
 
-@pytest.mark.parametrize("d", [2, 3])
-def test_closed_form_integrals_match_quadrature(d):
-    # the d <= 3 closed forms against the generic adaptive quadrature branch
-    for s in (0.1, 0.45, 0.8, 1.0):
-        ref_flat = quad(lambda x: (1 - x * x) ** ((d - 1) / 2), 0, s, epsabs=1e-13)[0]
-        ref_steep = quad(lambda x: (1 - x * x) ** ((d + 1) / 2), 0, s, epsabs=1e-13)[0]
-        ref_sq = quad(lambda x: x * x * (1 - x * x) ** ((d - 1) / 2), 0, s, epsabs=1e-13)[0]
-        from lleboundary.analytic import _int_flat, _int_sq, _int_steep
-        assert abs(_int_flat(s, d) - ref_flat) < 1e-11
-        assert abs(_int_steep(s, d) - ref_steep) < 1e-11
-        assert abs(_int_sq(s, d) - ref_sq) < 1e-11
+@pytest.mark.parametrize("m", range(-1, 10))
+def test_closed_form_integrals_match_quadrature(m):
+    # the reduction formula for int_0^s (1 - x^2)^(m/2) dx against adaptive
+    # quadrature, for the m that sigma0 (d - 1) and sigma2 (d + 1) use up to d = 8
+    for s in (0.0, 0.1, 0.45, 0.8, 1.0):
+        ref = quad(lambda x: (1 - x * x) ** (m / 2), 0, s, epsabs=1e-13, epsrel=1e-13)[0]
+        assert abs(_cap_integral(s, m) - ref) < 1e-11, s
+    s = np.array([0.0, 0.1, 0.45, 0.8, 1.0])
+    assert _cap_integral(s, m).shape == s.shape
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # the cap integrals need no quadrature, so importing the package must not
+    # pay for scipy.integrate (import time and resident memory)
+    code = "import sys, lleboundary; print('scipy.integrate' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_moments_interior_ball_volume():
@@ -93,20 +109,38 @@ def test_moments_odd_symmetric_vanish():
     assert abs(moments_oracle(3, 0.5, 0.2, [1, 1, 1])) < 1e-12
 
 
-def _cap_moment_1d(d, s, m, tangential):
-    """Cap moment of x_d^m (times x_1^2 when tangential) over {|x| <= 1, x_d <= s},
-    with the d - 1 tangential directions integrated out: the slice at x_d = x is a
-    ball of radius r = sqrt(1 - x^2) and volume V r^(d-1), on which x_1^2
-    integrates to V r^(d+1) / (d + 1)."""
-    vol = math.pi ** ((d - 1) / 2) / math.gamma((d + 1) / 2)
-    q, c = ((d + 1) / 2, vol / (d + 1)) if tangential else ((d - 1) / 2, vol)
-    return quad(lambda x: c * x ** m * (1 - x * x) ** q, -1.0, min(s, 1.0),
-                epsabs=1e-13, epsrel=1e-13)[0]
+def _nested_ball_monomial(rho, exps):
+    """The oracle's nested Gauss-Legendre sum, one level per coordinate: u = r sin(theta),
+    du = r cos(theta) and the next cross section's radius sqrt(r^2 - u^2)."""
+    if not exps:
+        return np.ones_like(rho)
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    theta = 0.5 * math.pi * nodes
+    u = rho[..., None] * np.sin(theta)
+    du = rho[..., None] * np.cos(theta)
+    inner = _nested_ball_monomial(np.sqrt(np.maximum(rho[..., None] ** 2 - u * u, 0.0)),
+                                  exps[1:])
+    return np.sum(0.5 * math.pi * weights * u ** exps[0] * du * inner, axis=-1)
+
+
+def test_ball_monomial_product_matches_nested_sum():
+    # the product of one-dimensional sums equals the nested sum it factors, for every
+    # exponent vector the oracle takes (up to 3 coordinates, total order <= 3)
+    rho = np.array([0.0, 0.3, 1.0, 1.9])
+    for m in range(4):
+        for exps in itertools.product(range(4), repeat=m):
+            if sum(exps) > 3:
+                continue
+            got = _ball_monomial(rho, list(exps))
+            ref = _nested_ball_monomial(rho, list(exps))
+            scale = np.maximum(1.0, rho ** (m + sum(exps)))
+            assert np.all(np.abs(got - ref) <= 1e-13 * scale), exps
 
 
 def test_moments_match_sigma_at_half_depth():
-    # every sigma on one array of depths through the layer (half depth included),
-    # for d = 1..5: closed forms up to d = 3, adaptive quadrature from d = 4
+    # every sigma on one array of depths through the layer (half depth included)
+    # against the tensor-grid oracle, for d = 1..5: one reduction formula gives
+    # the cap integrals at every d, and the oracle's product form reaches d = 5
     eps = 0.3
     s = np.array([0.0, 0.25, 0.5, 0.75, 1.0, 1.5])
     for d in range(1, 6):
@@ -117,14 +151,9 @@ def test_moments_match_sigma_at_half_depth():
         for kind, (m, tangential) in kinds.items():
             sig = cf.sigma(kind, s * eps)
             assert sig.shape == s.shape
-            ref = [_cap_moment_1d(d, si, m, tangential) for si in s]
-            assert np.max(np.abs(sig - ref)) <= 1e-10, (d, kind)
-            if d <= 2:
-                # the tensor-grid oracle costs 64^(d-1) nodes per moment, seconds
-                # from d = 3 on (criterion 4 runs it there)
-                v = [2 if tangential else 0] + [0] * (d - 2) + [m] if d > 1 else [m]
-                mu = [moments_oracle(d, eps, si * eps, v) / eps ** (d + sum(v)) for si in s]
-                assert np.max(np.abs(sig - mu)) <= 1e-10, (d, kind)
+            v = [2 if tangential else 0] + [0] * (d - 2) + [m] if d > 1 else [m]
+            mu = [moments_oracle(d, eps, si * eps, v) / eps ** (d + sum(v)) for si in s]
+            assert np.max(np.abs(sig - mu)) <= 1e-10, (d, kind)
 
 
 def test_moments_validation():

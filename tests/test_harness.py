@@ -4,12 +4,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lleboundary.analytic import AnalyticCoeffs
+from lleboundary.analytic import AnalyticCoeffs, coefficient_table
+from lleboundary.boundary import clip
 from lleboundary.cli import main
-from lleboundary.harness import (PRESETS, ExperimentConfig, TEST_FUNCTIONS,
-                                 _operator_targets, run_convergence, run_eigenfunctions,
-                                 run_indicator, run_null_case, sample)
+from lleboundary.harness import (PRESETS, ExperimentConfig, TEST_FUNCTIONS, _eigfun_csv,
+                                 _operator_targets, build_pipeline, run_convergence,
+                                 run_eigenfunctions, run_indicator, run_null_case, sample,
+                                 wave_partition)
 from lleboundary.lle import apply_shifted
+from lleboundary.samplers import PointCloud
+from lleboundary.spectral import Spectrum
 
 
 def test_presets_cover_standard_manifolds():
@@ -245,3 +249,95 @@ def test_cli_config_file_with_override(tmp_path, capsys):
     bad.write_text("nonsense\n")
     with pytest.raises(SystemExit):
         main(["sample", "--config", str(bad), "--out", str(tmp_path)])
+
+
+# --- text files: the harness and CLI writers go through io._write_table ---------
+# Each reference below is the writer it replaced (one string per cell, or
+# np.savetxt); the files must match it byte for byte.
+
+def _text(lines):
+    return "".join(line + "\n" for line in lines).encode()
+
+
+def ref_eigfun(cloud, idx, spec):
+    cols = ([f"x{i + 1}" for i in range(cloud.ambient_dim)]
+            + [f"v{j + 1}" for j in range(len(spec))])
+    vecs = spec.eigenvectors.real
+    lines = [",".join(cols)]
+    for r, i in enumerate(idx):
+        cells = [format(v, ".17g") for v in cloud.points[i]]
+        cells += [format(vecs[r, j], ".17g") for j in range(vecs.shape[1])]
+        lines.append(",".join(cells))
+    return _text(lines)
+
+
+def ref_profile(bdist, b_values, eps):
+    return _text(["t_over_eps,B"] + [f"{bdist[i] / eps:.17g},{b_values[i]:.17g}"
+                                     for i in np.argsort(bdist)])
+
+
+def ref_convergence(rows):
+    cols = list(rows[0].keys())
+    return _text([",".join(cols)] + [",".join(str(r[c]) for c in cols) for r in rows])
+
+
+def ref_savetxt(tmp_path, X, **kwargs):
+    path = tmp_path / "savetxt_reference.csv"
+    np.savetxt(path, X, comments="", **kwargs)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["interval_clipped", "extremes"])
+def test_eigfun_csv_bytes_match_per_entry_writer(tmp_path, kind):
+    if kind == "interval_clipped":
+        res = run_eigenfunctions(replace(PRESETS["interval"], scale=16.0, k_eigs=4,
+                                         tstar_clip=True))
+        cloud, idx, spec = res["cloud"], res["kept"], res["clipped_spectrum"]
+    else:
+        vals = np.array([-0.0, 5e-324, 1e308, -1e308, 1.0 / 3.0, -2.5e-10, 0.1])
+        cloud = PointCloud(np.column_stack([vals, vals[::-1]]), intrinsic_dim=2, seed=0,
+                           manifold_tag="extremes")
+        idx = np.array([6, 0, 3, 4])
+        vecs = np.outer(vals[idx], [1.0, -1.0j, 0.5 + 0.5j])
+        spec = Spectrum(np.ones(3, dtype=complex), vecs, "real_desc", "dense", None)
+    _eigfun_csv(tmp_path, "e.csv", cloud, idx, spec)
+    assert (tmp_path / "e.csv").read_bytes() == ref_eigfun(cloud, idx, spec)
+
+
+@pytest.mark.parametrize("manifold, scale", [("interval", 8.0), ("disk", 10.0)])
+def test_profile_csv_bytes_match_per_entry_writer(tmp_path, manifold, scale):
+    cfg = replace(PRESETS[manifold], scale=scale, out=tmp_path)
+    res = run_indicator(cfg)
+    bdist = res["cloud"].ground_truth.boundary_dist
+    expected = ref_profile(bdist, res["report"].b_values, cfg.eps)
+    assert (tmp_path / "profile.csv").read_bytes() == expected
+
+
+def test_convergence_csv_bytes_match_per_entry_writer(tmp_path):
+    cfg = replace(PRESETS["interval"], f_test="trig", out=tmp_path)
+    rows = run_convergence(cfg, ns=[300, 500], eps_values=[0.05, 0.1])
+    assert len(rows) == 4
+    assert (tmp_path / "convergence.csv").read_bytes() == ref_convergence(rows)
+
+
+@pytest.mark.parametrize("d, grid", [("2", "0,0.5,1"), ("5", "13"), ("1", "0")])
+def test_sigma_table_bytes_match_savetxt(tmp_path, d, grid):
+    assert main(["sigma-table", "--d", d, "--eps", "0.4", "--grid", grid,
+                 "--out", str(tmp_path)]) == 0
+    s = ([float(v) for v in grid.split(",")] if "," in grid
+         else np.linspace(0.0, 1.2, int(grid)).tolist())
+    table = coefficient_table(int(d), 0.4, [v * 0.4 for v in s])
+    expected = ref_savetxt(tmp_path, table, delimiter=",", fmt="%.17g",
+                           header="t_over_eps,s0,s1d,s2,s2d,s3,s3d,phi1,phi2,V,B")
+    assert (tmp_path / "sigma_table.csv").read_bytes() == expected
+
+
+def test_kept_indices_bytes_match_savetxt(tmp_path):
+    assert main(["clip", "--manifold", "interval", "--n", "300", "--eps", "0.05",
+                 "--seed", "2", "--out", str(tmp_path)]) == 0
+    cfg = replace(PRESETS["interval"], n=300, eps=0.05, knn=None, seed=2)
+    cloud, graph, lle = build_pipeline(cfg)
+    _, kept = clip(lle, wave_partition(cloud, graph, lle, cfg))
+    assert 0 < len(kept) < cloud.n
+    expected = ref_savetxt(tmp_path, kept, fmt="%d", header="old_index")
+    assert (tmp_path / "kept_indices.csv").read_bytes() == expected

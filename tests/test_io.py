@@ -269,6 +269,17 @@ def test_save_matrix_sums_coo_duplicates(tmp_path):
     assert loaded[2, 0] == 0.75 and loaded.nnz == 2
 
 
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2)])
+def test_save_matrix_rejects_non_square(tmp_path, shape):
+    # the sidecar records one size n: a 2 x 3 file would not load, and a
+    # 3 x 2 one would come back 3 x 3
+    A = sp.csr_matrix(np.arange(1.0, 7.0).reshape(shape))
+    with pytest.raises(ValueError, match=rf"square matrix, got shape \({shape[0]}, {shape[1]}\)"):
+        lio.save_matrix(A, tmp_path / "w.csv")
+    assert not (tmp_path / "w.csv").exists()
+    assert not (tmp_path / "w.csv.json").exists()
+
+
 def _extreme_cloud(with_truth):
     pts = np.column_stack([EXTREMES, EXTREMES[::-1]])
     cloud = sample_interval(len(EXTREMES), seed=2)
