@@ -89,15 +89,19 @@ def sample(config: ExperimentConfig) -> PointCloud:
     return sampler(config.scaled_n(), config.seed, config)
 
 
-def build_pipeline(config: ExperimentConfig):
-    """sample -> neighbor graph -> LLE matrix, honoring the config's scheme."""
+def _sample_graph(config: ExperimentConfig):
+    """sample -> neighbor graph, honoring the config's scheme."""
     cloud = sample(config)
     if config.knn is not None:
-        graph = build_graph(cloud, Knn(config.knn))
-    elif config.eps is not None:
-        graph = build_graph(cloud, EpsilonBall(config.eps))
-    else:
-        raise ValueError("config needs either eps or knn")
+        return cloud, build_graph(cloud, Knn(config.knn))
+    if config.eps is not None:
+        return cloud, build_graph(cloud, EpsilonBall(config.eps))
+    raise ValueError("config needs either eps or knn")
+
+
+def build_pipeline(config: ExperimentConfig):
+    """sample -> neighbor graph -> LLE matrix, honoring the config's scheme."""
+    cloud, graph = _sample_graph(config)
     lle = build_lle_matrix(cloud, graph, config.c_rule, eps=config.eps)
     return cloud, graph, lle
 
@@ -289,8 +293,16 @@ def run_null_case(config: Optional[ExperimentConfig] = None) -> dict:
 
 
 def run_indicator(config: ExperimentConfig, tau: Optional[float] = None) -> dict:
-    """Indicator, classification, and the (t/eps, B) profile against ground truth."""
-    cloud, graph, lle = build_pipeline(config)
+    """Indicator, classification, and the (t/eps, B) profile against ground truth.
+
+    Returns the keys ``cloud``, ``lle``, ``report`` and ``summary``. W needs a
+    neighbor in every row, so on a cloud with isolated points ``lle`` is None
+    and the indicator runs its own solves, reporting those rows as missing.
+    """
+    cloud, graph = _sample_graph(config)
+    lle = None
+    if np.all(graph.counts > 0):
+        lle = build_lle_matrix(cloud, graph, config.c_rule, eps=config.eps)
     report = classify(indicator(cloud, graph, config.c_rule, lle=lle), tau)
     gt = cloud.ground_truth
     bdist = None if gt is None else gt.boundary_dist
@@ -302,6 +314,7 @@ def run_indicator(config: ExperimentConfig, tau: Optional[float] = None) -> dict
             lio._write_table(out / "profile.csv", "t_over_eps,B", "%.17g,%.17g\n",
                              [bdist[order] / config.eps, report.b_values[order]])
     summary = {"n": cloud.n, "eps": config.eps, "threshold": report.threshold,
-               "n_boundary": int(np.sum(report.labels == "boundary"))}
+               "n_boundary": int(np.sum(report.labels == "boundary")),
+               "n_missing": int(np.sum(report.missing))}
     _write_summary(out, "indicator.json", summary)
     return {"cloud": cloud, "lle": lle, "report": report, "summary": summary}

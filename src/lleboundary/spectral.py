@@ -6,10 +6,17 @@ Arnoldi above it. Every returned eigenpair carries a verified residual
 largest-modulus component real and positive. Arnoldi starts from a fixed
 vector, so repeated calls on the same matrix give the same bits and output
 files are reproducible.
+
+Every dense non-symmetric solve (``eig``, ``imaginary_diagnostics`` and
+``spectral_radius_report`` at n <= DENSE_CUTOFF) is one LAPACK ``geev`` with
+right eigenvectors, in ``_dense_eig``. Its eigenvalues are remembered for the
+last matrix solved, keyed by content, so the three calls on one W factor it
+once, and a matrix's eigenvalues do not depend on which call came first.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -82,6 +89,37 @@ def _fix_phase(vecs: np.ndarray) -> np.ndarray:
     return vecs
 
 
+def _densify(A) -> np.ndarray:
+    return np.asarray(A.toarray() if sp.issparse(A) else A, dtype=float)
+
+
+# (key, eigenvalues) of the last dense solve; replaced whole, never mutated
+_last_eigvals: Optional[tuple] = None
+
+
+def _dense_eig(dense: np.ndarray, want_vectors: bool):
+    """Eigenvalues, and right eigenvectors when asked, of a dense float matrix.
+
+    Always one ``la.eig`` with right eigenvectors: geev returns eigenvalues
+    that differ in the last bits with and without vectors, and one routine
+    makes them depend only on the matrix. The eigenvalues of the last matrix
+    solved are kept under its shape and a blake2b digest of its bytes; an
+    eigenvalues-only call on the same content returns a copy of them without
+    a solve, the same bits a solve would give. A call that wants vectors
+    always solves. The trade-off: a cold eigenvalues-only call pays for geev
+    with vectors, about 1.5x the time of eigvals alone at n = 1000.
+    """
+    global _last_eigvals
+    dense = np.ascontiguousarray(dense)
+    key = (dense.shape, hashlib.blake2b(dense).digest())
+    memo = _last_eigvals
+    if not want_vectors and memo is not None and memo[0] == key:
+        return memo[1].copy(), None
+    vals, vecs = la.eig(dense)
+    _last_eigvals = (key, vals.copy())
+    return vals, vecs if want_vectors else None
+
+
 def _residuals(W, vals, vecs) -> np.ndarray:
     """||W v - lambda v|| / ||v|| for every eigenpair, from one product W @ V."""
     return np.linalg.norm(W @ vecs - vecs * vals, axis=0) / np.linalg.norm(vecs, axis=0)
@@ -103,11 +141,7 @@ def eig(W: MatrixLike, k: Optional[int] = None, ordering: str = "real_desc",
     if k is not None and not 1 <= k <= n:
         raise ValueError("k must satisfy 1 <= k <= n")
     if n <= DENSE_CUTOFF:
-        dense = A.toarray() if sp.issparse(A) else np.asarray(A, dtype=float)
-        if want_vectors:
-            vals, vecs = la.eig(dense)
-        else:
-            vals, vecs = la.eigvals(dense), None
+        vals, vecs = _dense_eig(_densify(A), want_vectors)
         method = "dense"
     else:
         if k is None:
@@ -177,6 +211,17 @@ def _norm_1_inf(A) -> float:
     return float(np.sqrt(col * row))
 
 
+def _distance_to_real(vals: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """min_j |vals_i - mu_j| for every i, for mu real and ascending.
+
+    The nearest mu_j to vals_i is one of the two that bracket Re(vals_i), so
+    only those two distances are taken.
+    """
+    hi = np.searchsorted(mu, vals.real).clip(0, len(mu) - 1)
+    lo = (hi - 1).clip(0, None)
+    return np.minimum(np.abs(vals - mu[lo]), np.abs(vals - mu[hi]))
+
+
 def imaginary_diagnostics(W: MatrixLike) -> dict:
     """Bauer-Fike control of the imaginary parts via the antisymmetric part.
 
@@ -188,14 +233,12 @@ def imaginary_diagnostics(W: MatrixLike) -> dict:
     if n > DENSE_CUTOFF:
         raise ValueError("imaginary_diagnostics needs the full spectra; matrix too large "
                          f"for the dense solver (n={n} > {DENSE_CUTOFF})")
-    Wp, Wm = symmetric_split(A)
+    _, Wm = symmetric_split(A)
     bound = _norm_1_inf(Wm)
     max_asym = 2.0 * (abs(Wm).max() if sp.issparse(Wm) else np.abs(Wm).max())
-    dense = A.toarray() if sp.issparse(A) else np.asarray(A, dtype=float)
-    vals = la.eigvals(dense)
-    dense_p = Wp.toarray() if sp.issparse(Wp) else np.asarray(Wp, dtype=float)
-    mu = la.eigvalsh(dense_p)
-    dist = np.array([np.min(np.abs(lam - mu)) for lam in vals])
+    dense = _densify(A)
+    vals, _ = _dense_eig(dense, want_vectors=False)
+    dist = _distance_to_real(vals, la.eigvalsh((dense + dense.T) / 2.0))
     return {
         "bound": bound,
         "max_asym": float(max_asym),
@@ -211,7 +254,7 @@ def spectral_radius_report(W: MatrixLike, k: int = 6) -> dict:
     ones = np.ones(n)
     row_err = float(np.max(np.abs(A @ ones - 1.0)))
     if n <= DENSE_CUTOFF:
-        vals = la.eigvals(A.toarray() if sp.issparse(A) else np.asarray(A, dtype=float))
+        vals, _ = _dense_eig(_densify(A), want_vectors=False)
     else:
         vals = eig(A, k=min(k, n - 2), ordering="modulus_desc", want_vectors=True).eigenvalues
     rho_lower = float(np.max(np.abs(vals)))

@@ -128,6 +128,20 @@ def test_run_indicator_files(tmp_path):
     assert summary["n"] == res["cloud"].n
 
 
+def test_run_indicator_reports_isolated_points_missing(tmp_path):
+    cfg = replace(PRESETS["disk"], scale=20.0, out=tmp_path)
+    res = run_indicator(cfg)
+    rep = res["report"]
+    assert res["lle"] is None
+    assert np.flatnonzero(rep.missing).tolist() == [383, 569]
+    assert np.all(rep.labels[rep.missing] == "missing")
+    assert np.all(np.isnan(rep.b_values[rep.missing]))
+    assert np.all(np.isfinite(rep.b_values[~rep.missing]))
+    assert res["summary"]["n_missing"] == 2
+    summary = json.loads((tmp_path / "indicator.json").read_text())
+    assert summary["n_missing"] == 2
+
+
 def test_sample_dispatch_and_scale():
     cfg = replace(PRESETS["disk"], scale=20.0)
     cloud = sample(cfg)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg as la
 import scipy.sparse as sp
 
 from conftest import s1_grid_cloud, s1_grid_eps, ten_point_cloud
+from lleboundary import spectral
+from lleboundary.harness import run_null_case
 from lleboundary.lle import build_lle_matrix
 from lleboundary.neighbors import EpsilonBall, Knn, build_graph
 from lleboundary.samplers import sample_gaussian_null, sample_interval
@@ -134,3 +137,84 @@ def test_spectral_radius_report_s1():
     assert report["row_sum_err"] <= 1e-12
     assert report["has_eig_one"]
     assert abs(report["rho_lower"] - 1.0) <= 1e-10
+
+
+def null_lle():
+    cloud = sample_gaussian_null(120, 40, seed=2)
+    return build_lle_matrix(cloud, build_graph(cloud, Knn(12)), c_rule=1e-3)
+
+
+def evict_dense_memo():
+    """Solve another matrix, so the next dense solve of any W is cold."""
+    eig(np.eye(2), want_vectors=False)
+
+
+def test_distance_to_real_matches_loop():
+    W = null_lle().weights.toarray()
+    mu = la.eigvalsh((W + W.T) / 2.0)
+    vals = la.eigvals(W)
+    edges = np.array([mu[0] - 3.0 + 1.0j, mu[-1] + 7.0 - 2.0j, mu[5] + 0.0j,
+                      mu[5] - 0.25j, 0.5 * (mu[7] + mu[8]) + 1e-9j])
+    for lam_set in (vals, edges):
+        loop = np.array([np.min(np.abs(lam - mu)) for lam in lam_set])
+        assert np.array_equal(spectral._distance_to_real(lam_set, mu), loop)
+
+
+def test_dense_memo_keys_on_content():
+    M = np.diag([3.0, 2.0, 1.0])
+    assert eig(M, want_vectors=False).eigenvalues.tolist() == [3.0, 2.0, 1.0]
+    M[2, 2] = 5.0  # same array object and shape, new content
+    assert eig(M, want_vectors=False).eigenvalues.tolist() == [5.0, 3.0, 2.0]
+    assert spectral_radius_report(M)["rho_lower"] == 5.0
+
+
+def test_dense_memo_independent_of_call_order():
+    W = null_lle().weights
+    evict_dense_memo()
+    diag_cold = imaginary_diagnostics(W)
+    evict_dense_memo()
+    radius_cold = spectral_radius_report(W)
+    eig(W, ordering="modulus_desc")
+    assert imaginary_diagnostics(W) == diag_cold
+    assert spectral_radius_report(W) == radius_cold
+
+
+def test_dense_memo_returns_copies():
+    dense = null_lle().weights.toarray()
+    evict_dense_memo()
+    vals, vecs = spectral._dense_eig(dense, want_vectors=False)
+    assert vecs is None
+    expected = vals.copy()
+    vals[:] = 0.0
+    again, _ = spectral._dense_eig(dense, want_vectors=False)  # a hit
+    assert np.array_equal(again, expected)
+    again[:] = 0.0
+    assert np.array_equal(spectral._dense_eig(dense, want_vectors=False)[0], expected)
+
+
+def test_eigenvalues_same_bits_with_and_without_vectors():
+    W = null_lle().weights
+    evict_dense_memo()
+    bare = eig(W, ordering="modulus_desc", want_vectors=False)
+    evict_dense_memo()
+    full = eig(W, ordering="modulus_desc", want_vectors=True)
+    assert bare.eigenvectors is None and bare.residuals is None
+    assert np.array_equal(bare.eigenvalues, full.eigenvalues)
+
+
+def test_null_case_factors_w_once(monkeypatch):
+    calls = {"eig": 0, "eigvals": 0}
+
+    def counting(name):
+        solver = getattr(spectral.la, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return solver(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(spectral.la, name, counting(name))
+    res = run_null_case()
+    assert res["cloud"].n == 400
+    assert calls == {"eig": 1, "eigvals": 0}
