@@ -295,15 +295,12 @@ def run_null_case(config: Optional[ExperimentConfig] = None) -> dict:
 def run_indicator(config: ExperimentConfig, tau: Optional[float] = None) -> dict:
     """Indicator, classification, and the (t/eps, B) profile against ground truth.
 
-    Returns the keys ``cloud``, ``lle``, ``report`` and ``summary``. W needs a
-    neighbor in every row, so on a cloud with isolated points ``lle`` is None
-    and the indicator runs its own solves, reporting those rows as missing.
+    Returns the keys ``cloud``, ``report`` and ``summary``. W is not built:
+    the indicator runs its own solves, so points without neighbors are
+    reported as missing instead of failing the run.
     """
     cloud, graph = _sample_graph(config)
-    lle = None
-    if np.all(graph.counts > 0):
-        lle = build_lle_matrix(cloud, graph, config.c_rule, eps=config.eps)
-    report = classify(indicator(cloud, graph, config.c_rule, lle=lle), tau)
+    report = classify(indicator(cloud, graph, config.c_rule), tau)
     gt = cloud.ground_truth
     bdist = None if gt is None else gt.boundary_dist
     out = _outdir(config)
@@ -317,4 +314,4 @@ def run_indicator(config: ExperimentConfig, tau: Optional[float] = None) -> dict
                "n_boundary": int(np.sum(report.labels == "boundary")),
                "n_missing": int(np.sum(report.missing))}
     _write_summary(out, "indicator.json", summary)
-    return {"cloud": cloud, "lle": lle, "report": report, "summary": summary}
+    return {"cloud": cloud, "report": report, "summary": summary}

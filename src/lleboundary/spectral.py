@@ -233,7 +233,7 @@ def imaginary_diagnostics(W: MatrixLike) -> dict:
     if n > DENSE_CUTOFF:
         raise ValueError("imaginary_diagnostics needs the full spectra; matrix too large "
                          f"for the dense solver (n={n} > {DENSE_CUTOFF})")
-    _, Wm = symmetric_split(A)
+    Wm = (A - A.T) / 2.0
     bound = _norm_1_inf(Wm)
     max_asym = 2.0 * (abs(Wm).max() if sp.issparse(Wm) else np.abs(Wm).max())
     dense = _densify(A)

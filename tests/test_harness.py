@@ -132,7 +132,6 @@ def test_run_indicator_reports_isolated_points_missing(tmp_path):
     cfg = replace(PRESETS["disk"], scale=20.0, out=tmp_path)
     res = run_indicator(cfg)
     rep = res["report"]
-    assert res["lle"] is None
     assert np.flatnonzero(rep.missing).tolist() == [383, 569]
     assert np.all(rep.labels[rep.missing] == "missing")
     assert np.all(np.isnan(rep.b_values[rep.missing]))
