@@ -212,7 +212,7 @@ def run_eigenfunctions(config: ExperimentConfig) -> dict:
     result = {"cloud": cloud, "graph": graph, "lle": lle, "spectrum": spec}
     summary = {
         "manifold": config.manifold, "n": cloud.n, "eps": config.eps,
-        "seed": config.seed, "c": lle.c,
+        "seed": config.seed, "c": lle.c, "method": spec.method,
         "eigenvalues": [[v.real, v.imag] for v in spec.eigenvalues],
         "residuals": spec.residuals.tolist(),
     }
@@ -224,6 +224,7 @@ def run_eigenfunctions(config: ExperimentConfig) -> dict:
         spec_r = eig(Wr, k=config.k_eigs, ordering="real_desc")
         result.update({"regions": regions, "clipped": Wr, "kept": kept,
                        "clipped_spectrum": spec_r})
+        summary["clipped_method"] = spec_r.method
         summary["clipped_eigenvalues"] = [[v.real, v.imag] for v in spec_r.eigenvalues]
         summary["n_clipped"] = int(cloud.n - len(kept))
         if out is not None:

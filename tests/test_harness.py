@@ -46,6 +46,8 @@ def test_scaled_interval_eigenfunctions(tmp_path):
     assert len(clipped_lines) == 1 + len(res["kept"])
     summary = json.loads((tmp_path / "run" / "summary.json").read_text())
     assert len(summary["eigenvalues"]) == 8
+    assert summary["method"] == "arnoldi"  # n 2000: a partial spectrum goes to Arnoldi
+    assert summary["clipped_method"] == "arnoldi"
 
 
 def test_convergence_interior_targets(tmp_path):

@@ -5,12 +5,15 @@ import scipy.sparse as sp
 
 from conftest import s1_grid_cloud, s1_grid_eps, ten_point_cloud
 from lleboundary import spectral
+from lleboundary.analytic import AnalyticCoeffs
+from lleboundary.boundary import clip, partition_regions
 from lleboundary.harness import run_null_case
 from lleboundary.lle import build_lle_matrix
 from lleboundary.neighbors import EpsilonBall, Knn, build_graph
-from lleboundary.samplers import sample_gaussian_null, sample_interval
-from lleboundary.spectral import (cluster_eigenvalues, eig, imaginary_diagnostics,
-                                  spectral_radius_report, symmetric_split)
+from lleboundary.samplers import sample_disk, sample_gaussian_null, sample_interval
+from lleboundary.spectral import (EigenConvergenceError, cluster_eigenvalues, eig,
+                                  imaginary_diagnostics, spectral_radius_report,
+                                  symmetric_split)
 
 
 def s1_lle(m):
@@ -132,6 +135,22 @@ def test_arnoldi_without_vectors():
     assert np.max(np.abs(bare.eigenvalues - full.eigenvalues)) <= 1e-12
 
 
+def test_spectral_radius_report_above_cutoff_reads_eigenvalues_only(monkeypatch):
+    cloud = sample_interval(2200, seed=6)
+    lle = build_lle_matrix(cloud, build_graph(cloud, EpsilonBall(0.02)), "auto")
+    full = eig(lle, k=6, ordering="modulus_desc", want_vectors=True)
+    asked = []
+
+    def recording(*args, **kwargs):
+        asked.append(kwargs["want_vectors"])
+        return eig(*args, **kwargs)
+    monkeypatch.setattr(spectral, "eig", recording)
+    report = spectral_radius_report(lle)
+    assert asked == [False]
+    assert abs(report["rho_lower"] - np.max(np.abs(full.eigenvalues))) <= 1e-12
+    assert report["has_eig_one"]
+
+
 def test_spectral_radius_report_s1():
     report = spectral_radius_report(s1_lle(5))
     assert report["row_sum_err"] <= 1e-12
@@ -202,8 +221,9 @@ def test_eigenvalues_same_bits_with_and_without_vectors():
     assert np.array_equal(bare.eigenvalues, full.eigenvalues)
 
 
-def test_null_case_factors_w_once(monkeypatch):
-    calls = {"eig": 0, "eigvals": 0}
+def count_dense_solves(monkeypatch, *names) -> dict:
+    """Patch each named scipy.linalg solver in spectral to count its calls."""
+    calls = dict.fromkeys(names, 0)
 
     def counting(name):
         solver = getattr(spectral.la, name)
@@ -213,8 +233,83 @@ def test_null_case_factors_w_once(monkeypatch):
             return solver(*args, **kwargs)
         return counted
 
-    for name in calls:
+    for name in names:
         monkeypatch.setattr(spectral.la, name, counting(name))
+    return calls
+
+
+def test_null_case_factors_w_once(monkeypatch):
+    calls = count_dense_solves(monkeypatch, "eig", "eigvals")
     res = run_null_case()
     assert res["cloud"].n == 400
     assert calls == {"eig": 1, "eigvals": 0}
+
+
+def disk_w():
+    cloud = sample_disk(2400, seed=1)
+    return build_lle_matrix(cloud, build_graph(cloud, EpsilonBall(0.15)), "auto").weights
+
+
+@pytest.fixture(scope="module")
+def below_cutoff():
+    """Matrices under DENSE_CUTOFF with their dense spectra, the oracle: the
+    interval W (n 2000, eps 0.02), its t*-clipped matrix, whose top
+    eigenvalues cluster below 1, and a disk W (2400 draws, eps 0.15)."""
+    cloud = sample_interval(2000, seed=1)
+    lle = build_lle_matrix(cloud, build_graph(cloud, EpsilonBall(0.02)), "auto")
+    clipped, _ = clip(lle, partition_regions(cloud, 0.02, AnalyticCoeffs(1, 0.02).tstar()))
+    mats = {"interval": lle.weights, "interval_clipped": clipped, "disk": disk_w()}
+    return {name: (W, eig(W, ordering="real_desc")) for name, W in mats.items()}
+
+
+@pytest.mark.parametrize("k", [4, 10])
+@pytest.mark.parametrize("name", ["interval", "interval_clipped", "disk"])
+def test_arnoldi_matches_dense_below_cutoff(below_cutoff, monkeypatch, name, k):
+    W, dense = below_cutoff[name]
+    assert W.shape[0] <= spectral.DENSE_CUTOFF and dense.method == "dense"
+    calls = count_dense_solves(monkeypatch, "eig")
+    spec = eig(W, k=k, ordering="real_desc")
+    assert calls == {"eig": 0}
+    assert spec.method == "arnoldi"
+    assert np.max(np.abs(spec.eigenvalues - dense.eigenvalues[:k])) <= 1e-10
+    ref = dense.eigenvectors[:, :k]
+    cos = np.abs(np.sum(spec.eigenvectors.conj() * ref, axis=0)) / (
+        np.linalg.norm(spec.eigenvectors, axis=0) * np.linalg.norm(ref, axis=0))
+    assert np.min(cos) >= 1.0 - 1e-10
+
+
+def test_dense_only_for_full_spectrum_or_k_past_arpack(monkeypatch):
+    W = null_lle().weights
+    n = W.shape[0]
+    calls = count_dense_solves(monkeypatch, "eig")
+    assert eig(W, k=n - 2).method == "arnoldi"
+    assert calls == {"eig": 0}
+    for k in (None, n - 1, n):
+        assert eig(W, k=k).method == "dense"
+    assert calls == {"eig": 3}  # a call that wants vectors always solves
+
+
+@pytest.mark.parametrize("which, ordering, maxiter", [("disk", "real_desc", 6),
+                                                      ("null", "modulus_desc", 12)])
+def test_arnoldi_partial_result_sorted_and_checked(which, ordering, maxiter):
+    if which == "disk":
+        W = disk_w()
+    else:
+        cloud = sample_gaussian_null(1000, 200, seed=1)
+        W = build_lle_matrix(cloud, build_graph(cloud, Knn(50)), c_rule=1e-3).weights
+    with pytest.raises(EigenConvergenceError) as info:
+        eig(W, k=10, ordering=ordering, maxiter=maxiter)
+    partial = info.value.partial
+    assert partial is not None and 1 < len(partial) < 10
+    assert partial.method == "arnoldi-partial" and partial.ordering == ordering
+    vals = partial.eigenvalues
+    assert np.array_equal(spectral._sort_key(vals, ordering), np.arange(len(vals)))
+    assert np.max(partial.residuals) <= spectral.RESIDUAL_TOL * max(1.0, np.max(np.abs(vals)))
+    converged = eig(W, k=10, ordering=ordering).eigenvalues
+    assert np.max(np.min(np.abs(vals[:, None] - converged[None, :]), axis=1)) <= 1e-8
+
+
+def test_arnoldi_nothing_converged_has_no_partial():
+    with pytest.raises(EigenConvergenceError, match="No convergence") as info:
+        eig(disk_w(), k=10, ordering="real_desc", maxiter=1)
+    assert info.value.partial is None
