@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands: sample, build, spectrum, eigenfunctions, indicator, clip,
-convergence, nullcase, sigma-table. A plain-text config file of key=value
-lines can seed any flag; explicit flags win.
+convergence, nullcase, sigma-table. Every setting is one row of ``_FLAGS``:
+its flag, its config-file key, its parser and the ExperimentConfig field it
+sets. A plain-text config file of key=value lines (keys are the flag names)
+can seed any setting; explicit flags win.
 """
 
 from __future__ import annotations
@@ -12,19 +14,124 @@ import json
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import io as lio
 from .analytic import coefficient_table
 from .boundary import clip as clip_matrix
-from .harness import (PRESETS, ExperimentConfig, build_pipeline, run_convergence,
-                      run_eigenfunctions, run_indicator, run_null_case, sample,
-                      wave_partition)
-from .spectral import DENSE_CUTOFF, eig
+from .harness import (PRESETS, TEST_FUNCTIONS, ExperimentConfig, _sample_graph,
+                      build_pipeline, run_convergence, run_eigenfunctions, run_indicator,
+                      run_null_case, sample, wave_partition)
+from .lle import build_alpha_kernel_matrix, resolve_c
+from .spectral import eig
 
-_CONFIG_KEYS = {"manifold", "n", "eps", "knn", "c", "c_rule", "seed", "k_eigs",
-                "alpha", "out", "tstar_clip", "scale", "f_test", "tau", "d", "grid"}
+
+def _one_of(names) -> Callable[[str], str]:
+    choices = ", ".join(sorted(names))
+
+    def parse(value: str) -> str:
+        if value not in names:
+            raise argparse.ArgumentTypeError(f"{value!r} is not one of {choices}")
+        return value
+    return parse
+
+
+def _regularizer(value: str):
+    """'auto' (c = n eps^(d+3)) or a positive number, as ExperimentConfig.c_rule."""
+    if value == "auto":
+        return value
+    if not float(value) > 0:
+        raise argparse.ArgumentTypeError(f"expected a positive number or auto, got {value!r}")
+    return float(value)
+
+
+def _switch(value: str) -> bool:
+    """Config-file value of an on/off flag."""
+    if value.lower() in ("1", "true", "yes"):
+        return True
+    if value.lower() in ("0", "false", "no"):
+        return False
+    raise argparse.ArgumentTypeError(f"expected yes or no, got {value!r}")
+
+
+def _list_of(kind) -> Callable[[str], list]:
+    def parse(value: str) -> list:
+        return [kind(v) for v in value.split(",")]
+    return parse
+
+
+def _grid(value: str) -> list:
+    """t/eps values: a comma list, or a count of them spread over [0, 1.2]."""
+    if "," in value:
+        return [float(v) for v in value.split(",")]
+    return np.linspace(0.0, 1.2, int(value)).tolist()
+
+
+class _Flag(NamedTuple):
+    field: Optional[str]  # ExperimentConfig field; None: the subcommand reads the value
+    parse: Callable
+    help: str
+    commands: Optional[tuple] = None  # subcommands that take it; None: all
+
+
+_FLAGS = {
+    "manifold": _Flag("manifold", _one_of(PRESETS),
+                      f"preset: {', '.join(sorted(PRESETS))} "
+                      "(default interval; gaussian_null for nullcase)"),
+    "n": _Flag("n", int, "sample count (raw draws for rejection samplers)"),
+    "eps": _Flag("eps", float, "epsilon-ball radius; replaces the preset's KNN scheme"),
+    "knn": _Flag("knn", int, "K for the KNN scheme"),
+    "c": _Flag("c_rule", _regularizer,
+               "regularizer: a positive number, or auto for c = n * eps^(d+3)"),
+    "seed": _Flag("seed", int, "integer RNG seed"),
+    "k_eigs": _Flag("k_eigs", int, "number of eigenpairs; n gives the full spectrum"),
+    "alpha": _Flag("alpha", float, "alpha for the kernel family / DM normalization"),
+    "out": _Flag("out", Path, "output directory"),
+    "tstar_clip": _Flag("tstar_clip", _switch, "also clip the wave region at depth t*"),
+    "scale": _Flag("scale", float, "divide preset n by this factor"),
+    "f_test": _Flag("f_test", _one_of(TEST_FUNCTIONS),
+                    f"test function: {', '.join(sorted(TEST_FUNCTIONS))}"),
+    "tau": _Flag(None, float, "indicator threshold override"),
+    "d": _Flag(None, int, "intrinsic dimension (default 1)", ("sigma-table",)),
+    "grid": _Flag(None, _grid, "comma list of t/eps values, or their COUNT on [0, 1.2] "
+                  "(default 101)", ("sigma-table",)),
+    "ns": _Flag(None, _list_of(int), "comma list of sample counts", ("convergence",)),
+    "eps_list": _Flag(None, _list_of(float), "comma list of eps values", ("convergence",)),
+}
+
+_COMMANDS = {
+    "sample": "draw a point cloud and write it as CSV",
+    "build": "assemble the LLE matrix and persist it as triplets",
+    "spectrum": "eigenvalues (and vectors) of the LLE matrix",
+    "eigenfunctions": "preset eigenfunction run, optionally clipped",
+    "indicator": "boundary indicator, classification, profile",
+    "clip": "clip the wave region and persist the reduced matrix",
+    "convergence": "operator-error sweep over n and eps",
+    "nullcase": "high-dimensional Gaussian spectrum diagnostics",
+    "sigma-table": "dump the analytic coefficient table",
+}
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="lleboundary",
+                                     description="boundary-aware LLE toolkit")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, helptext in _COMMANDS.items():
+        # unset flags stay out of the namespace, so config-file values show through
+        p = sub.add_parser(name, help=helptext, argument_default=argparse.SUPPRESS)
+        p.add_argument("--config", help="key=value config file, keys named as the flags; "
+                                        "flags override it")
+        for key, flag in _FLAGS.items():
+            if flag.commands is not None and name not in flag.commands:
+                continue
+            option = "--" + key.replace("_", "-")
+            if flag.parse is _switch:
+                p.add_argument(option, action="store_const", const=True, help=flag.help)
+            else:
+                p.add_argument(option, type=flag.parse, help=flag.help)
+    return parser
 
 
 def _read_config(path: str) -> dict:
@@ -37,121 +144,50 @@ def _read_config(path: str) -> dict:
             raise SystemExit(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.replace("-", "_")
-        if key not in _CONFIG_KEYS:
+        if key not in _FLAGS:
             raise SystemExit(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = value
+        try:
+            values[key] = _FLAGS[key].parse(value)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise SystemExit(f"{path}:{lineno}: {key}: {exc}") from None
     return values
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="key=value config file; flags override it")
-    parser.add_argument("--manifold", choices=sorted(PRESETS.keys()))
-    parser.add_argument("--n", help="sample count (raw draws for rejection samplers)")
-    parser.add_argument("--eps", help="epsilon-ball radius")
-    parser.add_argument("--knn", help="K for the KNN scheme")
-    parser.add_argument("--c", help="explicit regularizer value")
-    parser.add_argument("--c-rule", dest="c_rule", choices=["auto", "fixed"],
-                        help="'auto' uses c = n * eps^(d+3); 'fixed' uses --c")
-    parser.add_argument("--seed", help="integer RNG seed")
-    parser.add_argument("--k-eigs", dest="k_eigs", help="number of eigenpairs")
-    parser.add_argument("--alpha", help="alpha for the kernel family / DM normalization")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--tstar-clip", dest="tstar_clip", action="store_const", const="1",
-                        help="also clip the wave region at depth t*")
-    parser.add_argument("--scale", help="divide preset n by this factor")
-    parser.add_argument("--f-test", dest="f_test",
-                        choices=["constant", "coordinate", "squared_radius", "trig"])
-    parser.add_argument("--tau", help="indicator threshold override")
+def _settings(argv) -> tuple:
+    """(subcommand, its parsed settings, the ExperimentConfig they make).
 
-
-def _merged(args: argparse.Namespace) -> dict:
-    merged = dict(_read_config(args.config)) if args.config else {}
-    for key in _CONFIG_KEYS:
-        val = getattr(args, key, None)
-        if val is not None:
-            merged[key] = val
-    return merged
-
-
-def _config_from(merged: dict) -> ExperimentConfig:
-    manifold = merged.get("manifold", "interval")
-    cfg = PRESETS[manifold]
-    if "n" in merged:
-        cfg = replace(cfg, n=int(merged["n"]))
-    if "eps" in merged:
-        cfg = replace(cfg, eps=float(merged["eps"]), knn=None)
-    if "knn" in merged:
-        cfg = replace(cfg, knn=int(merged["knn"]))
-    rule = merged.get("c_rule", "fixed" if "c" in merged else None)
-    if rule == "auto":
-        cfg = replace(cfg, c_rule="auto")
-    elif rule == "fixed" or "c" in merged:
-        if "c" not in merged:
-            raise SystemExit("--c-rule fixed needs --c")
-        cfg = replace(cfg, c_rule=float(merged["c"]))
-    if "seed" in merged:
-        cfg = replace(cfg, seed=int(merged["seed"]))
-    if "k_eigs" in merged:
-        cfg = replace(cfg, k_eigs=int(merged["k_eigs"]))
-    if "alpha" in merged:
-        cfg = replace(cfg, alpha=float(merged["alpha"]))
-    if "scale" in merged:
-        cfg = replace(cfg, scale=float(merged["scale"]))
-    if "f_test" in merged:
-        cfg = replace(cfg, f_test=merged["f_test"])
-    if merged.get("tstar_clip") in ("1", "true", "yes", True):
-        cfg = replace(cfg, tstar_clip=True)
-    if "out" in merged:
-        cfg = replace(cfg, out=Path(merged["out"]))
-    return cfg
+    Flags win over config-file values, which win over the subcommand's
+    default manifold; the rest comes from that manifold's preset.
+    """
+    given = vars(_parser().parse_args(argv))
+    command = given.pop("command")
+    config_file = given.pop("config", None)
+    values = {"manifold": "gaussian_null" if command == "nullcase" else "interval",
+              **(_read_config(config_file) if config_file else {}), **given}
+    fields = {_FLAGS[key].field: v for key, v in values.items() if _FLAGS[key].field}
+    if "eps" in fields:
+        fields.setdefault("knn", None)  # an eps-ball graph unless K is given too
+    return command, values, replace(PRESETS[fields["manifold"]], **fields)
 
 
 def _need_out(cfg: ExperimentConfig) -> Path:
     if cfg.out is None:
         raise SystemExit("this subcommand writes files; pass --out DIR")
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    cfg.out.mkdir(parents=True, exist_ok=True)
+    return cfg.out
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="lleboundary",
-                                     description="boundary-aware LLE toolkit")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in [
-        ("sample", "draw a point cloud and write it as CSV"),
-        ("build", "assemble the LLE matrix and persist it as triplets"),
-        ("spectrum", "eigenvalues (and vectors) of the LLE matrix"),
-        ("eigenfunctions", "preset eigenfunction run, optionally clipped"),
-        ("indicator", "boundary indicator, classification, profile"),
-        ("clip", "clip the wave region and persist the reduced matrix"),
-        ("convergence", "operator-error sweep over n and eps"),
-        ("nullcase", "high-dimensional Gaussian spectrum diagnostics"),
-        ("sigma-table", "dump the analytic coefficient table"),
-    ]:
-        p = sub.add_parser(name, help=helptext)
-        _add_common(p)
-        if name == "sigma-table":
-            p.add_argument("--d", help="intrinsic dimension", default=None)
-            p.add_argument("--grid", help="comma list of t/eps values or COUNT", default=None)
-        if name == "convergence":
-            p.add_argument("--ns", help="comma list of sample counts")
-            p.add_argument("--eps-list", dest="eps_list", help="comma list of eps values")
+    command, values, cfg = _settings(argv)
+    out = None if command == "nullcase" else _need_out(cfg)  # nullcase writes only with --out
 
-    args = parser.parse_args(argv)
-    merged = _merged(args)
-    cfg = _config_from(merged)
-
-    if args.command == "sample":
-        out = _need_out(cfg)
+    if command == "sample":
         cloud = sample(cfg)
         path = lio.save_cloud(cloud, out / f"{cfg.manifold}_cloud.csv")
         print(f"wrote {path} ({cloud.n} points)")
-    elif args.command == "build":
-        out = _need_out(cfg)
+    elif command == "build":
         if cfg.alpha is not None:
-            from .lle import build_alpha_kernel_matrix, resolve_c
-            cloud, graph, lle = build_pipeline(cfg)
+            cloud, graph = _sample_graph(cfg)
             c = resolve_c(cloud, graph, cfg.c_rule, cfg.eps)
             mat = build_alpha_kernel_matrix(cloud, graph, c, cfg.alpha)
             path = lio.save_matrix(mat, out / "alpha_kernel_matrix.csv")
@@ -160,62 +196,43 @@ def main(argv=None) -> int:
             cloud, graph, lle = build_pipeline(cfg)
             path = lio.save_matrix(lle, out / "lle_matrix.csv")
             print(f"wrote {path} (n={lle.n}, c={lle.c:.6g})")
-    elif args.command == "spectrum":
-        out = _need_out(cfg)
+    elif command == "spectrum":
         cloud, graph, lle = build_pipeline(cfg)
-        k = cfg.k_eigs if lle.n > DENSE_CUTOFF else None
-        spec = eig(lle.weights, k=k, ordering="real_desc")
+        spec = eig(lle.weights, k=cfg.k_eigs, ordering="real_desc")
         lio.save_spectrum(spec, out / "spectrum.csv")
         lio.save_eigenvectors(spec, out / "eigenvectors.csv", meta={"seed": cfg.seed})
         print(f"wrote spectrum ({len(spec)} eigenvalues)")
-    elif args.command == "eigenfunctions":
-        _need_out(cfg)
+    elif command == "eigenfunctions":
         result = run_eigenfunctions(cfg)
         top = result["spectrum"].eigenvalues[:3]
         print("top eigenvalues:", ", ".join(f"{v.real:.8f}{v.imag:+.2e}j" for v in top))
-    elif args.command == "indicator":
-        _need_out(cfg)
-        tau = float(merged["tau"]) if "tau" in merged else None
-        result = run_indicator(cfg, tau)
+    elif command == "indicator":
+        result = run_indicator(cfg, values.get("tau"))
         print(json.dumps(result["summary"]))
-    elif args.command == "clip":
-        out = _need_out(cfg)
+    elif command == "clip":
         cloud, graph, lle = build_pipeline(cfg)
         regions = wave_partition(cloud, graph, lle, cfg)
         Wr, kept = clip_matrix(lle, regions)
-        meta = dict(lle.meta)
-        meta["n"] = int(Wr.shape[0])
-        lio.save_matrix(Wr, out / "lle_matrix_clipped.csv", meta=meta)
+        lio.save_matrix(Wr, out / "lle_matrix_clipped.csv", meta=lle.meta)
         lio._write_table(out / "kept_indices.csv", "old_index", "%d\n", [kept])
         print(f"clipped {cloud.n - len(kept)} wave points; kept {len(kept)}")
-    elif args.command == "convergence":
-        _need_out(cfg)
-        ns = [int(v) for v in args.ns.split(",")] if args.ns else [cfg.n]
-        eps_list = [float(v) for v in args.eps_list.split(",")] if args.eps_list else [cfg.eps]
-        rows = run_convergence(cfg, ns, eps_list)
+    elif command == "convergence":
+        rows = run_convergence(cfg, values.get("ns", [cfg.n]), values.get("eps_list", [cfg.eps]))
         for row in rows:
             print(json.dumps(row))
-    elif args.command == "nullcase":
-        result = run_null_case(cfg if cfg.manifold == "gaussian_null"
-                               else replace(PRESETS["gaussian_null"],
-                                            seed=cfg.seed, out=cfg.out))
+    elif command == "nullcase":
+        result = run_null_case(cfg)
         top = result["spectrum"].eigenvalues[0]
         print(f"top eigenvalue {top.real:.12f}{top.imag:+.2e}j, "
               f"max |Im| {result['diagnostics']['max_imag']:.4f}, "
               f"bauer_fike_ok {result['diagnostics']['bauer_fike_ok']}")
-    elif args.command == "sigma-table":
-        out = _need_out(cfg)
-        d = int(merged.get("d", 1))
+    elif command == "sigma-table":
+        d = values.get("d", 1)
         eps = cfg.eps if cfg.eps is not None else 1.0
-        grid_spec = merged.get("grid", "101")
-        if "," in str(grid_spec):
-            s_values = [float(v) for v in str(grid_spec).split(",")]
-        else:
-            s_values = np.linspace(0.0, 1.2, int(grid_spec)).tolist()
-        ts = [s * eps for s in s_values]
+        ts = [s * eps for s in values.get("grid", _grid("101"))]
         table = coefficient_table(d, eps, ts)
         header = "t_over_eps,s0,s1d,s2,s2d,s3,s3d,phi1,phi2,V,B"
-        path = Path(out) / "sigma_table.csv"
+        path = out / "sigma_table.csv"
         lio._write_table(path, header, ",".join(["%.17g"] * table.shape[1]) + "\n",
                          list(table.T))
         print(f"wrote {path} ({len(ts)} rows, d={d}, eps={eps})")

@@ -26,7 +26,6 @@ __all__ = [
     "sample_gaussian_null",
     "curve_m3_point",
     "curve_m3_speed",
-    "adaptive_simpson",
 ]
 
 
@@ -132,30 +131,6 @@ def sample_disk(n_raw: int, seed: int) -> PointCloud:
                       ground_truth=gt, kept_mask=keep)
 
 
-def adaptive_simpson(f, a: float, b: float, tol: float = 1e-8, max_depth: int = 50) -> float:
-    """Adaptive Simpson quadrature of f on [a, b] to absolute tolerance tol."""
-    def simpson(lo, flo, hi, fhi, fmid):
-        return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-
-    def recurse(lo, flo, hi, fhi, fmid, whole, tol, depth):
-        mid = 0.5 * (lo + hi)
-        lmid = 0.5 * (lo + mid)
-        rmid = 0.5 * (mid + hi)
-        flm, frm = f(lmid), f(rmid)
-        left = simpson(lo, flo, mid, fmid, flm)
-        right = simpson(mid, fmid, hi, fhi, frm)
-        if depth >= max_depth or abs(left + right - whole) <= 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        return (recurse(lo, flo, mid, fmid, flm, left, tol / 2.0, depth + 1)
-                + recurse(mid, fmid, hi, fhi, frm, right, tol / 2.0, depth + 1))
-
-    if a == b:
-        return 0.0
-    fa, fb, fm = f(a), f(b), f(0.5 * (a + b))
-    whole = simpson(a, fa, b, fb, fm)
-    return recurse(a, fa, b, fb, fm, whole, tol, 0)
-
-
 def curve_m3_point(t):
     """The curve t -> (t, log(0.5 + t), cos(pi t)) on [0, 1]."""
     t = np.asarray(t, dtype=float)
@@ -167,15 +142,15 @@ def curve_m3_speed(t):
     return np.sqrt(1.0 + (0.5 + t) ** -2 + (np.pi * np.sin(np.pi * t)) ** 2)
 
 
-def _cumulative_arclength(ts_sorted: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Arclength s(t) of the m3 curve at each sorted parameter value."""
-    s = np.empty(ts_sorted.shape[0])
-    prev_t, prev_s = 0.0, 0.0
-    for i, t in enumerate(ts_sorted):
-        prev_s += adaptive_simpson(curve_m3_speed, prev_t, float(t), tol)
-        prev_t = float(t)
-        s[i] = prev_s
-    return s
+# 32-point Gauss-Legendre rule on [-1, 1]: one gap [0, 1] matches quad to ~2e-15
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+
+
+def _arclength(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Arclength of the m3 curve over each parameter gap [lo, hi]."""
+    half = 0.5 * (hi - lo)
+    ts = (0.5 * (hi + lo))[:, None] + half[:, None] * _GL_NODES
+    return half * (curve_m3_speed(ts) @ _GL_WEIGHTS)
 
 
 def sample_curve_m3(n: int, seed: int) -> PointCloud:
@@ -183,16 +158,18 @@ def sample_curve_m3(n: int, seed: int) -> PointCloud:
 
     The sampling is nonuniform with respect to arclength. Ground-truth
     boundary distance is the arclength to the nearer endpoint, computed by
-    adaptive Simpson quadrature of the curve speed.
+    Gauss-Legendre quadrature of the curve speed over each gap between the
+    sorted parameters.
     """
     n = _check_count(n)
     t = CounterStream(seed).uniform(n)
     pts = curve_m3_point(t)
     order = np.argsort(t, kind="stable")
-    s_sorted = _cumulative_arclength(t[order])
+    knots = np.concatenate([[0.0], t[order], [1.0]])
+    s_knots = np.cumsum(_arclength(knots[:-1], knots[1:]))
     s = np.empty(n)
-    s[order] = s_sorted
-    total = s_sorted[-1] + adaptive_simpson(curve_m3_speed, float(t[order][-1]), 1.0, 1e-10)
+    s[order] = s_knots[:-1]
+    total = s_knots[-1]
     bdist = np.minimum(s, total - s)
     dgamma = np.stack([np.ones_like(t), 1.0 / (0.5 + t), -np.pi * np.sin(np.pi * t)], axis=-1)
     tangent = dgamma / np.linalg.norm(dgamma, axis=1, keepdims=True)

@@ -44,6 +44,7 @@ __all__ = [
 
 DENSE_CUTOFF = 2000
 RESIDUAL_TOL = 1e-8
+ARNOLDI_TOL = 1e-10  # ARPACK's relative accuracy for Ritz values
 
 MatrixLike = Union[np.ndarray, sp.spmatrix, LleMatrix]
 
@@ -129,7 +130,7 @@ def _residuals(W, vals, vecs) -> np.ndarray:
 
 
 def eig(W: MatrixLike, k: Optional[int] = None, ordering: str = "real_desc",
-        want_vectors: bool = True, tol: float = 1e-10, maxiter: int = 50000) -> Spectrum:
+        want_vectors: bool = True, maxiter: int = 50000) -> Spectrum:
     """Spectrum of a square real matrix.
 
     With k < n - 1, restarted Arnoldi (subspace min(n, 2k + 10)) targets the
@@ -160,7 +161,7 @@ def eig(W: MatrixLike, k: Optional[int] = None, ordering: str = "real_desc",
         # uniform on [-1, 1): the ones vector would not do, W 1 = 1 makes it invariant
         v0 = 2.0 * CounterStream(0).uniform(n) - 1.0
         try:
-            out = spla.eigs(A.astype(float), k=k, which=which, tol=tol, maxiter=maxiter,
+            out = spla.eigs(A.astype(float), k=k, which=which, tol=ARNOLDI_TOL, maxiter=maxiter,
                             ncv=ncv, v0=v0, return_eigenvectors=want_vectors)
         except spla.ArpackNoConvergence as exc:
             partial = None

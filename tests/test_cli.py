@@ -1,0 +1,98 @@
+"""The CLI's flag table: one parse per setting, for flags and config files alike."""
+
+import argparse
+import json
+from pathlib import Path
+
+import pytest
+
+from lleboundary.cli import _FLAGS, _parser, _settings, main
+
+SUBCOMMANDS = ["sample", "build", "spectrum", "eigenfunctions", "indicator", "clip",
+               "convergence", "nullcase", "sigma-table"]
+
+# (subcommand, key, value, what it sets: ExperimentConfig fields for keys with a
+# field, the parsed value for the settings a subcommand reads itself)
+SETTINGS = [
+    ("build", "manifold", "disk", {"manifold": "disk", "n": 20000, "eps": 0.1}),
+    ("build", "n", "300", {"n": 300}),
+    ("nullcase", "eps", "0.5", {"eps": 0.5, "knn": None}),
+    ("build", "knn", "7", {"knn": 7}),
+    ("nullcase", "c", "auto", {"c_rule": "auto"}),
+    ("build", "c", "1e-3", {"c_rule": 1e-3}),
+    ("build", "seed", "5", {"seed": 5}),
+    ("spectrum", "k_eigs", "4", {"k_eigs": 4}),
+    ("build", "alpha", "0.5", {"alpha": 0.5}),
+    ("build", "out", "runs/a", {"out": Path("runs/a")}),
+    ("eigenfunctions", "tstar_clip", "yes", {"tstar_clip": True}),
+    ("build", "scale", "4", {"scale": 4.0}),
+    ("convergence", "f_test", "trig", {"f_test": "trig"}),
+    ("indicator", "tau", "0.4", 0.4),
+    ("sigma-table", "d", "2", 2),
+    ("sigma-table", "grid", "0,0.5,1", [0.0, 0.5, 1.0]),
+    ("sigma-table", "grid", "3", [0.0, 0.6, 1.2]),
+    ("convergence", "ns", "400,800", [400, 800]),
+    ("convergence", "eps_list", "0.05,0.1", [0.05, 0.1]),
+]
+
+
+def test_settings_cover_the_table():
+    assert {key for _, key, _, _ in SETTINGS} == set(_FLAGS)
+
+
+@pytest.mark.parametrize("command,key,value,expect", SETTINGS,
+                         ids=[f"{key}={value}" for _, key, value, _ in SETTINGS])
+def test_flag_and_config_line_agree(tmp_path, command, key, value, expect):
+    option = "--" + key.replace("_", "-")
+    flag = [option] if key == "tstar_clip" else [option, value]  # an on/off flag
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"{key} = {value}\n")
+    from_flag = _settings([command] + flag)
+    from_file = _settings([command, "--config", str(cfgfile)])
+    assert from_flag == from_file
+    _, values, cfg = from_flag
+    if _FLAGS[key].field is None:
+        assert values[key] == pytest.approx(expect)
+    else:
+        assert {f: getattr(cfg, f) for f in expect} == expect
+
+
+@pytest.mark.parametrize("line", ["manifold = sphere", "f_test = cubic", "c = fixed",
+                                  "c = -1", "n = many", "tstar_clip = maybe", "c_rule = auto"])
+def test_config_file_values_are_validated(tmp_path, line):
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text(f"# header\n{line}\n")
+    with pytest.raises(SystemExit, match=r"bad\.cfg:2: "):
+        _settings(["build", "--config", str(cfgfile)])
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_every_subcommand_has_help(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert "--config" in capsys.readouterr().out
+
+
+def test_config_keys_are_the_parser_dests():
+    parser = _parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(subparsers.choices) == sorted(SUBCOMMANDS)
+    dests = {a.dest for p in subparsers.choices.values() for a in p._actions}
+    assert dests - {"help", "config"} == set(_FLAGS)
+
+
+def test_nullcase_defaults_to_the_null_preset(tmp_path):
+    assert main(["nullcase", "--n", "120", "--knn", "12", "--c", "1e-3",
+                 "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "nullcase.json").read_text())
+    assert (summary["n"], summary["knn"], summary["c"]) == (120, 12, 1e-3)
+
+
+@pytest.mark.parametrize("k", [5, 300])
+def test_spectrum_writes_k_eigs_eigenvalues(tmp_path, k):
+    assert main(["spectrum", "--manifold", "interval", "--n", "300", "--eps", "0.05",
+                 "--k-eigs", str(k), "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "spectrum.csv").read_text().splitlines()
+    assert lines[0] == "re,im,residual"
+    assert len(lines) == 1 + k
