@@ -6,8 +6,8 @@ of depth t* = (2 - sqrt(3)) eps removed at both ends). The raw eigenvectors
 3..6 are large right at the ends; the clipped ones vanish there, like
 Dirichlet modes. Writes plot-ready CSV into demos_out/interval/.
 
-Pass --scale N to divide the sample size (default 4 keeps the run quick;
-use --scale 1 for the full 8000-point version).
+Pass --n N to set the sample size (the default 2000 keeps the run quick;
+use --n 8000 for the preset's full size).
 """
 
 import argparse
@@ -19,11 +19,11 @@ import numpy as np
 from lleboundary import PRESETS, run_eigenfunctions
 
 parser = argparse.ArgumentParser()
-parser.add_argument("--scale", type=float, default=4.0)
+parser.add_argument("--n", type=int, default=2000)
 args = parser.parse_args()
 
 out = Path("demos_out/interval")
-cfg = replace(PRESETS["interval"], scale=args.scale, k_eigs=8, tstar_clip=True, out=out)
+cfg = replace(PRESETS["interval"], n=args.n, k_eigs=8, tstar_clip=True, out=out)
 result = run_eigenfunctions(cfg)
 
 cloud = result["cloud"]

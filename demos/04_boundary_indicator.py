@@ -17,8 +17,8 @@ import numpy as np
 
 from lleboundary import PRESETS, AnalyticCoeffs, run_indicator
 
-for name, scale in (("interval", 1.0), ("disk", 1.0)):
-    cfg = replace(PRESETS[name], scale=scale, out=Path(f"demos_out/indicator/{name}"))
+for name in ("interval", "disk"):
+    cfg = replace(PRESETS[name], out=Path(f"demos_out/indicator/{name}"))
     result = run_indicator(cfg)
     cloud, rep = result["cloud"], result["report"]
     bd = cloud.ground_truth.boundary_dist

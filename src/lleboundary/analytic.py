@@ -9,9 +9,12 @@ forms outright. From them come the second-order coefficients phi1/phi2, the
 drift V, the degeneracy depth t* where phi2 changes sign, the boundary
 indicator limit B(t), the kernel limit constants, and the diffusion-map
 coefficients psi1/psi2. A tensor-grid quadrature over the cap region
-serves as the independent oracle for the closed forms (moments_oracle), and
-the one-dimensional operator has an explicit three-branch form plus the
-Sturm-Liouville data (g, h, p, w) that brings it to divergence form.
+serves as the independent oracle for the closed forms (moments_oracle).
+On a curve of length a the one-dimensional operator has explicit
+coefficients A (of f'') and B (of f') plus the Sturm-Liouville data
+(g, h, p, w) that brings it to divergence form; all of them follow from one
+depth map, r = min(t, a - t) and the side of the nearer end. Every function
+here takes t as a scalar or an array; a scalar gives a numpy scalar.
 
 Convention: the ratio |S^(d-2)|/(d-1) is defined to be 1 when d = 1; it is
 centralized in :func:`cap_coefficient` and every sigma routes through it.
@@ -21,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Tuple
 
 import numpy as np
@@ -339,106 +341,73 @@ def local_cov_check(d: int, eps: float, t_bd: float, p_val: float,
 
 # --- one-dimensional operator and its Sturm-Liouville form --------------------
 
-def d_epsilon_1d(f: float, f1: float, f2: float, t: float, a: float, eps: float,
-                 density: Callable[[float], float]) -> float:
-    """Three-branch boundary-layer operator on a curve of length a.
-
-    f, f1, f2 are the values of the function and its first two arclength
-    derivatives at t. The outward direction flips sign across the two ends:
-    near t = 0 the drift acts on -f', near t = a on +f'.
-    """
+def _depth_1d(t, a: float, eps: float):
+    """Depth r = min(t, a - t) of arclength t, and the outward side (-1 toward 0,
+    +1 toward a): the one place the 1-d functions decide where t sits. t is a
+    scalar or an array with every entry in [0, a]; both come back at least 1-d,
+    so a scalar takes the same numpy loops as an array entry (numpy-scalar
+    arithmetic can round pow differently)."""
     if a <= 2.0 * eps:
         raise ValueError("branches overlap: need a > 2*eps")
-    if not 0.0 <= t <= a:
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    if not np.all((0.0 <= t) & (t <= a)):
         raise ValueError("t must lie in [0, a]")
-    if t <= eps:
-        s = t / eps
-        return (-(1.0 - 4.0 * s + s * s) / 12.0 * f2
-                + 6.0 * eps ** 2 * (eps - t) / (density(t) * (eps + t) ** 3) * f1)
-    if t >= a - eps:
-        s = (a - t) / eps
-        return (-(1.0 - 4.0 * s + s * s) / 12.0 * f2
-                - 6.0 * eps ** 2 * (eps + t - a) / (density(t) * (eps + a - t) ** 3) * f1)
-    return f2 / 6.0
+    return np.minimum(t, a - t), np.where(t <= a - t, -1.0, 1.0)
 
 
-def sl_coefficient_a(t: float, a: float, eps: float) -> float:
+def _shaped(x: np.ndarray, t):
+    """x in the shape of t: a scalar t gives a numpy scalar."""
+    return x.reshape(np.shape(t))[()]
+
+
+def sl_coefficient_a(t, a: float, eps: float):
     """Second-order coefficient of the 1-d operator (f'' multiplier)."""
-    if t <= eps:
-        s = t / eps
-    elif t >= a - eps:
-        s = (a - t) / eps
-    else:
-        return 1.0 / 6.0
-    return -(1.0 - 4.0 * s + s * s) / 12.0
+    r, _ = _depth_1d(t, a, eps)
+    s = r / eps
+    return _shaped(np.where(r < eps, -(1.0 - 4.0 * s + s * s) / 12.0, 1.0 / 6.0), t)
 
 
-def sl_coefficient_b(t: float, a: float, eps: float) -> float:
-    """First-order coefficient of the 1-d operator (f' multiplier), uniform density 1/a."""
-    if t < eps:
-        return 6.0 * a * eps ** 2 * (eps - t) / (eps + t) ** 3
-    if t > a - eps:
-        return -6.0 * a * eps ** 2 * (eps + t - a) / (eps + a - t) ** 3
-    return 0.0
+def sl_coefficient_b(t, a: float, eps: float):
+    """First-order coefficient of the 1-d operator (f' multiplier), uniform density 1/a.
+
+    The drift points inward: positive near t = 0, negative near t = a.
+    """
+    r, side = _depth_1d(t, a, eps)
+    drift = -side * 6.0 * a * eps ** 2 * (eps - r) / (eps + r) ** 3
+    return _shaped(np.where(r < eps, drift, 0.0), t)
 
 
-@lru_cache(maxsize=None)
-def _sl_parts(eps: float, a: float):
-    t0 = (2.0 - _SQRT3) * eps
-    t1 = (2.0 + _SQRT3) * eps
-    al = (4.0 + 2.0 * _SQRT3) * a * eps
-    be = (4.0 - 2.0 * _SQRT3) * a * eps
+def d_epsilon_1d(f, f1, f2, t, a: float, eps: float, density: Callable):
+    """Boundary-layer operator A f2 + B f1 / (a density(t)) on a curve of length a.
 
-    def g(t: float) -> float:
-        return (abs(t - t0) ** al * abs(t - t1) ** be * (t + eps) ** (-8.0 * a * eps)
-                * math.exp(12.0 * a * eps ** 3 / (eps + t) ** 2
-                           + 12.0 * a * eps ** 2 / (eps + t)))
-
-    def h(t: float) -> float:
-        if t == t0:
-            return math.inf
-        return 12.0 * eps * eps * g(t) / (abs(t - t0) * abs(t - t1))
-
-    return g, h, t0
+    f, f1, f2 are the function and its first two arclength derivatives at t
+    (the operator has no zeroth-order term); B is written for density 1/a.
+    """
+    return (sl_coefficient_a(t, a, eps) * f2
+            + sl_coefficient_b(t, a, eps) * f1 / (a * density(t)))
 
 
-def sl_functions(t: float, eps: float, a: float) -> dict:
+def sl_functions(t, eps: float, a: float) -> dict:
     """Sturm-Liouville data (g, h, p, w) of the 1-d operator, uniform density.
 
-    g is the integrating factor exp(int B/A) on [0, eps], vanishing like
-    |t - t0|^((4+2sqrt3) a eps) at the degeneracy depth t0 = (2 - sqrt3) eps;
-    h = 12 eps^2 g / (|t - t0| |t - t1|) (with t1 = (2 + sqrt3) eps) makes
-    p/w equal the second-order coefficient exactly. p has five branches on
-    [0, a] (negative on the wave strips, g(eps) in the interior) and w three.
+    g is the integrating factor exp(int B/A) on the layer, vanishing like
+    |r - t0|^((4+2sqrt3) a eps) at the degeneracy depth t0 = (2 - sqrt3) eps;
+    h = 12 eps^2 g / (|r - t0| |r - t1|) (with t1 = (2 + sqrt3) eps) makes
+    p/w equal the second-order coefficient exactly. Both are taken at the
+    depth min(r, eps), so they are constant in the interior; w = h, and
+    p = g with the sign of A: negative on the wave strips r <= t0.
     Exactly at the degeneracy p = 0 and h, w return +inf.
     """
-    if a <= 2.0 * eps:
-        raise ValueError("branches overlap: need a > 2*eps")
-    if not 0.0 <= t <= a:
-        raise ValueError("t must lie in [0, a]")
-    g, h, t0 = _sl_parts(eps, a)
-
-    def p_of(t: float) -> float:
-        if t <= t0:
-            return -g(t)
-        if t <= eps:
-            return g(t)
-        if t <= a - eps:
-            return g(eps)
-        if t <= a - t0:
-            return g(a - t)
-        return -g(a - t)
-
-    def w_of(t: float) -> float:
-        if t <= eps:
-            return h(t)
-        if t <= a - eps:
-            return h(eps)
-        return h(a - t)
-
-    g_val = g(t) if t <= eps else (g(a - t) if t >= a - eps else g(eps))
-    h_val = w_of(t)
-    return {"g": g_val, "h": h_val, "p": p_of(t), "w": h_val,
+    r, _ = _depth_1d(t, a, eps)
+    t0, t1 = (2.0 - _SQRT3) * eps, (2.0 + _SQRT3) * eps
+    al, be = (4.0 + 2.0 * _SQRT3) * a * eps, (4.0 - 2.0 * _SQRT3) * a * eps
+    u = np.minimum(r, eps)
+    g = (np.abs(u - t0) ** al * np.abs(u - t1) ** be * (u + eps) ** (-8.0 * a * eps)
+         * np.exp(12.0 * a * eps ** 3 / (eps + u) ** 2 + 12.0 * a * eps ** 2 / (eps + u)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = np.where(u == t0, np.inf, 12.0 * eps * eps * g / (np.abs(u - t0) * np.abs(u - t1)))
+    h = _shaped(h, t)
+    return {"g": _shaped(g, t), "h": h, "p": _shaped(np.where(r <= t0, -g, g), t), "w": h,
             "degeneracy": (t0, a - t0)}
 
 

@@ -90,7 +90,6 @@ _FLAGS = {
     "alpha": _Flag("alpha", float, "alpha for the kernel family / DM normalization"),
     "out": _Flag("out", Path, "output directory"),
     "tstar_clip": _Flag("tstar_clip", _switch, "also clip the wave region at depth t*"),
-    "scale": _Flag("scale", float, "divide preset n by this factor"),
     "f_test": _Flag("f_test", _one_of(TEST_FUNCTIONS),
                     f"test function: {', '.join(sorted(TEST_FUNCTIONS))}"),
     "tau": _Flag(None, float, "indicator threshold override"),
@@ -179,6 +178,15 @@ def _need_out(cfg: ExperimentConfig) -> Path:
 
 def main(argv=None) -> int:
     command, values, cfg = _settings(argv)
+    try:
+        _run(command, values, cfg)
+    except ValueError as exc:  # bad input the library refused: report it, no traceback
+        print(f"lleboundary {command}: {exc}", file=sys.stderr)
+        return 2
+    return 0
+
+
+def _run(command: str, values: dict, cfg: ExperimentConfig) -> None:
     out = None if command == "nullcase" else _need_out(cfg)  # nullcase writes only with --out
 
     if command == "sample":
@@ -228,7 +236,9 @@ def main(argv=None) -> int:
               f"bauer_fike_ok {result['diagnostics']['bauer_fike_ok']}")
     elif command == "sigma-table":
         d = values.get("d", 1)
-        eps = cfg.eps if cfg.eps is not None else 1.0
+        eps = cfg.eps
+        if eps is None:
+            raise ValueError(f"the {cfg.manifold} preset has no eps; pass --eps")
         ts = [s * eps for s in values.get("grid", _grid("101"))]
         table = coefficient_table(d, eps, ts)
         header = "t_over_eps,s0,s1d,s2,s2d,s3,s3d,phi1,phi2,V,B"
@@ -236,7 +246,6 @@ def main(argv=None) -> int:
         lio._write_table(path, header, ",".join(["%.17g"] * table.shape[1]) + "\n",
                          list(table.T))
         print(f"wrote {path} ({len(ts)} rows, d={d}, eps={eps})")
-    return 0
 
 
 if __name__ == "__main__":

@@ -52,14 +52,8 @@ class ExperimentConfig:
     alpha: Optional[float] = None
     f_test: str = "squared_radius"
     tstar_clip: bool = False
-    scale: float = 1.0
     out: Optional[Path] = None
     ambient: int = 200  # gaussian_null only
-
-    def scaled_n(self) -> int:
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
-        return max(1, int(round(self.n / self.scale)))
 
 
 PRESETS = {
@@ -86,7 +80,7 @@ def sample(config: ExperimentConfig) -> PointCloud:
         sampler = _SAMPLERS[config.manifold]
     except KeyError:
         raise ValueError(f"unknown manifold {config.manifold!r}") from None
-    return sampler(config.scaled_n(), config.seed, config)
+    return sampler(config.n, config.seed, config)
 
 
 def _sample_graph(config: ExperimentConfig):

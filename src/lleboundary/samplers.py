@@ -109,20 +109,27 @@ def sample_interval(n: int, seed: int) -> PointCloud:
                       manifold_tag="interval", ground_truth=gt)
 
 
-def sample_disk(n_raw: int, seed: int) -> PointCloud:
-    """Uniform points on the closed unit disk by rejection from [-1, 1]^2.
+def _disk_draw(n_raw: int, seed: int):
+    """n_raw candidates uniform on [-1, 1]^2, rejected to the closed unit disk.
 
-    n_raw candidates are drawn; roughly pi/4 of them survive.
+    Returns the kept points, their radii and the keep mask over the candidates.
     """
     n_raw = _check_count(n_raw, "n_raw")
     u = CounterStream(seed).uniform(2 * n_raw).reshape(n_raw, 2)
     xy = 2.0 * u - 1.0
     r = np.sqrt((xy ** 2).sum(axis=1))
     keep = r <= 1.0
-    pts = xy[keep]
-    if pts.shape[0] == 0:
+    if not keep.any():
         raise ValueError("rejection sampling kept no points; increase n_raw")
-    rk = r[keep]
+    return xy[keep], r[keep], keep
+
+
+def sample_disk(n_raw: int, seed: int) -> PointCloud:
+    """Uniform points on the closed unit disk by rejection from [-1, 1]^2.
+
+    n_raw candidates are drawn; roughly pi/4 of them survive.
+    """
+    pts, rk, keep = _disk_draw(n_raw, seed)
     normal = np.where(rk[:, None] > 1e-12, pts / np.maximum(rk, 1e-12)[:, None],
                       np.array([1.0, 0.0]))
     gt = GroundTruth(param_coords=pts.copy(), boundary_dist=1.0 - rk,
@@ -190,16 +197,8 @@ def sample_surface(n_raw: int, seed: int) -> PointCloud:
     scales it by the global slope bound sqrt(1 + max|grad z|^2) = sqrt(14).
     The proxy is flagged approximate.
     """
-    n_raw = _check_count(n_raw, "n_raw")
-    u = CounterStream(seed).uniform(2 * n_raw).reshape(n_raw, 2)
-    xy = 2.0 * u - 1.0
-    r = np.sqrt((xy ** 2).sum(axis=1))
-    keep = r <= 1.0
-    xyk = xy[keep]
-    if xyk.shape[0] == 0:
-        raise ValueError("rejection sampling kept no points; increase n_raw")
+    xyk, rk, keep = _disk_draw(n_raw, seed)
     pts = np.column_stack([xyk[:, 0], xyk[:, 1], xyk[:, 0] ** 2 - xyk[:, 1] ** 3])
-    rk = r[keep]
     proxy = 1.0 - rk
     gt = GroundTruth(param_coords=xyk.copy(), boundary_dist=proxy, exact=False,
                      bdist_upper=np.sqrt(14.0) * proxy)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -12,10 +13,20 @@ from scipy.integrate import quad
 
 from lleboundary.analytic import (AnalyticCoeffs, _ball_monomial, _cap_integral,
                                   cap_coefficient, coefficient_table, d_epsilon_1d,
-                                  local_cov_check, moments_oracle, sl_functions,
-                                  sphere_ratio_check, sphere_volume)
+                                  local_cov_check, moments_oracle, sl_coefficient_a,
+                                  sl_coefficient_b, sl_functions, sphere_ratio_check,
+                                  sphere_volume)
 
 SQRT3 = math.sqrt(3.0)
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _python_stdout(*args: str) -> str:
+    """stdout of a fresh interpreter that imports the package from src/."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, check=True).stdout
 
 
 def test_sphere_volumes():
@@ -88,12 +99,7 @@ def test_import_leaves_scipy_integrate_unloaded():
     # the cap integrals need no quadrature, so importing the package must not
     # pay for scipy.integrate (import time and resident memory)
     code = "import sys, lleboundary; print('scipy.integrate' in sys.modules)"
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "False"
+    assert _python_stdout("-c", code).strip() == "False"
 
 
 def test_moments_interior_ball_volume():
@@ -294,7 +300,6 @@ def test_sl_functions():
         assert vals["g"] > 0.0 and vals["h"] > 0.0
 
     # p/w equals the second-order coefficient away from the degeneracy
-    from lleboundary.analytic import sl_coefficient_a, sl_coefficient_b
     grid = np.linspace(eps / 200, eps * (1 - 1 / 200), 120)
     grid = grid[np.abs(grid - t0) > 1e-3 * eps]
     h = 1e-6 * eps
@@ -303,6 +308,45 @@ def test_sl_functions():
         assert abs(vals["p"] / vals["w"] - sl_coefficient_a(t, a, eps)) < 1e-6
         dp = (sl_functions(t + h, eps, a)["p"] - sl_functions(t - h, eps, a)["p"]) / (2 * h)
         assert abs(dp / vals["w"] - sl_coefficient_b(t, a, eps)) < 1e-5
+
+
+def _one_d_values(t, eps, a):
+    """A, B, d_epsilon_1d, g, h, p, w at t."""
+    sl = sl_functions(t, eps, a)
+    density = lambda s: 1.0 + 0.5 * s  # correctly rounded ops: scalar and array agree
+    return [sl_coefficient_a(t, a, eps), sl_coefficient_b(t, a, eps),
+            d_epsilon_1d(0.0, -0.7, 2.3, t, a, eps, density),
+            sl["g"], sl["h"], sl["p"], sl["w"]]
+
+
+@pytest.mark.parametrize("eps, a", [(0.05, 1.0), (0.01, 0.5), (0.2, 3.0)])
+def test_one_d_array_matches_scalar_calls(eps, a):
+    t0 = (2.0 - SQRT3) * eps
+    grid = np.concatenate([np.linspace(0.0, a, 401), [t0, eps, a - eps, a - t0]])
+    pointwise = [_one_d_values(float(t), eps, a) for t in grid]
+    assert all(np.ndim(v) == 0 for row in pointwise for v in row)
+    for j, whole in enumerate(_one_d_values(grid, eps, a)):
+        assert whole.shape == grid.shape
+        assert whole.tobytes() == np.array([row[j] for row in pointwise]).tobytes(), j
+    square = _one_d_values(grid[:400].reshape(20, 20), eps, a)
+    assert all(v.shape == (20, 20) for v in square)
+
+    for bad in ([0.5 * a, -1e-12], [0.5 * a, a * (1 + 1e-12)], [0.5 * a, np.nan]):
+        for fn in (lambda t: sl_coefficient_a(t, a, eps), lambda t: sl_coefficient_b(t, a, eps),
+                   lambda t: d_epsilon_1d(0.0, 1.0, 1.0, t, a, eps, lambda s: 1.0),
+                   lambda t: sl_functions(t, eps, a)):
+            with pytest.raises(ValueError, match=r"\[0, a\]"):
+                fn(np.array(bad))
+
+
+def test_operator_demo_lines_agree():
+    # the demo prints both routes to the same digits: the 1-d branch formula
+    # against the general sigma route, and p/w, p'/w against A, B
+    out = _python_stdout(str(ROOT / "demos" / "03_operator_coefficients.py"))
+    dual = re.search(r"1-d dual path at t = 0.3 eps: (\S+) vs (\S+)$", out, re.M)
+    assert dual and dual[1] == dual[2]
+    sl = re.search(r"p/w = (\S+) \(A = (\S+)\), p'/w = (\S+) \(B = (\S+)\)$", out, re.M)
+    assert sl and sl[1] == sl[2] and sl[3] == sl[4]
 
 
 def test_b_function():

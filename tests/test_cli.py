@@ -25,7 +25,6 @@ SETTINGS = [
     ("build", "alpha", "0.5", {"alpha": 0.5}),
     ("build", "out", "runs/a", {"out": Path("runs/a")}),
     ("eigenfunctions", "tstar_clip", "yes", {"tstar_clip": True}),
-    ("build", "scale", "4", {"scale": 4.0}),
     ("convergence", "f_test", "trig", {"f_test": "trig"}),
     ("indicator", "tau", "0.4", 0.4),
     ("sigma-table", "d", "2", 2),
@@ -96,3 +95,23 @@ def test_spectrum_writes_k_eigs_eigenvalues(tmp_path, k):
     lines = (tmp_path / "spectrum.csv").read_text().splitlines()
     assert lines[0] == "re,im,residual"
     assert len(lines) == 1 + k
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["spectrum", "--n", "300", "--eps", "0.05", "--k-eigs", "400"], "k must satisfy"),
+    (["nullcase", "--manifold", "interval", "--n", "2500"], "exceeds the dense cutoff"),
+    (["sigma-table", "--manifold", "gaussian_null"], "pass --eps"),
+], ids=["spectrum-k", "nullcase-dense", "sigma-table-eps"])
+def test_library_errors_exit_cleanly(tmp_path, capsys, argv, message):
+    # main returns a status instead of raising, so the console script prints no traceback
+    assert main(argv + ["--out", str(tmp_path)]) != 0
+    err = capsys.readouterr().err
+    assert err.startswith(f"lleboundary {argv[0]}: ") and message in err
+
+
+def test_sigma_table_takes_the_preset_eps(tmp_path, capsys):
+    assert main(["sigma-table", "--d", "3", "--grid", "11", "--out", str(tmp_path)]) == 0
+    assert "eps=0.01" in capsys.readouterr().out  # the default interval preset's eps
+    assert main(["sigma-table", "--manifold", "gaussian_null", "--eps", "0.5",
+                 "--out", str(tmp_path)]) == 0
+    assert "eps=0.5" in capsys.readouterr().out

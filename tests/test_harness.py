@@ -26,7 +26,7 @@ def test_presets_cover_standard_manifolds():
 
 
 def test_scaled_interval_eigenfunctions(tmp_path):
-    cfg = replace(PRESETS["interval"], scale=4.0, tstar_clip=True, k_eigs=8,
+    cfg = replace(PRESETS["interval"], n=2000, tstar_clip=True, k_eigs=8,
                   out=tmp_path / "run")
     res = run_eigenfunctions(cfg)
     ev = res["spectrum"].eigenvalues
@@ -119,7 +119,7 @@ def test_run_null_case_scaled():
 
 
 def test_run_indicator_files(tmp_path):
-    cfg = replace(PRESETS["interval"], scale=8.0, out=tmp_path)
+    cfg = replace(PRESETS["interval"], n=1000, out=tmp_path)
     res = run_indicator(cfg)
     assert (tmp_path / "indicator.csv").exists()
     header = (tmp_path / "indicator.csv").read_text().splitlines()[0]
@@ -131,7 +131,7 @@ def test_run_indicator_files(tmp_path):
 
 
 def test_run_indicator_reports_isolated_points_missing(tmp_path):
-    cfg = replace(PRESETS["disk"], scale=20.0, out=tmp_path)
+    cfg = replace(PRESETS["disk"], n=1000, out=tmp_path)
     res = run_indicator(cfg)
     rep = res["report"]
     assert np.flatnonzero(rep.missing).tolist() == [383, 569]
@@ -144,14 +144,12 @@ def test_run_indicator_reports_isolated_points_missing(tmp_path):
 
 
 def test_sample_dispatch_and_scale():
-    cfg = replace(PRESETS["disk"], scale=20.0)
+    cfg = replace(PRESETS["disk"], n=1000)
     cloud = sample(cfg)
     assert cloud.manifold_tag == "disk"
     assert cloud.n < 1200
     with pytest.raises(ValueError):
         sample(replace(cfg, manifold="nope"))
-    with pytest.raises(ValueError):
-        ExperimentConfig("disk", n=100, eps=0.1, scale=-1.0).scaled_n()
 
 
 def test_test_function_derivatives():
@@ -220,27 +218,27 @@ def test_scaled_torus_and_surface_clip():
     # curved presets run end to end; the torus has no analytic boundary
     # distance, so clipping falls back to the indicator depth proxy (which at
     # this bandwidth is heavily damped and may flag nothing as wave)
-    cfg = replace(PRESETS["torus"], scale=8.0, k_eigs=4, tstar_clip=True, seed=2)
+    cfg = replace(PRESETS["torus"], n=3125, k_eigs=4, tstar_clip=True, seed=2)
     res = run_eigenfunctions(cfg)
     assert abs(res["spectrum"].eigenvalues[0] - 1.0) <= 1e-8
     assert 0 <= res["summary"]["n_clipped"] < res["cloud"].n
     assert res["clipped"].shape[0] == len(res["kept"])
 
-    cfg = replace(PRESETS["surface"], scale=8.0, k_eigs=4, tstar_clip=True, seed=2)
+    cfg = replace(PRESETS["surface"], n=2500, k_eigs=4, tstar_clip=True, seed=2)
     res = run_eigenfunctions(cfg)
     assert abs(res["spectrum"].eigenvalues[0] - 1.0) <= 1e-8
     assert res["summary"]["n_clipped"] > 0
 
 
 def test_run_reproducible_from_config():
-    cfg = replace(PRESETS["interval"], scale=16.0)
+    cfg = replace(PRESETS["interval"], n=500)
     a = run_indicator(cfg)["report"].b_values
     b = run_indicator(cfg)["report"].b_values
     assert np.array_equal(a, b)
 
 
 def test_cli_eigenfunctions(tmp_path, capsys):
-    assert main(["eigenfunctions", "--manifold", "interval", "--scale", "16",
+    assert main(["eigenfunctions", "--manifold", "interval", "--n", "500",
                  "--k-eigs", "6", "--tstar-clip", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert out.startswith("top eigenvalues: 1.0")
@@ -305,7 +303,7 @@ def ref_savetxt(tmp_path, X, **kwargs):
 @pytest.mark.parametrize("kind", ["interval_clipped", "extremes"])
 def test_eigfun_csv_bytes_match_per_entry_writer(tmp_path, kind):
     if kind == "interval_clipped":
-        res = run_eigenfunctions(replace(PRESETS["interval"], scale=16.0, k_eigs=4,
+        res = run_eigenfunctions(replace(PRESETS["interval"], n=500, k_eigs=4,
                                          tstar_clip=True))
         cloud, idx, spec = res["cloud"], res["kept"], res["clipped_spectrum"]
     else:
@@ -319,9 +317,9 @@ def test_eigfun_csv_bytes_match_per_entry_writer(tmp_path, kind):
     assert (tmp_path / "e.csv").read_bytes() == ref_eigfun(cloud, idx, spec)
 
 
-@pytest.mark.parametrize("manifold, scale", [("interval", 8.0), ("disk", 10.0)])
-def test_profile_csv_bytes_match_per_entry_writer(tmp_path, manifold, scale):
-    cfg = replace(PRESETS[manifold], scale=scale, out=tmp_path)
+@pytest.mark.parametrize("manifold, n", [("interval", 1000), ("disk", 2000)])
+def test_profile_csv_bytes_match_per_entry_writer(tmp_path, manifold, n):
+    cfg = replace(PRESETS[manifold], n=n, out=tmp_path)
     res = run_indicator(cfg)
     bdist = res["cloud"].ground_truth.boundary_dist
     expected = ref_profile(bdist, res["report"].b_values, cfg.eps)
