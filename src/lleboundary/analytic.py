@@ -8,13 +8,16 @@ formula in m gives in closed form for every d; the other three are closed
 forms outright. From them come the second-order coefficients phi1/phi2, the
 drift V, the degeneracy depth t* where phi2 changes sign, the boundary
 indicator limit B(t), the kernel limit constants, and the diffusion-map
-coefficients psi1/psi2. A tensor-grid quadrature over the cap region
-serves as the independent oracle for the closed forms (moments_oracle).
+coefficients psi1/psi2. Each call computes the six sigmas once, as one
+table at one scaled depth, and reads its coefficients from that table. A
+tensor-grid quadrature over the cap region serves as the independent oracle
+for the closed forms (moments_oracle).
 On a curve of length a the one-dimensional operator has explicit
 coefficients A (of f'') and B (of f') plus the Sturm-Liouville data
 (g, h, p, w) that brings it to divergence form; all of them follow from one
 depth map, r = min(t, a - t) and the side of the nearer end. Every function
-here takes t as a scalar or an array; a scalar gives a numpy scalar.
+here takes t as a scalar or an array; a scalar gives a numpy scalar with the
+bits of the same t inside an array.
 
 Convention: the ratio |S^(d-2)|/(d-1) is defined to be 1 when d = 1; it is
 centralized in :func:`cap_coefficient` and every sigma routes through it.
@@ -31,10 +34,8 @@ import numpy as np
 __all__ = [
     "sphere_volume",
     "cap_coefficient",
-    "sphere_ratio_check",
     "AnalyticCoeffs",
     "moments_oracle",
-    "local_cov_check",
     "d_epsilon_1d",
     "sl_functions",
     "coefficient_table",
@@ -59,20 +60,12 @@ def cap_coefficient(d: int) -> float:
     return sphere_volume(d - 2) / (d - 1)
 
 
-def sphere_ratio_check(d: int) -> bool:
-    """Two-sided bound on [|S^(d-2)|/((d-1)|S^(d-1)|)]^2 used by the sign results."""
-    mid = (cap_coefficient(d) / sphere_volume(d - 1)) ** 2
-    lo = (d + 1) ** 2 * (d + 3) / (8.0 * d ** 2 * (d + 2) ** 2)
-    hi = (d + 1) ** 2 / (4.0 * d ** 2 * (d + 2))
-    return lo < mid < hi
-
-
 # --- cap integrals ------------------------------------------------------------
 # I_m(s) = int_0^s (1 - x^2)^(m/2) dx for s in [0, 1] (an array) and every
 # integer m >= -1, by the reduction I_m = (s (1 - s^2)^(m/2) + m I_(m-2)) / (m + 1)
-# from I_(-1) = arcsin s or I_0 = s. sigma0 takes m = d - 1, sigma2 m = d + 1,
-# and sigma2d their difference, since x^2 (1 - x^2)^q = (1 - x^2)^q - (1 - x^2)^(q+1);
-# one reduction step writes that difference as
+# from I_(-1) = arcsin s or I_0 = s. sigma0 takes m = d - 1, sigma2 m = d + 1 (the
+# last reduction step from I_(d-1)), and sigma2d their difference, since
+# x^2 (1 - x^2)^q = (1 - x^2)^q - (1 - x^2)^(q+1); that step writes the difference as
 # I_(d-1) - I_(d+1) = (I_(d-1) - s (1 - s^2)^((d+1)/2)) / (d + 2).
 
 def _cap_integral(s, m: int):
@@ -85,14 +78,19 @@ def _cap_integral(s, m: int):
     return out
 
 
+_KINDS = ("s0", "s1d", "s2", "s2d", "s3", "s3d")
+
+
 @dataclass(frozen=True)
 class AnalyticCoeffs:
     """Evaluator for the sigma functions and derived coefficients at fixed (d, eps).
 
     All sigma functions and the coefficients built from them take the
     boundary distance t >= 0 as a scalar or an array (scalars give numpy
-    scalars), are continuous, and are constant for t >= eps (interior
-    values). Evaluation exactly at t = eps returns that interior constant.
+    scalars with the bits of the same depth inside an array), are continuous,
+    and are constant for t >= eps (interior values). Evaluation exactly at
+    t = eps returns that interior constant. Each call evaluates one sigma
+    table (:meth:`_table`) and reads every coefficient from it.
     """
 
     d: int
@@ -104,7 +102,6 @@ class AnalyticCoeffs:
         if not self.eps > 0:
             raise ValueError("eps must be positive")
 
-    # cached scalars
     @property
     def sphere(self) -> float:
         return sphere_volume(self.d - 1)
@@ -113,77 +110,94 @@ class AnalyticCoeffs:
     def cap(self) -> float:
         return cap_coefficient(self.d)
 
-    def _s(self, t):
-        """Scaled depth min(t/eps, 1); the sigma functions are constant from s = 1 on."""
-        t = np.asarray(t, dtype=float)
+    def _table(self, t):
+        """The layer mask s < 1 and the six sigmas at the scaled depth s = min(t/eps, 1).
+
+        t is a scalar or an array with every entry >= 0; both are evaluated at
+        least 1-d, so a scalar takes the same numpy loops as an array entry.
+        I_(d+1) is the last reduction step from I_(d-1); where s >= 1 the
+        sigmas are the exact interior constants.
+        """
+        t = np.atleast_1d(np.asarray(t, dtype=float))
         if np.any(t < 0):
             raise ValueError("t must be >= 0")
-        return np.minimum(t / self.eps, 1.0)
-
-    def sigma0(self, t):
-        d, s = self.d, self._s(t)
-        layer = self.sphere / (2 * d) + self.cap * _cap_integral(s, d - 1)
-        return np.where(s < 1, layer, self.sphere / d)[()]
-
-    def sigma1d(self, t):
-        d, s = self.d, self._s(t)
-        layer = -self.cap / (d + 1) * (1.0 - s * s) ** ((d + 1) / 2.0)
-        return np.where(s < 1, layer, 0.0)[()]
-
-    def sigma2(self, t):
-        d, s = self.d, self._s(t)
-        layer = self.sphere / (2 * d * (d + 2)) + self.cap / (d + 1) * _cap_integral(s, d + 1)
-        return np.where(s < 1, layer, self.sphere / (d * (d + 2)))[()]
-
-    def sigma2d(self, t):
-        d, s = self.d, self._s(t)
-        sq = (_cap_integral(s, d - 1) - s * (1.0 - s * s) ** ((d + 1) / 2.0)) / (d + 2)
-        layer = self.sphere / (2 * d * (d + 2)) + self.cap * sq
-        return np.where(s < 1, layer, self.sphere / (d * (d + 2)))[()]
-
-    def sigma3(self, t):
-        d, s = self.d, self._s(t)
-        layer = -self.cap / ((d + 1) * (d + 3)) * (1.0 - s * s) ** ((d + 3) / 2.0)
-        return np.where(s < 1, layer, 0.0)[()]
-
-    def sigma3d(self, t):
-        d, s = self.d, self._s(t)
-        layer = (-self.cap / ((d + 1) * (d + 3))
-                 * (2.0 + (d + 1) * s * s) * (1.0 - s * s) ** ((d + 1) / 2.0))
-        return np.where(s < 1, layer, 0.0)[()]
+        d, sphere, cap = self.d, self.sphere, self.cap
+        s = np.minimum(t / self.eps, 1.0)
+        layer = s < 1
+        i_lo = _cap_integral(s, d - 1)
+        i_hi = (s * np.sqrt(1.0 - s * s) ** (d + 1) + (d + 1) * i_lo) / (d + 2)
+        w = (1.0 - s * s) ** ((d + 1) / 2.0)
+        c3 = -cap / ((d + 1) * (d + 3))
+        half2 = sphere / (2 * d * (d + 2))
+        values = {
+            "s0": (sphere / (2 * d) + cap * i_lo, sphere / d),
+            "s1d": (-cap / (d + 1) * w, 0.0),
+            "s2": (half2 + cap / (d + 1) * i_hi, sphere / (d * (d + 2))),
+            "s2d": (half2 + cap * ((i_lo - s * w) / (d + 2)), sphere / (d * (d + 2))),
+            "s3": (c3 * (1.0 - s * s) ** ((d + 3) / 2.0), 0.0),
+            "s3d": (c3 * (2.0 + (d + 1) * s * s) * w, 0.0),
+        }
+        return layer, {k: np.where(layer, v, inner) for k, (v, inner) in values.items()}
 
     def sigma(self, kind: str, t):
-        table = {"s0": self.sigma0, "s1d": self.sigma1d, "s2": self.sigma2,
-                 "s2d": self.sigma2d, "s3": self.sigma3, "s3d": self.sigma3d}
-        try:
-            return table[kind](t)
-        except KeyError:
-            raise ValueError(f"unknown sigma kind {kind!r}") from None
+        if kind not in _KINDS:
+            raise ValueError(f"unknown sigma kind {kind!r}")
+        return _shaped(self._table(t)[1][kind], t)
 
-    # --- operator coefficients -------------------------------------------
+    def sigma0(self, t):
+        return self.sigma("s0", t)
 
-    def _denom(self, t):
-        return self.sigma2d(t) * self.sigma0(t) - self.sigma1d(t) ** 2
+    def sigma1d(self, t):
+        return self.sigma("s1d", t)
+
+    def sigma2(self, t):
+        return self.sigma("s2", t)
+
+    def sigma2d(self, t):
+        return self.sigma("s2d", t)
+
+    def sigma3(self, t):
+        return self.sigma("s3", t)
+
+    def sigma3d(self, t):
+        return self.sigma("s3d", t)
+
+    # --- operator coefficients, each read from one table -------------------
+
+    @staticmethod
+    def _det(g):
+        """sigma2d sigma0 - sigma1d^2, the denominator of phi and V (positive)."""
+        return g["s2d"] * g["s0"] - g["s1d"] ** 2
+
+    def _phi(self, layer, g) -> Tuple:
+        interior = 1.0 / (2.0 * (self.d + 2))
+        den = 2.0 * self._det(g)
+        phi1 = (g["s2d"] * g["s2"] - g["s3"] * g["s1d"]) / den
+        phi2 = (g["s2d"] ** 2 - g["s3d"] * g["s1d"]) / den
+        return np.where(layer, phi1, interior), np.where(layer, phi2, interior)
+
+    def _potential_v(self, g, p_val: float):
+        return g["s1d"] / (p_val * self._det(g))
+
+    @staticmethod
+    def _b(g):
+        return g["s1d"] ** 2 / (g["s0"] * g["s2d"])
 
     def phi(self, t) -> Tuple:
         """Second-order coefficients (phi1, phi2); both equal 1/(2(d+2)) for t >= eps."""
-        layer = self._s(t) < 1
-        interior = 1.0 / (2.0 * (self.d + 2))
-        den = 2.0 * self._denom(t)
-        phi1 = (self.sigma2d(t) * self.sigma2(t) - self.sigma3(t) * self.sigma1d(t)) / den
-        phi2 = (self.sigma2d(t) ** 2 - self.sigma3d(t) * self.sigma1d(t)) / den
-        return np.where(layer, phi1, interior)[()], np.where(layer, phi2, interior)[()]
+        phi1, phi2 = self._phi(*self._table(t))
+        return _shaped(phi1, t), _shaped(phi2, t)
 
     def potential_v(self, t, p_val: float):
         """First-order (drift) coefficient V <= 0; zero for t >= eps."""
         if not p_val > 0:
             raise ValueError("density value must be positive")
-        return self.sigma1d(t) / (p_val * self._denom(t))
+        return _shaped(self._potential_v(self._table(t)[1], p_val), t)
 
     def b_function(self, t):
         """Boundary-indicator limit sigma1d^2/(sigma0 sigma2d); 0 for t >= eps, where
         sigma1d is exactly 0."""
-        return self.sigma1d(t) ** 2 / (self.sigma0(t) * self.sigma2d(t))
+        return _shaped(self._b(self._table(t)[1]), t)
 
     def b_at_boundary(self) -> float:
         """Closed form of b_function(0): 4 d^2 (d+2) |S^(d-2)|^2 / ((d^2-1)^2 |S^(d-1)|^2)."""
@@ -199,19 +213,20 @@ class AnalyticCoeffs:
         kernel_inf = 1.0 - self.cap * 2.0 * self.d * (self.d + 2) / ((self.d + 1) * self.sphere)
 
         def boundary_slope(t):
-            return -self.sigma1d(t) / (self.sigma2d(t) * self.eps)
+            g = self._table(t)[1]
+            return _shaped(-g["s1d"] / (g["s2d"] * self.eps), t)
 
         return {"kernel_inf": kernel_inf, "boundary_slope": boundary_slope}
 
     def dm_coeffs(self, t) -> dict:
         """Diffusion-map coefficients psi1 = sigma2/(2 sigma0), psi2 = sigma2d/(2 sigma0),
         and the order-eps drift sigma1d/sigma0 (curvature term excluded)."""
-        layer = self._s(t) < 1
+        layer, g = self._table(t)
         interior = 1.0 / (2.0 * (self.d + 2))
-        s0 = self.sigma0(t)
-        return {"psi1": np.where(layer, 0.5 * self.sigma2(t) / s0, interior)[()],
-                "psi2": np.where(layer, 0.5 * self.sigma2d(t) / s0, interior)[()],
-                "drift": self.sigma1d(t) / s0}
+        s0 = g["s0"]
+        return {"psi1": _shaped(np.where(layer, 0.5 * g["s2"] / s0, interior), t),
+                "psi2": _shaped(np.where(layer, 0.5 * g["s2d"] / s0, interior), t),
+                "drift": _shaped(g["s1d"] / s0, t)}
 
     # --- degeneracy locus --------------------------------------------------
 
@@ -227,11 +242,12 @@ class AnalyticCoeffs:
     def tstar(self) -> float:
         """Depth where phi2 vanishes: the root of sigma2d^2 = sigma3d * sigma1d.
 
-        Found by bisection inside the analytic bracket to relative tolerance
-        1e-12 (no derivatives; the sign change is verified first).
+        Found by bisection on the sign of phi2 (its denominator is positive)
+        inside the analytic bracket to relative tolerance 1e-12 (no
+        derivatives; the sign change is verified first).
         """
         def fun(t: float) -> float:
-            return self.sigma2d(t) ** 2 - self.sigma3d(t) * self.sigma1d(t)
+            return float(self.phi(t)[1])
 
         d1, d2 = self.deltas()
         a = 0.99 * d1 * self.eps
@@ -306,37 +322,6 @@ def moments_oracle(d: int, eps: float, t_bd: float, v) -> float:
         u2 = c * np.sin(psi)
         total += float(np.sum(w * cross_section(u2) * (c * np.cos(psi))))
     return total
-
-
-def local_cov_check(d: int, eps: float, t_bd: float, p_val: float,
-                    ambient_dim: int | None = None, rtol: float = 1e-3) -> bool:
-    """Check the local-covariance eigenvalue structure on a flat patch.
-
-    Builds C = P * integral of u u^T over the cap region by quadrature,
-    embeds it in ambient dimension p (extra directions carry no mass on a
-    flat patch), eigendecomposes, and verifies the leading d eigenvalues
-    equal P * mu_{2 e_i} within rtol while the trailing ones vanish.
-    """
-    if not p_val > 0:
-        raise ValueError("density value must be positive")
-    p = ambient_dim if ambient_dim is not None else d + 1
-    if p < d:
-        raise ValueError("ambient dimension must be >= d")
-    C = np.zeros((p, p))
-    for i in range(d):
-        for j in range(i, d):
-            vv = [0] * d
-            vv[i] += 1
-            vv[j] += 1
-            C[i, j] = C[j, i] = p_val * moments_oracle(d, eps, t_bd, vv)
-    lam = np.linalg.eigvalsh(C)[::-1]
-    # reference values from the closed forms, not the quadrature
-    cf = AnalyticCoeffs(d, eps)
-    mu2 = [cf.sigma2(t_bd) * eps ** (d + 2)] * (d - 1) + [cf.sigma2d(t_bd) * eps ** (d + 2)]
-    expected = np.sort(p_val * np.asarray(mu2))[::-1]
-    lead_ok = np.allclose(lam[:d], expected, rtol=rtol, atol=1e-300)
-    trail_ok = np.all(np.abs(lam[d:]) <= 1e-8 * max(lam[0], 1e-300))
-    return bool(lead_ok and trail_ok)
 
 
 # --- one-dimensional operator and its Sturm-Liouville form --------------------
@@ -415,6 +400,6 @@ def coefficient_table(d: int, eps: float, ts, p_val: float = 1.0) -> np.ndarray:
     """Rows (t/eps, s0, s1d, s2, s2d, s3, s3d, phi1, phi2, V, B) on a t grid."""
     cf = AnalyticCoeffs(d, eps)
     t = np.asarray(ts, dtype=float)
-    return np.column_stack([t / eps, cf.sigma0(t), cf.sigma1d(t), cf.sigma2(t), cf.sigma2d(t),
-                            cf.sigma3(t), cf.sigma3d(t), *cf.phi(t),
-                            cf.potential_v(t, p_val), cf.b_function(t)])
+    layer, g = cf._table(t)
+    return np.column_stack([t / eps, *(g[k] for k in _KINDS), *cf._phi(layer, g),
+                            cf._potential_v(g, p_val), cf._b(g)])

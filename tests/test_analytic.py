@@ -13,9 +13,8 @@ from scipy.integrate import quad
 
 from lleboundary.analytic import (AnalyticCoeffs, _ball_monomial, _cap_integral,
                                   cap_coefficient, coefficient_table, d_epsilon_1d,
-                                  local_cov_check, moments_oracle, sl_coefficient_a,
-                                  sl_coefficient_b, sl_functions, sphere_ratio_check,
-                                  sphere_volume)
+                                  moments_oracle, sl_coefficient_a, sl_coefficient_b,
+                                  sl_functions, sphere_volume)
 
 SQRT3 = math.sqrt(3.0)
 ROOT = Path(__file__).resolve().parents[1]
@@ -39,6 +38,14 @@ def test_cap_coefficient_convention():
     assert cap_coefficient(1) == 1.0
     assert abs(cap_coefficient(2) - 2.0) < 1e-15  # |S^0| / 1
     assert abs(cap_coefficient(3) - math.pi) < 1e-14  # |S^1| / 2
+
+
+def sphere_ratio_check(d: int) -> bool:
+    """Two-sided bound on [|S^(d-2)|/((d-1)|S^(d-1)|)]^2 used by the sign results."""
+    mid = (cap_coefficient(d) / sphere_volume(d - 1)) ** 2
+    lo = (d + 1) ** 2 * (d + 3) / (8.0 * d ** 2 * (d + 2) ** 2)
+    hi = (d + 1) ** 2 / (4.0 * d ** 2 * (d + 2))
+    return lo < mid < hi
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 10, 50])
@@ -169,6 +176,28 @@ def test_moments_validation():
         moments_oracle(2, 0.5, 0.2, [1])
     with pytest.raises(ValueError):
         moments_oracle(2, 0.5, -0.1, [0, 0])
+
+
+def _d_values(cf, t):
+    """Every sigma, phi1, phi2, V, B, psi1, psi2, the dm drift and the boundary slope at t."""
+    return [*(cf.sigma(kind, t) for kind in ("s0", "s1d", "s2", "s2d", "s3", "s3d")),
+            *cf.phi(t), cf.potential_v(t, 0.7), cf.b_function(t), *cf.dm_coeffs(t).values(),
+            cf.kernel_limits()["boundary_slope"](t)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_d_array_matches_scalar_calls(d):
+    # a scalar depth is evaluated at least 1-d, so it takes the array's numpy loops
+    eps = 0.1
+    cf = AnalyticCoeffs(d, eps)
+    grid = np.concatenate([np.linspace(0.0, 1.2 * eps, 1001), [cf.tstar(), eps]])
+    pointwise = [_d_values(cf, float(t)) for t in grid]
+    assert all(np.ndim(v) == 0 for row in pointwise for v in row)
+    for j, whole in enumerate(_d_values(cf, grid)):
+        assert whole.shape == grid.shape
+        assert whole.tobytes() == np.array([row[j] for row in pointwise]).tobytes(), j
+    square = _d_values(cf, grid[:1000].reshape(40, 25))
+    assert all(v.shape == (40, 25) for v in square)
 
 
 def test_sigma_kind_dispatch():
@@ -385,6 +414,37 @@ def test_dm_coeffs():
         assert cf.dm_coeffs(0.0)["psi2"] > 0.0
     cf1 = AnalyticCoeffs(1, 0.2)
     assert abs(cf1.dm_coeffs(0.0)["drift"] + 0.5) < 1e-12
+
+
+def local_cov_check(d: int, eps: float, t_bd: float, p_val: float,
+                    ambient_dim: int | None = None, rtol: float = 1e-3) -> bool:
+    """Check the local-covariance eigenvalue structure on a flat patch.
+
+    Builds C = P * integral of u u^T over the cap region by quadrature,
+    embeds it in ambient dimension p (extra directions carry no mass on a
+    flat patch), eigendecomposes, and verifies the leading d eigenvalues
+    equal P * mu_{2 e_i} within rtol while the trailing ones vanish.
+    """
+    if not p_val > 0:
+        raise ValueError("density value must be positive")
+    p = ambient_dim if ambient_dim is not None else d + 1
+    if p < d:
+        raise ValueError("ambient dimension must be >= d")
+    C = np.zeros((p, p))
+    for i in range(d):
+        for j in range(i, d):
+            vv = [0] * d
+            vv[i] += 1
+            vv[j] += 1
+            C[i, j] = C[j, i] = p_val * moments_oracle(d, eps, t_bd, vv)
+    lam = np.linalg.eigvalsh(C)[::-1]
+    # reference values from the closed forms, not the quadrature
+    cf = AnalyticCoeffs(d, eps)
+    mu2 = [cf.sigma2(t_bd) * eps ** (d + 2)] * (d - 1) + [cf.sigma2d(t_bd) * eps ** (d + 2)]
+    expected = np.sort(p_val * np.asarray(mu2))[::-1]
+    lead_ok = np.allclose(lam[:d], expected, rtol=rtol, atol=1e-300)
+    trail_ok = np.all(np.abs(lam[d:]) <= 1e-8 * max(lam[0], 1e-300))
+    return bool(lead_ok and trail_ok)
 
 
 def test_local_cov_check():

@@ -227,6 +227,22 @@ def test_clip_is_principal_submatrix(interval_runs):
     assert np.all(sums[near_clip] < 1.0 - 1e-6)
 
 
+def test_clip_dense_matches_sparse():
+    m = 8
+    cloud = s1_grid_cloud(m)
+    graph = build_graph(cloud, EpsilonBall(s1_grid_eps(m)))
+    W = build_lle_matrix(cloud, graph, c_rule=1e-3).weights
+    regions = np.full(2 * m, "interior", dtype="U13")
+    regions[[0, 5, 6, 11]] = "wave"
+    Ws, kept_s = clip(W, regions)
+    Wd, kept_d = clip(W.toarray(), regions)
+    assert isinstance(Wd, np.ndarray) and np.array_equal(kept_d, kept_s)
+    assert np.array_equal(Wd, Ws.toarray())
+    for A in (W, W.toarray()):
+        with pytest.raises(ValueError, match="match the matrix size"):
+            clip(A, regions[:-1])
+
+
 def test_clip_everything_errors():
     regions = np.full(4, "wave", dtype="U13")
     with pytest.raises(ValueError):

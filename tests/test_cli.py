@@ -107,6 +107,8 @@ def test_library_errors_exit_cleanly(tmp_path, capsys, argv, message):
     assert main(argv + ["--out", str(tmp_path)]) != 0
     err = capsys.readouterr().err
     assert err.startswith(f"lleboundary {argv[0]}: ") and message in err
+    if argv[0] == "nullcase":  # the subcommand takes no k, so the error must not ask for one
+        assert "pass k" not in err and "(2000)" in err and "full spectrum" in err
 
 
 def test_sigma_table_takes_the_preset_eps(tmp_path, capsys):
