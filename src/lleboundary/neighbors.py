@@ -4,8 +4,13 @@ Two schemes are supported: the open epsilon-radius ball (membership is the
 strict inequality ||x_j - x_k|| < eps) and K nearest neighbors with ties
 broken toward the smaller index. The epsilon scheme is accelerated by a
 k-d tree; results are exactly those of the brute force scan because
-candidates are always checked against the true distance. The graph is stored
-in CSR layout (indptr, indices, dist), the layout the LLE assembly reads.
+candidates are always checked against the true distance. KNN takes squared
+distances by blocks of rows and selects each row's k nearest with
+``np.argpartition``; a row tied at its k-th distance, where the selection
+may keep a larger index, falls back to the stable full sort.
+``brute_force_neighbors``, the oracle, sorts every row in full. The graph is
+stored in CSR layout (indptr, indices, dist), the layout the LLE assembly
+reads.
 """
 
 from __future__ import annotations
@@ -118,23 +123,55 @@ def _brute_eps_csr(points: np.ndarray, eps: float):
     return indptr, np.concatenate(nbrs), np.concatenate(dists)
 
 
-def _knn_csr(points: np.ndarray, k: int, block: int = 512):
+def _knn_d2_blocks(points: np.ndarray, k: int, block: int):
+    """Yield (lo, hi, d2): squared distances of rows lo:hi to every point by
+    one GEMM, with each point's distance to itself set to inf."""
     n = points.shape[0]
     if k >= n:
         raise ValueError(f"knn requires k < n (got k={k}, n={n})")
     sq = (points ** 2).sum(axis=1)
-    nbrs = np.empty((n, k), dtype=np.int32)
-    dists = np.empty((n, k))
     for lo in range(0, n, block):
         hi = min(lo + block, n)
         d2 = sq[lo:hi, None] - 2.0 * points[lo:hi] @ points.T + sq[None, :]
         np.maximum(d2, 0.0, out=d2)
         d2[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
-        # ascending distance; the stable sort keeps ties in index order
-        order = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        yield lo, hi, d2
+
+
+def _knn_layout(nbrs: np.ndarray, dists: np.ndarray):
+    """CSR arrays of an n x k table of neighbors and their distances."""
+    n, k = nbrs.shape
+    return np.arange(0, n * k + 1, k, dtype=np.int64), nbrs.ravel(), dists.ravel()
+
+
+def _knn_csr(points: np.ndarray, k: int, block: int = 512):
+    """KNN by selection: per row, the k smallest of d2 by partition, ordered by
+    (distance, index). A row with more than k distances <= its k-th smallest
+    has a tie at the cut, where the partition may keep a larger index; only
+    such rows are sorted whole."""
+    n = points.shape[0]
+    nbrs = np.empty((n, k), dtype=np.int32)
+    dists = np.empty((n, k))
+    for lo, hi, d2 in _knn_d2_blocks(points, k, block):
+        cand = np.argpartition(d2, k - 1, axis=1)[:, :k]
+        cand.sort(axis=1)
+        cd = np.take_along_axis(d2, cand, axis=1)
+        # the stable sort of index-ordered candidates breaks ties toward the smaller index
+        order = np.take_along_axis(cand, np.argsort(cd, axis=1, kind="stable"), axis=1)
+        tied = np.count_nonzero(d2 <= cd.max(axis=1)[:, None], axis=1) > k
+        if tied.any():
+            order[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k]
         nbrs[lo:hi] = order
         dists[lo:hi] = np.sqrt(np.take_along_axis(d2, order, axis=1))
-    return np.arange(0, n * k + 1, k, dtype=np.int64), nbrs.ravel(), dists.ravel()
+    return _knn_layout(nbrs, dists)
+
+
+def _brute_knn_csr(points: np.ndarray, k: int):
+    """The KNN oracle: every row of d2 fully sorted; the stable sort keeps ties
+    in index order."""
+    (_, _, d2), = _knn_d2_blocks(points, k, points.shape[0])
+    order = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return _knn_layout(order.astype(np.int32), np.sqrt(np.take_along_axis(d2, order, axis=1)))
 
 
 def build_graph(cloud: PointCloud, scheme: Scheme) -> NeighborGraph:
@@ -156,7 +193,7 @@ def brute_force_neighbors(cloud: PointCloud, scheme: Scheme) -> NeighborGraph:
     points = cloud.points
     if isinstance(scheme, EpsilonBall):
         return NeighborGraph(scheme, *_brute_eps_csr(points, scheme.eps))
-    return NeighborGraph(scheme, *_knn_csr(points, scheme.k, block=points.shape[0]))
+    return NeighborGraph(scheme, *_brute_knn_csr(points, scheme.k))
 
 
 def local_data_matrix(cloud: PointCloud, graph: NeighborGraph, k: int) -> np.ndarray:

@@ -5,16 +5,22 @@ The solver follows what is asked, not the matrix size: a partial spectrum
 subspace of min(n, 2k + 10) vectors, at every n; the full spectrum
 (k=None, n <= DENSE_CUTOFF) and k >= n - 1, which ARPACK cannot give, come
 from one dense Hessenberg-based solve. Every returned eigenpair carries a
-verified residual ||W v - lambda v|| / ||v||, and eigenvector phases are
-fixed by making the largest-modulus component real and positive. Arnoldi
+verified residual ||W v - lambda v|| / ||v||, computed by blocks of 64
+eigenvectors in real arithmetic (W is real, so W (x + iy) = W x + i W y),
+and eigenvector phases are fixed by making the largest-modulus component
+real and positive. Keys of the ordering that tie within a few ulps are
+ordered by value, so the two solvers order equal-modulus pairs alike. Arnoldi
 starts from a fixed vector, so repeated calls on the same matrix give the
 same bits and output files are reproducible.
 
 Every dense non-symmetric solve (``eig``, ``imaginary_diagnostics`` and
 ``spectral_radius_report`` at n <= DENSE_CUTOFF) is one LAPACK ``geev`` with
 right eigenvectors, in ``_dense_eig``. Its eigenvalues are remembered for the
-last matrix solved, keyed by content, so the three calls on one W factor it
-once, and a matrix's eigenvalues do not depend on which call came first.
+last matrix solved, keyed by content: a blake2b digest of a CSR matrix's
+``indptr``, ``indices`` and ``data`` as stored, or of a dense array's bytes.
+So the three calls on one W factor it once, a repeat call neither densifies
+nor hashes an n x n array, and a matrix's eigenvalues do not depend on which
+call came first.
 """
 
 from __future__ import annotations
@@ -76,11 +82,21 @@ def _as_operator(W: MatrixLike):
 
 
 def _sort_key(vals: np.ndarray, ordering: str) -> np.ndarray:
+    """Indices that order vals by the ordering's key, with keys that lie within
+    a few ulps of their neighbour in one group, ordered by real part, then
+    imaginary part, both descending: the two solvers round a tied key (the
+    moduli of -1 and 1, say) differently, and the order must not follow that."""
     if ordering == "real_desc":
-        return np.lexsort((-np.abs(vals.imag), -vals.real))
-    if ordering == "modulus_desc":
-        return np.argsort(-np.abs(vals), kind="stable")
-    raise ValueError(f"unknown ordering {ordering!r}")
+        key = -vals.real
+    elif ordering == "modulus_desc":
+        key = -np.abs(vals)
+    else:
+        raise ValueError(f"unknown ordering {ordering!r}")
+    order = np.argsort(key, kind="stable")
+    k = key[order]
+    apart = np.diff(k, prepend=k[:1]) > 8.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(k))
+    within = np.lexsort((-vals.imag[order], -vals.real[order], np.cumsum(apart)))
+    return order[within]
 
 
 def _fix_phase(vecs: np.ndarray) -> np.ndarray:
@@ -94,39 +110,78 @@ def _fix_phase(vecs: np.ndarray) -> np.ndarray:
 
 
 def _densify(A) -> np.ndarray:
-    return np.asarray(A.toarray() if sp.issparse(A) else A, dtype=float)
+    """A private float copy of A in Fortran order, the layout LAPACK works in."""
+    if sp.issparse(A):
+        return np.asarray(A.toarray(order="F"), dtype=float)
+    return np.array(A, dtype=float, order="F")
+
+
+def _content_key(A) -> tuple:
+    """The shape and a blake2b digest of A as stored: the CSR arrays of a
+    sparse matrix (hashed as they are, never canonicalized, which would sort
+    the caller's indices in place), the bytes of a dense one."""
+    if sp.issparse(A):
+        A = A.tocsr()
+        h = hashlib.blake2b()
+        for part in (A.indptr, A.indices, A.data):
+            h.update(np.ascontiguousarray(part))
+        return A.shape, A.indices.dtype.str, A.data.dtype.str, h.digest()
+    A = np.ascontiguousarray(A, dtype=float)
+    return A.shape, hashlib.blake2b(A).digest()
 
 
 # (key, eigenvalues) of the last dense solve; replaced whole, never mutated
 _last_eigvals: Optional[tuple] = None
 
 
-def _dense_eig(dense: np.ndarray, want_vectors: bool):
-    """Eigenvalues, and right eigenvectors when asked, of a dense float matrix.
+def _dense_eig(A, want_vectors: bool):
+    """Eigenvalues, and right eigenvectors when asked, of a real matrix given
+    as CSR or as an ndarray.
 
     Always one ``la.eig`` with right eigenvectors: geev returns eigenvalues
     that differ in the last bits with and without vectors, and one routine
     makes them depend only on the matrix. The eigenvalues of the last matrix
-    solved are kept under its shape and a blake2b digest of its bytes; an
-    eigenvalues-only call on the same content returns a copy of them without
-    a solve, the same bits a solve would give. A call that wants vectors
-    always solves. The trade-off: a cold eigenvalues-only call pays for geev
-    with vectors, about 1.5x the time of eigvals alone at n = 1000.
+    solved are kept under ``_content_key``: its CSR arrays, or its bytes when
+    dense. An eigenvalues-only call on the same content returns a copy of them
+    without densifying or solving, the same bits a solve would give. A call
+    that wants vectors always solves. A solve densifies once, into a private
+    Fortran-ordered copy that geev overwrites. The trade-off: a cold
+    eigenvalues-only call pays for geev with vectors, about 1.5x the time of
+    eigvals alone at n = 1000.
     """
     global _last_eigvals
-    dense = np.ascontiguousarray(dense)
-    key = (dense.shape, hashlib.blake2b(dense).digest())
+    key = _content_key(A)
     memo = _last_eigvals
     if not want_vectors and memo is not None and memo[0] == key:
         return memo[1].copy(), None
-    vals, vecs = la.eig(dense)
+    vals, vecs = la.eig(_densify(A), overwrite_a=True)
     _last_eigvals = (key, vals.copy())
     return vals, vecs if want_vectors else None
 
 
+_RESIDUAL_COLUMNS = 64  # eigenvectors per product in _residuals
+
+
 def _residuals(W, vals, vecs) -> np.ndarray:
-    """||W v - lambda v|| / ||v|| for every eigenpair, from one product W @ V."""
-    return np.linalg.norm(W @ vecs - vecs * vals, axis=0) / np.linalg.norm(vecs, axis=0)
+    """||W v - lambda v|| / ||v|| for every eigenpair, 64 columns at a time.
+
+    W is real, so W (x + iy) = W x + i W y: each block of complex columns is
+    one real product with their float view, whose columns interleave real and
+    imaginary parts, and the norms are taken on that view. Blocks bound the
+    temporaries to n x 64 instead of n x n.
+    """
+    n, m = vecs.shape
+    out = np.empty(m)
+    for lo in range(0, m, _RESIDUAL_COLUMNS):
+        V = np.ascontiguousarray(vecs[:, lo:lo + _RESIDUAL_COLUMNS], dtype=complex)
+        lam = vals[lo:lo + _RESIDUAL_COLUMNS]
+        R = W @ V.view(float)
+        R -= (V * lam).view(float)
+        R = R.reshape(n, len(lam), 2)
+        X = V.view(float).reshape(n, len(lam), 2)
+        out[lo:lo + len(lam)] = (np.sqrt(np.einsum("ijk,ijk->j", R, R))
+                                 / np.sqrt(np.einsum("ijk,ijk->j", X, X)))
+    return out
 
 
 def eig(W: MatrixLike, k: Optional[int] = None, ordering: str = "real_desc",
@@ -153,7 +208,7 @@ def eig(W: MatrixLike, k: Optional[int] = None, ordering: str = "real_desc",
     if k is None and n > DENSE_CUTOFF:
         raise ValueError(f"n={n} exceeds the dense cutoff; pass k for the Arnoldi solver")
     if k is None or k >= n - 1:
-        vals, vecs = _dense_eig(_densify(A), want_vectors)
+        vals, vecs = _dense_eig(A, want_vectors)
         method = "dense"
     else:
         which = "LR" if ordering == "real_desc" else "LM"
@@ -161,8 +216,8 @@ def eig(W: MatrixLike, k: Optional[int] = None, ordering: str = "real_desc",
         # uniform on [-1, 1): the ones vector would not do, W 1 = 1 makes it invariant
         v0 = 2.0 * CounterStream(0).uniform(n) - 1.0
         try:
-            out = spla.eigs(A.astype(float), k=k, which=which, tol=ARNOLDI_TOL, maxiter=maxiter,
-                            ncv=ncv, v0=v0, return_eigenvectors=want_vectors)
+            out = spla.eigs(A.astype(float, copy=False), k=k, which=which, tol=ARNOLDI_TOL,
+                            maxiter=maxiter, ncv=ncv, v0=v0, return_eigenvectors=want_vectors)
         except spla.ArpackNoConvergence as exc:
             partial = None
             if len(exc.eigenvalues):
@@ -245,12 +300,12 @@ def imaginary_diagnostics(W: MatrixLike) -> dict:
     if n > DENSE_CUTOFF:
         raise ValueError("imaginary_diagnostics needs the full spectra; matrix too large "
                          f"for the dense solver (n={n} > {DENSE_CUTOFF})")
-    Wm = (A - A.T) / 2.0
+    Wp, Wm = symmetric_split(A)
     bound = _norm_1_inf(Wm)
     max_asym = 2.0 * (abs(Wm).max() if sp.issparse(Wm) else np.abs(Wm).max())
-    dense = _densify(A)
-    vals, _ = _dense_eig(dense, want_vectors=False)
-    dist = _distance_to_real(vals, la.eigvalsh((dense + dense.T) / 2.0))
+    vals, _ = _dense_eig(A, want_vectors=False)
+    # the sparse (A + A^T)/2 densifies to the bits of the dense one: a + b == b + a
+    dist = _distance_to_real(vals, la.eigvalsh(_densify(Wp), overwrite_a=True))
     return {
         "bound": bound,
         "max_asym": float(max_asym),
@@ -266,7 +321,7 @@ def spectral_radius_report(W: MatrixLike, k: int = 6) -> dict:
     ones = np.ones(n)
     row_err = float(np.max(np.abs(A @ ones - 1.0)))
     if n <= DENSE_CUTOFF:
-        vals, _ = _dense_eig(_densify(A), want_vectors=False)
+        vals, _ = _dense_eig(A, want_vectors=False)
     else:
         vals = eig(A, k=min(k, n - 2), ordering="modulus_desc", want_vectors=False).eigenvalues
     rho_lower = float(np.max(np.abs(vals)))

@@ -3,7 +3,7 @@ import pytest
 
 from lleboundary.neighbors import (EpsilonBall, Knn, _knn_csr, brute_force_neighbors,
                                    build_graph, local_data_matrix)
-from lleboundary.samplers import PointCloud, sample_disk
+from lleboundary.samplers import PointCloud, sample_disk, sample_gaussian_null
 
 
 def cloud_from(points, d=None):
@@ -34,6 +34,43 @@ def test_collinear_knn_tie_to_smaller_index():
             d = np.linalg.norm(pts - pts[k], axis=1)
             d[k] = np.inf
             assert np.array_equal(row, np.lexsort((np.arange(16), d))[:3])
+
+
+def tied_at_the_cut(points, k) -> int:
+    """Rows whose k-th and (k+1)-th smallest distances are equal."""
+    d = np.sort(np.linalg.norm(points[:, None] - points[None, :], axis=2), axis=1)[:, 1:]
+    return int(np.count_nonzero(d[:, k - 1] == d[:, k]))
+
+
+def knn_clouds():
+    xs, ys = np.meshgrid(np.arange(9.0), np.arange(7.0), indexing="ij")
+    grid = np.column_stack([xs.ravel(), ys.ravel()])
+    rng = np.random.default_rng(5)
+    # every point four times, the copies scattered over the index range
+    dups = rng.normal(size=(40, 3))[rng.permutation(np.repeat(np.arange(40), 4))]
+    return {"grid": (grid, 6), "duplicates": (dups, 2)}
+
+
+@pytest.mark.parametrize("name", ["grid", "duplicates"])
+def test_knn_selection_ties_equal_brute_force(name):
+    points, k = knn_clouds()[name]
+    # a tied k-th distance: the four diagonal neighbors at sqrt(2), or a point's
+    # three copies at 0
+    assert tied_at_the_cut(points, k) > 0
+    ref = brute_force_neighbors(cloud_from(points), Knn(k))
+    for block in (7, len(points)):
+        fast = _knn_csr(points, k, block=block)
+        for a, b in zip(fast, (ref.indptr, ref.indices, ref.dist)):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_knn_selection_equals_brute_force_on_null_cloud(seed):
+    cloud = sample_gaussian_null(1000, 200, seed=seed)  # more than one 512-row block
+    fast = build_graph(cloud, Knn(50))
+    ref = brute_force_neighbors(cloud, Knn(50))
+    for name in ("indptr", "indices", "dist"):
+        assert np.array_equal(getattr(fast, name), getattr(ref, name))
 
 
 def test_grid_equals_brute_force_on_disk():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as la
@@ -105,6 +107,16 @@ def test_residual_contract_and_phase():
         assert pivot.real > 0 and abs(pivot.imag) <= 1e-12 * abs(pivot)
 
 
+def test_equal_modulus_order_does_not_depend_on_the_solver():
+    # the moduli of the circle grid's -1 and 1 differ in the last bits, each
+    # solver rounding them its own way; the order must follow the values
+    W = s1_lle(5)
+    dense = eig(W, ordering="modulus_desc").eigenvalues[:2]
+    arnoldi = eig(W, k=3, ordering="modulus_desc").eigenvalues[:2]
+    assert np.allclose(dense, [1.0, -1.0], atol=1e-12)
+    assert np.allclose(arnoldi, dense, atol=1e-12)
+
+
 def test_cluster_eigenvalues():
     vals = np.array([1.0, 1.0 + 5e-9, 0.5, 0.5 - 3e-9, -1.0])
     centers, mult = cluster_eigenvalues(vals, rtol=1e-7)
@@ -185,6 +197,37 @@ def test_dense_memo_keys_on_content():
     M[2, 2] = 5.0  # same array object and shape, new content
     assert eig(M, want_vectors=False).eigenvalues.tolist() == [5.0, 3.0, 2.0]
     assert spectral_radius_report(M)["rho_lower"] == 5.0
+    # a CSR matrix is keyed on its arrays: an in-place change of data is seen
+    S = sp.csr_matrix(np.diag([3.0, 2.0, 1.0]))
+    assert eig(S, want_vectors=False).eigenvalues.tolist() == [3.0, 2.0, 1.0]
+    S.data[2] = 5.0
+    assert eig(S, want_vectors=False).eigenvalues.tolist() == [5.0, 3.0, 2.0]
+    assert spectral_radius_report(S)["rho_lower"] == 5.0
+
+
+def test_dense_memo_on_csr_reads_and_densifies_nothing_extra(monkeypatch):
+    W = null_lle().weights
+    before = [W.indptr.copy(), W.indices.copy(), W.data.copy()]
+    calls = count_dense_solves(monkeypatch, "eig")
+    densified = []
+    toarray = type(W).toarray
+
+    def counted(self, *args, **kwargs):
+        densified.append(self.shape)
+        return toarray(self, *args, **kwargs)
+    monkeypatch.setattr(type(W), "toarray", counted)
+    eig(W, ordering="modulus_desc")
+    assert calls == {"eig": 1} and len(densified) == 1
+    imaginary_diagnostics(W)  # densifies only its symmetric part
+    assert calls == {"eig": 1} and len(densified) == 2
+    radius = spectral_radius_report(W)  # a hit: no densify, no solve
+    assert calls == {"eig": 1} and len(densified) == 2
+    # the key hashes the CSR arrays as they are and sorts nothing in place
+    for a, b in zip((W.indptr, W.indices, W.data), before):
+        assert np.array_equal(a, b)
+    W.data[0] += 1.0  # an in-place change of the content forces a new solve
+    assert spectral_radius_report(W) != radius
+    assert calls == {"eig": 2}
 
 
 def test_dense_memo_independent_of_call_order():
@@ -287,6 +330,50 @@ def test_dense_only_for_full_spectrum_or_k_past_arpack(monkeypatch):
     for k in (None, n - 1, n):
         assert eig(W, k=k).method == "dense"
     assert calls == {"eig": 3}  # a call that wants vectors always solves
+
+
+@pytest.fixture(scope="module")
+def null_full():
+    """The benchmark's null W (n 1000, p 200, KNN 50) and its full spectrum."""
+    cloud = sample_gaussian_null(1000, 200, seed=1)
+    W = build_lle_matrix(cloud, build_graph(cloud, Knn(50)), c_rule=1e-3).weights
+    vals, vecs = la.eig(W.toarray())
+    return W, vals, vecs
+
+
+def complex_residuals(W, vals, vecs):
+    return np.linalg.norm(W @ vecs - vecs * vals, axis=0) / np.linalg.norm(vecs, axis=0)
+
+
+@pytest.mark.parametrize("case", ["null_full", "dense", "disk_arnoldi"])
+def test_residuals_match_complex_formula(null_full, case):
+    if case == "null_full":
+        W, vals, vecs = null_full
+        assert vecs.shape[1] > spectral._RESIDUAL_COLUMNS
+        assert np.sum(np.abs(vals.imag) > 1e-3) > 2  # complex pairs
+    elif case == "dense":
+        W = np.random.default_rng(4).normal(size=(90, 90))
+        vals, vecs = la.eig(W)
+    else:
+        W = disk_w()
+        spec = eig(W, k=10, ordering="real_desc")
+        vals, vecs = spec.eigenvalues, spec.eigenvectors
+    got = spectral._residuals(W, vals, vecs)
+    assert np.max(np.abs(got - complex_residuals(W, vals, vecs))) <= 1e-14
+
+
+def test_residuals_work_in_column_blocks(null_full):
+    W, vals, vecs = null_full
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        spectral._residuals(W, vals, vecs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # under half of one n x n complex array; W @ V - V diag(lambda) in one go
+    # holds several of them
+    assert peak < vecs.size * 16 / 2
 
 
 @pytest.mark.parametrize("which, ordering, maxiter", [("disk", "real_desc", 6),
