@@ -24,7 +24,7 @@ from .boundary import clip as clip_matrix
 from .harness import (PRESETS, TEST_FUNCTIONS, ExperimentConfig, _sample_graph,
                       build_pipeline, run_convergence, run_eigenfunctions, run_indicator,
                       run_null_case, sample, wave_partition)
-from .lle import build_alpha_kernel_matrix, resolve_c
+from .lle import build_alpha_kernel_matrix
 from .spectral import eig
 
 
@@ -39,11 +39,11 @@ def _one_of(names) -> Callable[[str], str]:
 
 
 def _regularizer(value: str):
-    """'auto' (c = n eps^(d+3)) or a positive number, as ExperimentConfig.c_rule."""
+    """'auto' (c = n eps^(d+3)) or a positive finite number, as ExperimentConfig.c_rule."""
     if value == "auto":
         return value
-    if not float(value) > 0:
-        raise argparse.ArgumentTypeError(f"expected a positive number or auto, got {value!r}")
+    if not 0 < float(value) < np.inf:  # also false for nan
+        raise argparse.ArgumentTypeError(f"expected a finite c > 0 or auto, got {value!r}")
     return float(value)
 
 
@@ -84,7 +84,7 @@ _FLAGS = {
     "eps": _Flag("eps", float, "epsilon-ball radius; replaces the preset's KNN scheme"),
     "knn": _Flag("knn", int, "K for the KNN scheme"),
     "c": _Flag("c_rule", _regularizer,
-               "regularizer: a positive number, or auto for c = n * eps^(d+3)"),
+               "regularizer: a positive finite number, or auto for c = n * eps^(d+3)"),
     "seed": _Flag("seed", int, "integer RNG seed"),
     "k_eigs": _Flag("k_eigs", int, "number of eigenpairs; n gives the full spectrum"),
     "alpha": _Flag("alpha", float, "alpha for the kernel family / DM normalization"),
@@ -196,10 +196,9 @@ def _run(command: str, values: dict, cfg: ExperimentConfig) -> None:
     elif command == "build":
         if cfg.alpha is not None:
             cloud, graph = _sample_graph(cfg)
-            c = resolve_c(cloud, graph, cfg.c_rule, cfg.eps)
-            mat = build_alpha_kernel_matrix(cloud, graph, c, cfg.alpha)
+            mat = build_alpha_kernel_matrix(cloud, graph, cfg.c_rule, cfg.alpha, cfg.eps)
             path = lio.save_matrix(mat, out / "alpha_kernel_matrix.csv")
-            print(f"wrote {path} (n={mat.n}, alpha={cfg.alpha}, c={c:.6g})")
+            print(f"wrote {path} (n={mat.n}, alpha={cfg.alpha}, c={mat.c:.6g})")
         else:
             cloud, graph, lle = build_pipeline(cfg)
             path = lio.save_matrix(lle, out / "lle_matrix.csv")

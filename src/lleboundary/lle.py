@@ -47,10 +47,14 @@ class BarycentricSolution:
     c: float
 
 
+def _check_c(c: float) -> None:
+    if not 0 < c < np.inf:  # also false for nan
+        raise ValueError(f"regularizer c must be positive and finite, got {c!r}")
+
+
 def _validate(G: np.ndarray, c: float) -> np.ndarray:
     G = np.atleast_2d(np.asarray(G, dtype=float))
-    if not c > 0:
-        raise ValueError("regularizer c must be positive")
+    _check_c(c)
     if G.shape[1] == 0:
         raise ValueError("empty neighborhood: local data matrix has no columns")
     return G
@@ -158,8 +162,7 @@ def resolve_c(cloud: PointCloud, graph: NeighborGraph,
                     "c_rule='auto' needs a bandwidth: the graph is KNN, so pass eps explicitly")
         return default_regularizer(cloud.n, eps, cloud.intrinsic_dim)
     c = float(c_rule)
-    if not c > 0:
-        raise ValueError("regularizer c must be positive")
+    _check_c(c)
     return c
 
 
@@ -262,17 +265,20 @@ def apply_shifted(lle: Union[LleMatrix, sp.spmatrix, np.ndarray], f: np.ndarray)
 
 
 def build_alpha_kernel_matrix(cloud: PointCloud, graph: NeighborGraph,
-                              c: float, alpha: float) -> LleMatrix:
+                              c: Union[float, str], alpha: float,
+                              eps: Optional[float] = None) -> LleMatrix:
     """Row-normalized alpha-kernel matrix.
 
     Row k entries are alpha * 1 + (1 - alpha) * K2 with
     K2(x_k, x_j) = -(x_j - x_k)^T T_n(x_k), using the discrete augmented
     vector. alpha=1 gives uniform rows; alpha=1/2 reproduces the LLE weights.
-    Rows whose entry sum is <= 0 are reported and left unnormalized.
+    Rows whose entry sum is <= 0 are reported and left unnormalized. c, a
+    number or "auto" (with eps), is resolved by resolve_c.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     _isolated_check(graph)
+    c = resolve_c(cloud, graph, c, eps)
     counts = graph.counts
     # G^T T_n = 1 - c y (push-through identity), so the LLE solves serve here too
     vals = alpha - (1.0 - alpha) * (1.0 - c * _kernel_y(cloud.points, graph, c))

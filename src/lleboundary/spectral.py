@@ -13,14 +13,14 @@ ordered by value, so the two solvers order equal-modulus pairs alike. Arnoldi
 starts from a fixed vector, so repeated calls on the same matrix give the
 same bits and output files are reproducible.
 
-Every dense non-symmetric solve (``eig``, ``imaginary_diagnostics`` and
-``spectral_radius_report`` at n <= DENSE_CUTOFF) is one LAPACK ``geev`` with
-right eigenvectors, in ``_dense_eig``. Its eigenvalues are remembered for the
-last matrix solved, keyed by content: a blake2b digest of a CSR matrix's
-``indptr``, ``indices`` and ``data`` as stored, or of a dense array's bytes.
-So the three calls on one W factor it once, a repeat call neither densifies
-nor hashes an n x n array, and a matrix's eigenvalues do not depend on which
-call came first.
+``eig`` is the only code that computes a spectrum: ``imaginary_diagnostics``
+and ``spectral_radius_report`` read W's eigenvalues through it, and only it
+checks the dense cutoff. A dense solve is one LAPACK ``geev`` with right
+eigenvectors, in ``_dense_eig``, whose eigenvalues are kept for the last
+matrix solved under a blake2b digest of its CSR ``indptr``, ``indices`` and
+``data`` as stored, or of a dense array's bytes. So ``eig`` and the two
+diagnostics on one W factor it once, a repeat call neither densifies nor
+hashes an n x n array, and the eigenvalues do not depend on call order.
 """
 
 from __future__ import annotations
@@ -184,6 +184,16 @@ def _residuals(W, vals, vecs) -> np.ndarray:
     return out
 
 
+def _finish(A, vals, vecs, ordering: str, k: Optional[int], method: str) -> Spectrum:
+    """Sort by the ordering, keep the first k, fix phases and take residuals."""
+    order = _sort_key(vals, ordering)[:k]  # [:None] keeps all
+    vals = vals[order]
+    if vecs is None:
+        return Spectrum(vals, None, ordering, method, None)
+    vecs = _fix_phase(vecs[:, order])
+    return Spectrum(vals, vecs, ordering, method, _residuals(A, vals, vecs))
+
+
 def eig(W: MatrixLike, k: Optional[int] = None, ordering: str = "real_desc",
         want_vectors: bool = True, maxiter: int = 50000) -> Spectrum:
     """Spectrum of a square real matrix.
@@ -206,7 +216,8 @@ def eig(W: MatrixLike, k: Optional[int] = None, ordering: str = "real_desc",
     if k is not None and not 1 <= k <= n:
         raise ValueError("k must satisfy 1 <= k <= n")
     if k is None and n > DENSE_CUTOFF:
-        raise ValueError(f"n={n} exceeds the dense cutoff; pass k for the Arnoldi solver")
+        raise ValueError(f"n={n} exceeds the dense cutoff ({DENSE_CUTOFF}); "
+                         "the full spectrum is computed only at or below it")
     if k is None or k >= n - 1:
         vals, vecs = _dense_eig(A, want_vectors)
         method = "dense"
@@ -219,25 +230,13 @@ def eig(W: MatrixLike, k: Optional[int] = None, ordering: str = "real_desc",
             out = spla.eigs(A.astype(float, copy=False), k=k, which=which, tol=ARNOLDI_TOL,
                             maxiter=maxiter, ncv=ncv, v0=v0, return_eigenvectors=want_vectors)
         except spla.ArpackNoConvergence as exc:
-            partial = None
-            if len(exc.eigenvalues):
-                order = _sort_key(exc.eigenvalues, ordering)
-                pvals = exc.eigenvalues[order]
-                pvecs = _fix_phase(exc.eigenvectors[:, order])
-                partial = Spectrum(pvals, pvecs, ordering, "arnoldi-partial",
-                                   _residuals(A, pvals, pvecs))
+            partial = _finish(A, exc.eigenvalues, exc.eigenvectors, ordering, None,
+                              "arnoldi-partial") if len(exc.eigenvalues) else None
             raise EigenConvergenceError(str(exc), partial) from exc
         vals, vecs = out if want_vectors else (out, None)
         method = "arnoldi"
-    order = _sort_key(vals, ordering)
-    if k is not None:
-        order = order[:k]
-    vals = vals[order]
-    res = None
-    if vecs is not None:
-        vecs = _fix_phase(vecs[:, order])
-        res = _residuals(A, vals, vecs)
-    spectrum = Spectrum(vals, vecs, ordering, method, res)
+    spectrum = _finish(A, vals, vecs, ordering, k, method)
+    vals, res = spectrum.eigenvalues, spectrum.residuals
     if res is not None and np.max(res) > RESIDUAL_TOL * max(1.0, float(np.max(np.abs(vals)))):
         raise EigenConvergenceError(
             f"eigenpair residual {np.max(res):.2e} exceeds the {RESIDUAL_TOL} contract",
@@ -293,37 +292,35 @@ def imaginary_diagnostics(W: MatrixLike) -> dict:
     """Bauer-Fike control of the imaginary parts via the antisymmetric part.
 
     bound = sqrt(||W^-||_1 ||W^-||_inf) dominates ||W^-||_2; every eigenvalue
-    of W must lie within bound of a (real) eigenvalue of W^+.
+    of W, read through ``eig`` (so n <= DENSE_CUTOFF), must lie within bound
+    of a (real) eigenvalue of W^+.
     """
     A = _as_operator(W)
-    n = A.shape[0]
-    if n > DENSE_CUTOFF:
-        raise ValueError("imaginary_diagnostics needs the full spectra; matrix too large "
-                         f"for the dense solver (n={n} > {DENSE_CUTOFF})")
+    vals = eig(A, want_vectors=False).eigenvalues
     Wp, Wm = symmetric_split(A)
     bound = _norm_1_inf(Wm)
-    max_asym = 2.0 * (abs(Wm).max() if sp.issparse(Wm) else np.abs(Wm).max())
-    vals, _ = _dense_eig(A, want_vectors=False)
     # the sparse (A + A^T)/2 densifies to the bits of the dense one: a + b == b + a
     dist = _distance_to_real(vals, la.eigvalsh(_densify(Wp), overwrite_a=True))
     return {
         "bound": bound,
-        "max_asym": float(max_asym),
+        "max_asym": float(2.0 * abs(Wm).max()),
         "bauer_fike_ok": bool(np.all(dist <= bound + 1e-12)),
         "max_imag": float(np.max(np.abs(vals.imag))),
     }
 
 
-def spectral_radius_report(W: MatrixLike, k: int = 6) -> dict:
-    """Check W 1 = 1 and report a lower bound on the spectral radius."""
+def spectral_radius_report(W: MatrixLike) -> dict:
+    """Check W 1 = 1 and report a lower bound on the spectral radius.
+
+    The eigenvalues come from ``eig``: all of them at n <= DENSE_CUTOFF, the
+    six largest in modulus above it.
+    """
     A = _as_operator(W)
     n = A.shape[0]
     ones = np.ones(n)
     row_err = float(np.max(np.abs(A @ ones - 1.0)))
-    if n <= DENSE_CUTOFF:
-        vals, _ = _dense_eig(A, want_vectors=False)
-    else:
-        vals = eig(A, k=min(k, n - 2), ordering="modulus_desc", want_vectors=False).eigenvalues
+    vals = eig(A, k=None if n <= DENSE_CUTOFF else 6, ordering="modulus_desc",
+               want_vectors=False).eigenvalues
     rho_lower = float(np.max(np.abs(vals)))
     has_one = bool(np.min(np.abs(vals - 1.0)) <= 1e-8)
     return {"rho_lower": rho_lower, "has_eig_one": has_one, "row_sum_err": row_err}

@@ -50,6 +50,16 @@ def test_scaled_interval_eigenfunctions(tmp_path):
     assert summary["clipped_method"] == "arnoldi"
 
 
+def test_knn_eigenfunctions_clip_by_ground_truth():
+    # indicator refuses KNN graphs, so the partition comes from the ground truth
+    res = run_eigenfunctions(replace(PRESETS["interval"], n=1500, knn=30, tstar_clip=True,
+                                     k_eigs=4))
+    summary = res["summary"]
+    assert summary["method"] == "arnoldi"
+    assert summary["clipped_method"] == "arnoldi"
+    assert summary["n_clipped"] > 0
+
+
 def test_convergence_interior_targets(tmp_path):
     cfg = replace(PRESETS["disk"], f_test="squared_radius", seed=2, out=tmp_path)
     rows = run_convergence(cfg, ns=[4000], eps_values=[0.15])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import s1_grid_cloud, s1_grid_eps, ten_point_cloud
+from lleboundary.cli import main
 from lleboundary.lle import (_gram_eig, apply_shifted, augmented_vector_discrete,
                              build_alpha_kernel_matrix, build_dm_matrix, build_lle_matrix,
                              default_regularizer, solve_barycentric)
@@ -38,8 +39,9 @@ def test_dual_path_agreement(shape):
 
 
 def test_solve_validation():
-    with pytest.raises(ValueError):
-        solve_barycentric(np.ones((2, 2)), c=0.0)
+    for c in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            solve_barycentric(np.ones((2, 2)), c=c)
     with pytest.raises(ValueError):
         solve_barycentric(np.ones((2, 0)), c=1.0)
 
@@ -143,6 +145,20 @@ def test_alpha_family():
     assert np.all(np.isfinite(W0))
     assert zero.meta["degenerate_rows"] == list(range(2 * m))
     assert np.all(zero.y_sum < 0.0)
+
+
+def test_regularizer_must_be_positive_and_finite(tmp_path):
+    m = 7
+    cloud = s1_grid_cloud(m)
+    graph = build_graph(cloud, EpsilonBall(s1_grid_eps(m)))
+    for c in (0.0, -1.0, np.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            build_alpha_kernel_matrix(cloud, graph, c, alpha=0.5)
+    out = tmp_path / "D"
+    with pytest.raises(SystemExit) as exc:
+        main(["build", "--n", "300", "--eps", "0.05", "--c", "inf", "--out", str(out)])
+    assert exc.value.code != 0
+    assert not out.exists()
 
 
 def test_alpha_half_on_random_cloud(disk_runs):

@@ -163,6 +163,36 @@ def test_spectral_radius_report_above_cutoff_reads_eigenvalues_only(monkeypatch)
     assert report["has_eig_one"]
 
 
+def test_one_dense_cutoff_check_in_eig(monkeypatch):
+    W = sp.identity(2001, format="csr")
+    densified = []
+    toarray = type(W).toarray
+
+    def counted(self, *args, **kwargs):
+        densified.append(self.shape)
+        return toarray(self, *args, **kwargs)
+    monkeypatch.setattr(type(W), "toarray", counted)
+    with pytest.raises(ValueError) as from_eig:
+        eig(W)
+    with pytest.raises(ValueError) as from_diag:
+        imaginary_diagnostics(W)
+    message = str(from_eig.value)
+    assert str(from_diag.value) == message
+    assert "exceeds the dense cutoff" in message and "(2000)" in message
+    assert densified == []
+    # the radius report asks eig for all eigenvalues at the cutoff, six above it
+    asked = []
+
+    def recording(A, k=None, **kwargs):
+        asked.append((A.shape[0], k))
+        return spectral.Spectrum(np.ones(1), None, kwargs["ordering"], "stub", None)
+    monkeypatch.setattr(spectral, "eig", recording)
+    spectral_radius_report(sp.identity(2000, format="csr"))
+    spectral_radius_report(W)
+    assert asked == [(2000, None), (2001, 6)]
+    assert densified == []
+
+
 def test_spectral_radius_report_s1():
     report = spectral_radius_report(s1_lle(5))
     assert report["row_sum_err"] <= 1e-12
