@@ -98,23 +98,6 @@ def classify(report: BoundaryReport, tau: Optional[float] = None) -> BoundaryRep
     return replace(report, threshold=float(tau), labels=labels)
 
 
-def _invert_b_profile(cf: AnalyticCoeffs, b: np.ndarray) -> np.ndarray:
-    """Depth estimates from indicator values: the t in [0, eps] with b_function(t) = b.
-
-    b_function is strictly decreasing from b(0) to 0 on [0, eps], so 80
-    bisection steps run on every entry at once. Values at or above b(0) clamp
-    to 0, values at or below 0 clamp to eps, and non-finite values map to inf.
-    """
-    b = np.asarray(b, dtype=float)
-    lo, hi = np.zeros_like(b), np.full_like(b, cf.eps)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        above = cf.b_function(mid) > b
-        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
-    return np.select([~np.isfinite(b), b >= cf.b_function(0.0), b <= 0.0],
-                     [np.inf, 0.0, cf.eps], 0.5 * (lo + hi))
-
-
 def partition_regions(cloud: PointCloud, eps: float, tstar_val: float,
                       report: Optional[BoundaryReport] = None) -> np.ndarray:
     """Per-point region labels: wave / near_boundary / transition / interior.
@@ -122,23 +105,27 @@ def partition_regions(cloud: PointCloud, eps: float, tstar_val: float,
     Cut points: wave for dist < t*, near_boundary for t* <= dist < eps,
     transition for eps <= dist <= 2 eps, interior beyond. Uses ground-truth
     boundary distance when the cloud has one; otherwise falls back to the
-    indicator-derived depth proxy (a documented heuristic that cannot see
-    past depth eps, so the transition band collapses into interior).
+    indicator B as a depth proxy (a documented heuristic). b_function falls
+    from b(0) to 0 on [0, eps], so B > b(t*) is wave, 0 < B <= b(t*)
+    near_boundary and the rest, a non-finite B included, interior: the proxy
+    cannot see past depth eps, so the transition band collapses into interior.
     """
     gt = cloud.ground_truth
+    out = np.empty(cloud.n, dtype="U13")
     if gt is not None and gt.boundary_dist is not None:
         dist = gt.boundary_dist
+        out[dist < tstar_val] = "wave"
+        out[(dist >= tstar_val) & (dist < eps)] = "near_boundary"
+        out[(dist >= eps) & (dist <= 2.0 * eps)] = "transition"
+        out[dist > 2.0 * eps] = "interior"
     elif report is not None:
-        cf = AnalyticCoeffs(cloud.intrinsic_dim, eps)
-        dist = _invert_b_profile(cf, report.b_values)
-        dist = np.where(dist >= cf.eps, 2.0 * eps + eps, dist)
+        b = report.b_values
+        finite = np.isfinite(b)
+        out[:] = "interior"
+        out[finite & (b > 0.0)] = "near_boundary"
+        out[finite & (b > AnalyticCoeffs(cloud.intrinsic_dim, eps).b_function(tstar_val))] = "wave"
     else:
         raise ValueError("no ground-truth boundary distance and no indicator report")
-    out = np.empty(cloud.n, dtype="U13")
-    out[dist < tstar_val] = "wave"
-    out[(dist >= tstar_val) & (dist < eps)] = "near_boundary"
-    out[(dist >= eps) & (dist <= 2.0 * eps)] = "transition"
-    out[dist > 2.0 * eps] = "interior"
     return out
 
 

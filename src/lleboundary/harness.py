@@ -25,7 +25,8 @@ from .lle import LleMatrix, apply_shifted, build_lle_matrix
 from .neighbors import EpsilonBall, Knn, NeighborGraph, build_graph
 from .samplers import (PointCloud, sample_curve_m3, sample_disk, sample_gaussian_null,
                        sample_interval, sample_surface, sample_truncated_torus)
-from .spectral import Spectrum, eig, imaginary_diagnostics, spectral_radius_report
+from .spectral import (Spectrum, check_dense_cutoff, eig, imaginary_diagnostics,
+                       spectral_radius_report)
 
 __all__ = [
     "ExperimentConfig",
@@ -73,6 +74,8 @@ _SAMPLERS: dict = {
     "torus": lambda n, seed, cfg: sample_truncated_torus(n, seed),
     "gaussian_null": lambda n, seed, cfg: sample_gaussian_null(n, cfg.ambient, seed),
 }
+# samplers that return exactly n points (disk, surface and torus reject draws)
+_EXACT_N = frozenset({"interval", "curve_m3", "gaussian_null"})
 
 
 def sample(config: ExperimentConfig) -> PointCloud:
@@ -270,8 +273,11 @@ def run_convergence(config: ExperimentConfig,
 def run_null_case(config: Optional[ExperimentConfig] = None) -> dict:
     """High-dimensional Gaussian cloud: complex spectrum plus the antisymmetry
     diagnostics (the Bauer-Fike bound from the antisymmetric part). The full
-    spectrum is dense: above DENSE_CUTOFF points ``eig`` raises ValueError."""
+    spectrum is dense: above DENSE_CUTOFF points it raises ValueError, before
+    sampling when the sampler returns exactly n points."""
     cfg = config or PRESETS["gaussian_null"]
+    if cfg.manifold in _EXACT_N:
+        check_dense_cutoff(cfg.n)
     cloud, graph, lle = build_pipeline(cfg)
     spec = eig(lle.weights, ordering="modulus_desc")
     diag = imaginary_diagnostics(lle.weights)

@@ -5,22 +5,33 @@ double exactly), UTF-8, LF line endings. Sparse matrices are stored as
 lexicographically sorted triplets, duplicates summed, next to a JSON sidecar
 carrying the build metadata, so a load can validate what it reads.
 
-Writers format whole columns at once: one `%` format of a per-line template
-repeated over a block of rows, applied to the block's cells as Python
-scalars. `%.17g` of a float is the same conversion as `format(x, ".17g")`,
-so the files equal those of a per-entry writer byte for byte. The harness
-and CLI write their CSV files through the same helper. The triplet
-reader parses the body in one `np.loadtxt` call and goes back to the file
-only to name the line of an error.
+Writers build a block of rows at a time in numpy, without a `%` per cell.
+A `%.17g` cell of x != 0 is the 17-digit integer N = round(|x| 10**(16 - E)),
+E = floor(log10 |x|). |x| times a tabled double-double 10**(16 - E), by
+Dekker's exact two-product of Veltkamp-split halves, is known to about
+2**-104 relative, which rounds to N exactly unless the scaled fraction lies
+within 1e-9 of 1/2. N's digits come from a 4-digit table and are placed,
+with the sign, point, leading "0." or "e+XX", by one template per (sign, E,
+significant digits). `%d` cells use the same digit table and `%s` cells are
+their UTF-8 bytes. A block is one uint8 matrix of NUL-padded cells and
+literal text, written without its NULs. The cells the kernel cannot place
+exactly (nan, +-inf, |x| outside [1e-280, 1e280), subnormals included, and
+those near-ties) go through `"%.17g" % x`, the conversion of
+`format(x, ".17g")`, so the files equal those of a per-entry writer byte
+for byte. The harness and CLI write their CSV files through the same
+helper. The triplet reader parses the body in one `np.loadtxt` call and
+goes back to the file only to name the line of an error.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import warnings
+from functools import lru_cache
 from itertools import islice
 from pathlib import Path
-from typing import Optional, Sequence, Tuple, Union
+from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -41,24 +52,256 @@ __all__ = [
 
 SIDECAR_KEYS = ("n", "scheme", "epsilon", "K", "c", "d", "seed")
 _TRIPLET_DTYPE = np.dtype([("row", np.int64), ("col", np.int64), ("value", np.float64)])
-_BLOCK_CELLS = 1 << 17  # cells per `%` call: bounds the temporary list and string
+_BLOCK_CELLS = 1 << 15  # cells per block: keeps the block's temporaries in cache
+_CONVERSION = re.compile(r"%(\.17g|d|s)")
+
+# `%.17g` cells: |x| in [_X_MIN, _X_MAX) is scaled by a tabled 10**(16 - E),
+# E in [_E_MIN, _E_MAX]; other cells, and those whose scaled fraction lies
+# within _TIE of 1/2, go through `%`.
+_E_MIN, _E_MAX = -282, 282
+_X_MIN, _X_MAX = 1e-280, 1e280
+_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into two 26-bit halves
+_TIE = 1e-9
+_ZERO_KEY = 2 * 18 * (_E_MAX - _E_MIN + 1)  # keys of +0 and -0; the one after is `%`
+_FALLBACK_KEY = _ZERO_KEY + 2
+
+
+class _Tables(NamedTuple):
+    digits: np.ndarray  # uint32 i -> the 4 ASCII digits of i, zero-padded
+    lead: np.ndarray  # the same with the leading zeros NUL (0 keeps its last "0")
+    zeros: np.ndarray  # trailing zeros of the 4 digits of i (4 for 0)
+    tens: np.ndarray  # uint64 10**1 .. 10**19
+    scale: np.ndarray  # row E - _E_MIN: 10**(16 - E) = p_hi + p_lo exactly to
+    # about 2**-106, as (p_hi, its Veltkamp halves, p_lo)
+
+
+@lru_cache(maxsize=None)
+def _tables() -> _Tables:
+    """Digit and power-of-ten tables, built once on first use."""
+    i = np.arange(10000)
+    ascii_ = (i[:, None] // np.array([1000, 100, 10, 1]) % 10 + 48).astype(np.uint8)
+    width = 1 + (i >= 10) + (i >= 100) + (i >= 1000)
+    lead = np.where(np.arange(4) >= 4 - width[:, None], ascii_, 0).astype(np.uint8)
+    zeros = np.argmax(ascii_[:, ::-1] != 48, axis=1)
+    zeros[0] = 4
+    p_hi, p_lo = [], []
+    for e in range(_E_MIN, _E_MAX + 1):
+        q = 16 - e
+        if q >= 0:
+            hi = float(10 ** q)
+            lo = float(10 ** q - int(hi))
+        else:
+            den = 10 ** -q
+            hi = 1 / den
+            num, two = hi.as_integer_ratio()
+            lo = (two - num * den) / (two * den)
+        p_hi.append(hi)
+        p_lo.append(lo)
+    p_hi = np.array(p_hi)
+    return _Tables(ascii_.view(np.uint32).ravel(), lead.view(np.uint32).ravel(),
+                   zeros.astype(np.int64), 10 ** np.arange(1, 20, dtype=np.uint64),
+                   np.column_stack([p_hi, *_split(p_hi), p_lo]))
+
+
+def _split(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """a = hi + lo exactly, each half with at most 26 significant bits."""
+    c = _SPLIT * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _scaled(a: np.ndarray, e: np.ndarray, t: _Tables) -> Tuple[np.ndarray, np.ndarray]:
+    """a * 10**(16 - e) as p + s: p the rounded product, s the rest to about 2**-104
+    relative (Dekker's exact two-product of a and p_hi, plus a * p_lo)."""
+    ph, hh, hl, pl = np.take(t.scale, e - _E_MIN, axis=0).T
+    p = a * ph
+    ah, al = _split(a)
+    err = ((ah * hh - p) + ah * hl + al * hh) + al * hl
+    return p, err + a * pl
+
+
+@lru_cache(maxsize=None)
+def _template(key: int):
+    """Template bytes of one `%.17g` cell key (sign, exponent E, significant
+    digits nd) with NUL where digits go, and its runs (dst, src, length) of
+    digits of the 17-digit integer."""
+    if key >= _ZERO_KEY:
+        pieces = ["0"]
+    else:
+        e, nd = divmod(key >> 1, 18)
+        e += _E_MIN
+        if 0 <= e < 17:
+            pieces = [(0, e + 1)] + ([".", (e + 1, nd - e - 1)] if nd > e + 1 else [])
+        elif -4 <= e < 0:
+            pieces = ["0." + "0" * (-e - 1), (0, nd)]
+        else:
+            pieces = [(0, 1)] + ([".", (1, nd - 1)] if nd > 1 else []) + ["e%+03d" % e]
+    text, runs = bytearray(b"-" if key & 1 else b""), []
+    for piece in pieces:
+        if isinstance(piece, str):
+            text += piece.encode()
+        else:
+            runs.append((len(text), *piece))
+            text += bytes(piece[1])
+    return np.frombuffer(bytes(text), np.uint8), tuple(runs)
+
+
+def _text_cells(text) -> np.ndarray:
+    """UTF-8 of each string, one NUL-padded row per string."""
+    s = np.ascontiguousarray(text, dtype=str)
+    code = s.view(np.uint32).reshape(len(s), -1)  # UCS-4 code points
+    if code.max() < 128:
+        return code.astype(np.uint8)
+    b = np.char.encode(s, "utf-8")
+    return b.view(np.uint8).reshape(len(b), b.dtype.itemsize)
+
+
+def _int_cells(v: np.ndarray) -> np.ndarray:
+    """`%d` of each int64 entry, one NUL-padded row per entry."""
+    t = _tables()
+    neg = v < 0
+    u = v.view(np.uint64)
+    u = np.where(neg, -u, u)  # |v|, also for the most negative int64
+    ngroups = -(-len(str(int(u.max()))) // 4)
+    if ngroups == 1:
+        cells = t.lead[u].view(np.uint8).reshape(len(u), 4)
+    else:
+        groups = np.empty((len(u), ngroups), np.uint64)
+        q = u
+        for j in range(ngroups - 1, -1, -1):
+            q, groups[:, j] = np.divmod(q, 10000)
+        cells = t.digits[groups].view(np.uint8)
+        digits = 1 + np.searchsorted(t.tens, u, side="right")
+        cells[np.arange(4 * ngroups) < 4 * ngroups - digits[:, None]] = 0
+    if neg.any():
+        cells = np.concatenate([np.where(neg, 45, 0).astype(np.uint8)[:, None], cells], axis=1)
+    return cells
+
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    """The rows of C-contiguous 2-d `a` as single opaque items, so that a
+    gather or scatter copies each row whole."""
+    return a.view(f"V{a.shape[1] * a.itemsize}").ravel()
+
+
+def _g17_cells(x: np.ndarray) -> np.ndarray:
+    """`%.17g` of each float64 entry, one NUL-padded row per entry.
+
+    The cell of x != 0 is the 17-digit integer N = round(|x| 10**(16 - E)),
+    E = floor(log10 |x|), its digits placed by the template of its key
+    (sign, E, significant digits). N comes from |x| 10**(16 - E) in
+    double-double; the exponent np.log10 gives is corrected by one where the
+    scaled value leaves [1e16, 1e17), and N = 1e17 carries into E.
+    """
+    t = _tables()
+    m = len(x)
+    a = np.abs(x)
+    neg = np.signbit(x)
+    fast = (a >= _X_MIN) & (a < _X_MAX)
+    a = np.where(fast, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    p, s = _scaled(a, e, t)
+    off = np.flatnonzero(((p - 1e16) + s < 0) | ((p - 1e17) + s >= 0))
+    if len(off):
+        e[off] += np.where(p[off] < 1e16, -1, 1)
+        p[off], s[off] = _scaled(a[off], e[off], t)
+        fast[off] &= ((p[off] - 1e16) + s[off] >= 0) & ((p[off] - 1e17) + s[off] < 0)
+    floor = np.floor(s)
+    frac = s - floor
+    fast &= np.abs(frac - 0.5) > _TIE
+    n = p.astype(np.int64) + floor.astype(np.int64) + (frac > 0.5)
+    carry = n == 10 ** 17
+    n[carry] = 10 ** 16
+    e += carry
+    # N = d0 g1 g2 g3 g4: its first digit, then four groups of four
+    groups = np.empty((m, 5), np.int64)
+    d0, g1, g2, g3, g4 = groups.T
+    top = n // 10 ** 8
+    _quot_rem(top, 10 ** 8, d0, g2)
+    _quot_rem(g2, 10 ** 4, g1, g2)
+    _quot_rem(n - top * 10 ** 8, 10 ** 4, g3, g4)
+    nd = 17 - t.zeros[g4]
+    rest = np.flatnonzero(g4 == 0)  # rows whose last group is 0000
+    for g, count in ((g3, 13), (g2, 9), (g1, 5)):
+        nd[rest] = count - t.zeros[g[rest]]
+        rest = rest[g[rest] == 0]
+    key = np.where(fast, ((e - _E_MIN) * 18 + nd) * 2 + neg,
+                   np.where(x == 0, _ZERO_KEY + neg, _FALLBACK_KEY)).astype(np.int16)
+
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    ends = np.append(starts[1:], m)
+    keys = key[starts].tolist()
+    slow = None
+    if keys[-1] == _FALLBACK_KEY:
+        slow = _text_cells(["%.17g" % v for v in x[order[starts[-1]:]].tolist()])
+        keys.pop()
+    width = max([len(_template(k)[0]) for k in keys] + [0 if slow is None else slow.shape[1]])
+    out = np.zeros((m, width), np.uint8)
+    digits = np.take(t.digits, _rows(groups)[order].view(np.int64).reshape(m, 5)).view(np.uint8)
+    for k, lo, hi in zip(keys, starts.tolist(), ends.tolist()):
+        text, runs = _template(k)
+        out[lo:hi, :len(text)] = text
+        for dst, src, length in runs:  # digit k of N is in column 3 + k
+            out[lo:hi, dst:dst + length] = digits[lo:hi, 3 + src:3 + src + length]
+    if slow is not None:
+        out[starts[-1]:, :slow.shape[1]] = slow
+    cells = np.empty_like(out)
+    _rows(cells)[order] = _rows(out)
+    return cells
+
+
+def _quot_rem(a: np.ndarray, b: int, quot: np.ndarray, rem: np.ndarray) -> None:
+    """quot, rem = divmod(a, b) for a >= 0, written into the given arrays."""
+    np.floor_divide(a, b, out=quot)
+    np.subtract(a, quot * b, out=rem)
+
+
+def _cells(conversion: str, values) -> np.ndarray:
+    """One `%`-conversion applied to each of `values`, one NUL-padded row per value."""
+    v = np.asarray(values)
+    kind = v.dtype.kind
+    if conversion == "s":
+        return _text_cells(v if kind == "U" else [str(c) for c in v.tolist()])
+    if conversion == "d" and (kind in "bi" or (kind == "u" and v.dtype.itemsize < 8)):
+        return _int_cells(v.astype(np.int64))
+    if conversion == ".17g" and kind in "biuf":
+        return _g17_cells(v.astype(np.float64))
+    return _text_cells([("%" + conversion) % c for c in v.tolist()])
 
 
 def _write_table(path: Path, header: Optional[str], fmt: str,
                  columns: Sequence[np.ndarray]) -> None:
-    """Write `header`, then one line `fmt % (row's cells)` per row of `columns`."""
-    ncol = len(columns)
+    """Write `header`, then the bytes of `fmt % (row's cells)` for each row of `columns`.
+
+    `fmt` holds one `%.17g`, `%d` or `%s` per column and no other `%`. A
+    block of rows is one uint8 matrix, literal text and NUL-padded cells side
+    by side, written without its NULs (so a text cell loses any NUL of its own).
+    """
+    parts = _CONVERSION.split(fmt)
+    literals = [np.frombuffer(text.encode(), np.uint8)[None, :] for text in parts[::2]]
+    conversions = parts[1::2]
+    if len(conversions) != len(columns) or any(b"%" in lit.tobytes() for lit in literals):
+        raise ValueError(f"template {fmt!r} does not fit {len(columns)} columns")
     nrow = len(columns[0])
-    step = max(1, _BLOCK_CELLS // ncol)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    step = max(1, _BLOCK_CELLS // len(columns))
+    with open(path, "wb") as fh:
         if header is not None:
-            fh.write(header + "\n")
+            fh.write((header + "\n").encode())
         for lo in range(0, nrow, step):
             hi = min(lo + step, nrow)
-            cells = [None] * ((hi - lo) * ncol)
-            for j, col in enumerate(columns):
-                cells[j::ncol] = np.asarray(col[lo:hi]).tolist()
-            fh.write((fmt * (hi - lo)) % tuple(cells))
+            pieces = [literals[0]]
+            for conversion, col, lit in zip(conversions, columns, literals[1:]):
+                pieces += [_cells(conversion, col[lo:hi]), lit]
+            block = np.empty((hi - lo, sum(piece.shape[1] for piece in pieces)), np.uint8)
+            at = 0
+            for piece in pieces:
+                width = piece.shape[1]
+                if width:  # one copy per row, not per byte
+                    block[:, at:at + width].view(f"V{width}")[:, 0] = _rows(piece)
+                at += width
+            fh.write(block[block != 0])
 
 
 def _write_sidecar(path: Path, sidecar: dict) -> None:

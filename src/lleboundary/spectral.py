@@ -14,13 +14,16 @@ starts from a fixed vector, so repeated calls on the same matrix give the
 same bits and output files are reproducible.
 
 ``eig`` is the only code that computes a spectrum: ``imaginary_diagnostics``
-and ``spectral_radius_report`` read W's eigenvalues through it, and only it
-checks the dense cutoff. A dense solve is one LAPACK ``geev`` with right
-eigenvectors, in ``_dense_eig``, whose eigenvalues are kept for the last
-matrix solved under a blake2b digest of its CSR ``indptr``, ``indices`` and
-``data`` as stored, or of a dense array's bytes. So ``eig`` and the two
-diagnostics on one W factor it once, a repeat call neither densifies nor
-hashes an n x n array, and the eigenvalues do not depend on call order.
+and ``spectral_radius_report`` read W's eigenvalues through it. It refuses a
+dense solve above the cutoff, for k=None and k >= n - 1 alike, through
+``check_dense_cutoff``, which ``harness.run_null_case`` also calls before it
+samples a cloud whose size it knows. A dense solve is one LAPACK ``geev``
+with right eigenvectors, in ``_dense_eig``, whose eigenvalues are kept for
+the last matrix solved under a blake2b digest of its CSR ``indptr``,
+``indices`` and ``data`` as stored, or of a dense array's bytes. So ``eig``
+and the two diagnostics on one W factor it once, a repeat call neither
+densifies nor hashes an n x n array, and the eigenvalues do not depend on
+call order.
 """
 
 from __future__ import annotations
@@ -53,6 +56,13 @@ RESIDUAL_TOL = 1e-8
 ARNOLDI_TOL = 1e-10  # ARPACK's relative accuracy for Ritz values
 
 MatrixLike = Union[np.ndarray, sp.spmatrix, LleMatrix]
+
+
+def check_dense_cutoff(n: int) -> None:
+    """Raise ValueError if a dense solve of n points is above DENSE_CUTOFF."""
+    if n > DENSE_CUTOFF:
+        raise ValueError(f"n={n} exceeds the dense cutoff ({DENSE_CUTOFF}); "
+                         "the full spectrum is computed only at or below it")
 
 
 class EigenConvergenceError(RuntimeError):
@@ -200,9 +210,10 @@ def eig(W: MatrixLike, k: Optional[int] = None, ordering: str = "real_desc",
 
     With k < n - 1, restarted Arnoldi (subspace min(n, 2k + 10)) targets the
     k eigenvalues largest by the requested ordering, at every n. The full
-    spectrum (k=None, only for n <= DENSE_CUTOFF) and k >= n - 1 come from a
-    dense solve. Arnoldi from one start vector may miss a copy of an exactly
-    repeated eigenvalue (the symmetric circle grid's pairs); k=None finds it.
+    spectrum (k=None) and k >= n - 1 come from a dense solve, only for
+    n <= DENSE_CUTOFF. Arnoldi from one start vector may miss a copy of an
+    exactly repeated eigenvalue (the symmetric circle grid's pairs); k=None
+    finds it.
     Residuals are checked against the 1e-8 contract when vectors are
     computed; with want_vectors=False both solvers return eigenvalues only.
     If Arnoldi stops at maxiter, EigenConvergenceError carries the converged
@@ -215,10 +226,8 @@ def eig(W: MatrixLike, k: Optional[int] = None, ordering: str = "real_desc",
         raise ValueError("matrix must be square")
     if k is not None and not 1 <= k <= n:
         raise ValueError("k must satisfy 1 <= k <= n")
-    if k is None and n > DENSE_CUTOFF:
-        raise ValueError(f"n={n} exceeds the dense cutoff ({DENSE_CUTOFF}); "
-                         "the full spectrum is computed only at or below it")
     if k is None or k >= n - 1:
+        check_dense_cutoff(n)
         vals, vecs = _dense_eig(A, want_vectors)
         method = "dense"
     else:

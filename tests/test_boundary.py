@@ -5,7 +5,7 @@ import pytest
 
 from conftest import s1_grid_cloud, s1_grid_eps
 from lleboundary.analytic import AnalyticCoeffs
-from lleboundary.boundary import (_invert_b_profile, classify, clip, default_threshold,
+from lleboundary.boundary import (BoundaryReport, classify, clip, default_threshold,
                                   indicator, partition_regions)
 from lleboundary.lle import build_lle_matrix
 from lleboundary.neighbors import EpsilonBall, Knn, build_graph
@@ -119,16 +119,38 @@ def _bisect_depth(cf, b):
     return 0.5 * (lo + hi)
 
 
+def _bisect_region(cf, b, tstar):
+    """Region of the proxy depth: bisected, with depth eps and beyond read as 3 eps."""
+    dist = _bisect_depth(cf, b)
+    if dist >= cf.eps:
+        dist = 3.0 * cf.eps
+    if dist < tstar:
+        return "wave"
+    return "near_boundary" if dist < cf.eps else "interior"
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_invert_b_profile_matches_scalar_bisection(d):
+def test_proxy_partition_matches_scalar_bisection(d):
+    # the thresholds on B label every point as the bisected depth does,
+    # including the clamps b >= b(0), b <= 0 and non-finite b
     eps = 0.3
     cf = AnalyticCoeffs(d, eps)
+    tstar = cf.tstar()
     b0 = cf.b_function(0.0)
-    b = np.concatenate([np.linspace(-0.1, b0 + 0.1, 301), [0.0, b0, np.nan, np.inf]])
-    depth = _invert_b_profile(cf, b)
-    ref = np.array([_bisect_depth(cf, v) for v in b])
-    np.testing.assert_allclose(depth, ref, rtol=0.0, atol=1e-12 * eps)
-    assert depth[-4:].tolist() == [eps, 0.0, np.inf, np.inf]
+    b = np.concatenate([np.linspace(-0.1, b0 + 0.1, 301),
+                        [0.0, -1.0, b0, 2.0 * b0, np.nan, np.inf, -np.inf]])
+    cloud = PointCloud(np.zeros((len(b), d)), intrinsic_dim=d, seed=0, manifold_tag="raw")
+    report = BoundaryReport(b_values=b, d=d, eps=eps, c=1e-3, missing=np.isnan(b))
+    regions = partition_regions(cloud, eps, tstar, report=report)
+    assert regions.tolist() == [_bisect_region(cf, v, tstar) for v in b]
+    assert regions[-7:].tolist() == ["interior", "interior", "wave", "wave",
+                                     "interior", "interior", "interior"]
+    assert {"wave", "near_boundary", "interior"} == set(regions)
+    # B exactly b(t*) is on the near-boundary side of the cut, as dist = t* is
+    one = PointCloud(np.zeros((1, d)), intrinsic_dim=d, seed=0, manifold_tag="raw")
+    at_cut = BoundaryReport(b_values=np.array([cf.b_function(tstar)]), d=d, eps=eps, c=1e-3,
+                            missing=np.zeros(1, dtype=bool))
+    assert partition_regions(one, eps, tstar, report=at_cut).tolist() == ["near_boundary"]
 
 
 def test_partition_via_indicator_proxy(interval_runs):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from lleboundary.analytic import AnalyticCoeffs, coefficient_table
+from lleboundary import harness
 from lleboundary.boundary import clip
 from lleboundary.cli import main
 from lleboundary.harness import (PRESETS, ExperimentConfig, TEST_FUNCTIONS, _eigfun_csv,
@@ -126,6 +127,15 @@ def test_run_null_case_scaled():
     assert abs(ev[0] - 1.0) <= 1e-8
     assert res["diagnostics"]["bauer_fike_ok"]
     assert res["radius"]["row_sum_err"] <= 1e-12
+
+
+def test_null_case_refuses_n_above_cutoff_before_sampling(monkeypatch):
+    # the Gaussian sampler returns exactly n points, so n alone decides
+    def no_sampling(n, seed, cfg):
+        raise AssertionError("sampled a cloud too large for the dense solve")
+    monkeypatch.setitem(harness._SAMPLERS, "gaussian_null", no_sampling)
+    with pytest.raises(ValueError, match=r"n=2001 exceeds the dense cutoff \(2000\)"):
+        run_null_case(replace(PRESETS["gaussian_null"], n=2001))
 
 
 def test_run_indicator_files(tmp_path):

@@ -1,4 +1,6 @@
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -380,3 +382,74 @@ def test_arnoldi_eigenvector_files_reproducible(tmp_path):
     pa = lio.save_eigenvectors(a, tmp_path / "a.csv")
     pb = lio.save_eigenvectors(b, tmp_path / "b.csv")
     assert pa.read_bytes() == pb.read_bytes()
+
+
+# The `%.17g` and `%d` cells against Python's own conversions, on inputs that
+# stress the exact scaling: every binary exponent, the powers of ten and their
+# neighbours, the exponent range's edges, subnormals, the specials and values
+# whose scaled fraction is within 1e-12 of 1/2 (the kernel's fallback cells).
+
+def _near_ties():
+    """Doubles x = m 2**-(s + q) with x 10**q = m 5**q / 2**s in [1e16, 1e17) and
+    its fraction 1/2 + delta / 2**s within 1e-12 of 1/2: exact ties (delta 0)
+    and near ones."""
+    out = []
+    for q in range(1, 30):
+        p5 = 5 ** q
+        for s in range(1, 53):
+            lo, hi = max(1, -(-10 ** 16 * 2 ** s // p5)), min(2 ** 53, 10 ** 17 * 2 ** s // p5)
+            for delta in [d for d in range(-2, 3) if abs(d) * 10 ** 12 <= 2 ** s]:
+                r = (2 ** (s - 1) + delta) * pow(p5, -1, 2 ** s) % 2 ** s
+                m = r + -(-(lo - r) // 2 ** s) * 2 ** s  # the least m >= lo
+                if m < hi:
+                    x = math.ldexp(m, -(s + q))
+                    scaled = Fraction(x) * 10 ** q
+                    assert 10 ** 16 <= scaled < 10 ** 17
+                    tie = scaled - math.floor(scaled) - Fraction(1, 2)
+                    assert abs(tie) <= Fraction(1, 10 ** 12)
+                    out.append(x)
+    return np.array(out)
+
+
+def _hard_doubles():
+    rng = np.random.default_rng(2024)
+    bits = rng.integers(0, 2 ** 64, size=200_000, dtype=np.uint64)
+    mantissa = rng.integers(0, 2 ** 52, size=(2046, 50), dtype=np.uint64)
+    exponents = (np.arange(1, 2047, dtype=np.uint64) << np.uint64(52))[:, None]
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    ulps = 1.0 + 2.0 ** -52 * np.arange(-3, 4)
+    edges = np.concatenate([powers, np.nextafter(powers, np.inf), np.nextafter(powers, -np.inf),
+                            1e-280 * ulps, 1e280 * ulps])
+    decimal = rng.random(700_000) * 10.0 ** rng.integers(-20, 21, size=700_000)
+    subnormal = rng.integers(1, 2 ** 52, size=5000, dtype=np.uint64).view(np.float64)
+    special = np.array([0.0, np.nan, np.inf, 5e-324, 2.2250738585072014e-308,
+                        1.7976931348623157e308, 0.5, 1e16, 1e17, 99999999999999999.0,
+                        9.9999999999999999e-5, 123.0, 1.0 / 3.0])
+    x = np.concatenate([bits.view(np.float64), (exponents | mantissa).view(np.float64).ravel(),
+                        edges, decimal, subnormal, _near_ties(), special])
+    sign = rng.integers(0, 2, size=len(x), dtype=np.uint64) << np.uint64(63)
+    return np.concatenate([(x.view(np.uint64) ^ sign).view(np.float64), -special])
+
+
+def test_g17_cells_match_format_on_hard_doubles(tmp_path):
+    x = _hard_doubles()
+    assert len(x) >= 10 ** 6
+    path = tmp_path / "x.csv"
+    lio._write_table(path, None, "%.17g\n", [x])
+    got = path.read_bytes()
+    expected = ("{:.17g}\n" * len(x)).format(*x.tolist()).encode()  # format(x, ".17g") each
+    if got != expected:
+        bad = [(v, g, e) for v, g, e in zip(x.tolist(), got.decode().splitlines(),
+                                            expected.decode().splitlines()) if g != e]
+        pytest.fail(f"{len(bad)} cells differ from format(x, '.17g'), first {bad[:5]}")
+
+
+def test_int_cells_match_percent_d(tmp_path):
+    near_powers = [v for k in range(1, 19) for v in (10 ** k - 1, 10 ** k, 10 ** k + 1)]
+    ints = [0, 9, 10, 2 ** 63 - 1, -2 ** 63] + near_powers + [-v for v in [9] + near_powers]
+    for column in (np.array(ints, dtype=np.int64), np.array([0, 9, 10, 99, 100, 9999, 10000,
+                                                             -1, -10000], dtype=np.int32),
+                   np.arange(12000), np.array([True, False])):
+        path = tmp_path / "d.csv"
+        lio._write_table(path, "v", "%d\n", [column])
+        assert path.read_text() == "v\n" + "".join("%d\n" % v for v in column.tolist())

@@ -193,6 +193,16 @@ def test_one_dense_cutoff_check_in_eig(monkeypatch):
     assert densified == []
 
 
+@pytest.mark.parametrize("k", [2099, 2100])
+def test_eig_refuses_dense_k_above_cutoff(monkeypatch, k):
+    # k >= n - 1 is a dense solve too: above the cutoff eig refuses it unsolved
+    def no_dense(A, want_vectors):
+        raise AssertionError("dense solve above the cutoff")
+    monkeypatch.setattr(spectral, "_dense_eig", no_dense)
+    with pytest.raises(ValueError, match=r"n=2100 exceeds the dense cutoff \(2000\)"):
+        eig(sp.identity(2100, format="csr"), k=k, want_vectors=False)
+
+
 def test_spectral_radius_report_s1():
     report = spectral_radius_report(s1_lle(5))
     assert report["row_sum_err"] <= 1e-12
