@@ -184,8 +184,10 @@ def _rows(a: np.ndarray) -> np.ndarray:
     return a.view(f"V{a.shape[1] * a.itemsize}").ravel()
 
 
-def _g17_cells(x: np.ndarray) -> np.ndarray:
-    """`%.17g` of each float64 entry, one NUL-padded row per entry.
+def _g17_cells(columns: np.ndarray) -> list:
+    """`%.17g` of each entry of float64 `columns` (one row per column): for each
+    column, a matrix of NUL-padded cells, one row per entry, as wide as its
+    widest cell.
 
     The cell of x != 0 is the 17-digit integer N = round(|x| 10**(16 - E)),
     E = floor(log10 |x|), its digits placed by the template of its key
@@ -194,6 +196,7 @@ def _g17_cells(x: np.ndarray) -> np.ndarray:
     scaled value leaves [1e16, 1e17), and N = 1e17 carries into E.
     """
     t = _tables()
+    x = columns.ravel()
     m = len(x)
     a = np.abs(x)
     neg = np.signbit(x)
@@ -237,19 +240,23 @@ def _g17_cells(x: np.ndarray) -> np.ndarray:
     if keys[-1] == _FALLBACK_KEY:
         slow = _text_cells(["%.17g" % v for v in x[order[starts[-1]:]].tolist()])
         keys.pop()
-    width = max([len(_template(k)[0]) for k in keys] + [0 if slow is None else slow.shape[1]])
-    out = np.zeros((m, width), np.uint8)
+    widths = [len(_template(k)[0]) for k in keys] + ([] if slow is None else [slow.shape[1]])
+    out = np.zeros((m, max(widths)), np.uint8)
     digits = np.take(t.digits, _rows(groups)[order].view(np.int64).reshape(m, 5)).view(np.uint8)
     for k, lo, hi in zip(keys, starts.tolist(), ends.tolist()):
         text, runs = _template(k)
         out[lo:hi, :len(text)] = text
-        for dst, src, length in runs:  # digit k of N is in column 3 + k
+        for dst, src, length in runs:  # digit i of N is in column 3 + i
             out[lo:hi, dst:dst + length] = digits[lo:hi, 3 + src:3 + src + length]
     if slow is not None:
         out[starts[-1]:, :slow.shape[1]] = slow
     cells = np.empty_like(out)
     _rows(cells)[order] = _rows(out)
-    return cells
+    width = np.empty(m, np.intp)
+    width[order] = np.repeat(widths, ends - starts)
+    ncol = len(columns)
+    return [c[:, :w] for c, w in zip(cells.reshape(ncol, m // ncol, -1),
+                                      width.reshape(ncol, -1).max(axis=1).tolist())]
 
 
 def _quot_rem(a: np.ndarray, b: int, quot: np.ndarray, rem: np.ndarray) -> None:
@@ -258,16 +265,13 @@ def _quot_rem(a: np.ndarray, b: int, quot: np.ndarray, rem: np.ndarray) -> None:
     np.subtract(a, quot * b, out=rem)
 
 
-def _cells(conversion: str, values) -> np.ndarray:
-    """One `%`-conversion applied to each of `values`, one NUL-padded row per value."""
-    v = np.asarray(values)
+def _cells(conversion: str, v: np.ndarray) -> np.ndarray:
+    """One `%`-conversion applied to each entry of `v`, one NUL-padded row per entry."""
     kind = v.dtype.kind
     if conversion == "s":
         return _text_cells(v if kind == "U" else [str(c) for c in v.tolist()])
     if conversion == "d" and (kind in "bi" or (kind == "u" and v.dtype.itemsize < 8)):
         return _int_cells(v.astype(np.int64))
-    if conversion == ".17g" and kind in "biuf":
-        return _g17_cells(v.astype(np.float64))
     return _text_cells([("%" + conversion) % c for c in v.tolist()])
 
 
@@ -291,9 +295,16 @@ def _write_table(path: Path, header: Optional[str], fmt: str,
             fh.write((header + "\n").encode())
         for lo in range(0, nrow, step):
             hi = min(lo + step, nrow)
+            values = [np.asarray(col[lo:hi]) for col in columns]
+            numeric = [j for j, v in enumerate(values)
+                       if conversions[j] == ".17g" and v.dtype.kind in "biuf"]
+            cells = {}
+            if numeric:  # all `%.17g` columns of numbers in one kernel call
+                x = np.stack([values[j] for j in numeric]).astype(np.float64, copy=False)
+                cells = dict(zip(numeric, _g17_cells(x)))
             pieces = [literals[0]]
-            for conversion, col, lit in zip(conversions, columns, literals[1:]):
-                pieces += [_cells(conversion, col[lo:hi]), lit]
+            for j, (conversion, lit) in enumerate(zip(conversions, literals[1:])):
+                pieces += [cells[j] if j in cells else _cells(conversion, values[j]), lit]
             block = np.empty((hi - lo, sum(piece.shape[1] for piece in pieces)), np.uint8)
             at = 0
             for piece in pieces:
