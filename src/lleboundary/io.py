@@ -204,9 +204,10 @@ def _g17_cells(columns: np.ndarray) -> list:
     a = np.where(fast, a, 1.0)
     e = np.floor(np.log10(a)).astype(np.int64)
     p, s = _scaled(a, e, t)
-    off = np.flatnonzero(((p - 1e16) + s < 0) | ((p - 1e17) + s >= 0))
+    low = (p - 1e16) + s < 0  # the sign of a sum of two doubles is exact
+    off = np.flatnonzero(low | ((p - 1e17) + s >= 0))
     if len(off):
-        e[off] += np.where(p[off] < 1e16, -1, 1)
+        e[off] += np.where(low[off], -1, 1)
         p[off], s[off] = _scaled(a[off], e[off], t)
         fast[off] &= ((p[off] - 1e16) + s[off] >= 0) & ((p[off] - 1e17) + s[off] < 0)
     floor = np.floor(s)

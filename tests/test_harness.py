@@ -4,8 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lleboundary.analytic import AnalyticCoeffs, coefficient_table
 from lleboundary import harness
+from lleboundary.analytic import AnalyticCoeffs, coefficient_table
 from lleboundary.boundary import clip
 from lleboundary.cli import main
 from lleboundary.harness import (PRESETS, ExperimentConfig, TEST_FUNCTIONS, _eigfun_csv,
