@@ -98,9 +98,12 @@ def _tables() -> _Tables:
         p_hi.append(hi)
         p_lo.append(lo)
     p_hi = np.array(p_hi)
-    return _Tables(ascii_.view(np.uint32).ravel(), lead.view(np.uint32).ravel(),
-                   zeros.astype(np.int64), 10 ** np.arange(1, 20, dtype=np.uint64),
-                   np.column_stack([p_hi, *_split(p_hi), p_lo]))
+    tables = _Tables(ascii_.view(np.uint32).ravel(), lead.view(np.uint32).ravel(),
+                     zeros.astype(np.int64), 10 ** np.arange(1, 20, dtype=np.uint64),
+                     np.column_stack([p_hi, *_split(p_hi), p_lo]))
+    for table in tables:  # shared by every caller
+        table.flags.writeable = False
+    return tables
 
 
 def _split(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
