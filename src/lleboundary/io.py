@@ -361,14 +361,29 @@ def _body_lines(path: Path):
                 yield lineno, line
 
 
+def _check_field(text: str, dtype) -> None:
+    """Raise ValueError or OverflowError unless np.loadtxt reads text as dtype.
+
+    int() and float() alone also take '_' between digits and non-ASCII digits,
+    which loadtxt rejects. str.strip removes the whitespace loadtxt skips
+    around a field, the separators U+001C to U+001F among it, which int()
+    and float() keep and reject."""
+    s = text.strip()
+    if not s.isascii() or "_" in s:
+        raise ValueError(f"could not convert string {text!r} to {np.dtype(dtype).name}")
+    dtype(s)
+
+
 def _malformed_line(path: Path) -> Optional[str]:
-    """'line N: reason' for the first body line that is not `int,int,float`."""
+    """'line N: reason' for the first body line that np.loadtxt does not read
+    as `int,int,float`."""
     for lineno, line in _body_lines(path):
         parts = line.split(",")
         if len(parts) != 3:
             return f"line {lineno}: expected 3 fields, got {len(parts)}"
         try:
-            np.int64(parts[0]), np.int64(parts[1]), float(parts[2])
+            for text, dtype in zip(parts, (np.int64, np.int64, np.float64)):
+                _check_field(text, dtype)
         except (ValueError, OverflowError) as exc:
             return f"line {lineno}: {exc}"
     return None

@@ -3,11 +3,12 @@
 Two schemes are supported: the open epsilon-radius ball (membership is the
 strict inequality ||x_j - x_k|| < eps) and K nearest neighbors with ties
 broken toward the smaller index. The epsilon scheme is accelerated by a
-k-d tree; results are exactly those of the brute force scan because
-candidates are always checked against the true distance. KNN takes squared
-distances by blocks of rows and selects each row's k nearest with
-``np.argpartition``; a row tied at its k-th distance, where the selection
-may keep a larger index, falls back to the stable full sort.
+k-d tree (``scipy.spatial.cKDTree``, imported on the first epsilon-ball graph,
+so a KNN run never loads it); results are exactly those of the brute force
+scan because candidates are always checked against the true distance. KNN
+takes squared distances by blocks of rows and selects each row's k nearest
+with ``np.argpartition``; a row tied at its k-th distance, where the
+selection may keep a larger index, falls back to the stable full sort.
 ``brute_force_neighbors``, the oracle, sorts every row in full. The graph is
 stored in CSR layout (indptr, indices, dist), the layout the LLE assembly
 reads.
@@ -20,7 +21,6 @@ from functools import cached_property
 from typing import List, Union
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .samplers import PointCloud
 
@@ -95,6 +95,8 @@ def _eps_csr(points: np.ndarray, eps: float):
     """Epsilon-ball graph: a k-d tree finds the pairs i < j within a slightly
     inflated radius, the exact d^2 < eps^2 test (the brute force scan's own
     arithmetic) filters them, and the mirrored pairs are sorted by (row, col)."""
+    from scipy.spatial import cKDTree  # loads on the first epsilon-ball graph
+
     n = points.shape[0]
     pairs = cKDTree(points).query_pairs(eps * (1.0 + 1e-9), output_type="ndarray")
     d2 = _sq_dists(points, pairs[:, 1], pairs[:, 0])

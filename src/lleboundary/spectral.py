@@ -23,7 +23,12 @@ the last matrix solved under a blake2b digest of its CSR ``indptr``,
 ``indices`` and ``data`` as stored, or of a dense array's bytes. So ``eig``
 and the two diagnostics on one W factor it once, a repeat call neither
 densifies nor hashes an n x n array, and the eigenvalues do not depend on
-call order.
+call order. The solve drops its overwritten input before it forms complex
+eigenvectors from geev's packed real ones, and the eigenvectors are sorted
+and phase-fixed in place, in blocks: at n x n a dense ``eig`` holds at most
+the packed vectors and the complex ones (24 n^2 bytes), and its bits are
+those of ``la.eig``. ARPACK (``scipy.sparse.linalg``) is imported on the
+first Arnoldi solve, so a dense-only run never loads it.
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ from typing import Optional, Union
 import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .lle import LleMatrix
 from .rng import CounterStream
@@ -109,14 +113,30 @@ def _sort_key(vals: np.ndarray, ordering: str) -> np.ndarray:
     return order[within]
 
 
+_BLOCK = 64  # columns per block in _fix_phase, rows in _take_columns
+
+
 def _fix_phase(vecs: np.ndarray) -> np.ndarray:
-    """Scale each column in place so its largest-modulus entry is real and positive."""
-    pivot = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
-    nonzero = pivot != 0
-    phase = np.ones_like(pivot)
-    phase[nonzero] = np.abs(pivot[nonzero]) / pivot[nonzero]
-    vecs *= phase
+    """Scale each column in place so its largest-modulus entry is real and
+    positive, 64 columns at a time: the moduli are an n x 64 temporary."""
+    for lo in range(0, vecs.shape[1], _BLOCK):
+        V = vecs[:, lo:lo + _BLOCK]
+        pivot = V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])]
+        nonzero = pivot != 0
+        phase = np.ones_like(pivot)
+        phase[nonzero] = np.abs(pivot[nonzero]) / pivot[nonzero]
+        V *= phase
     return vecs
+
+
+def _take_columns(vecs: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """vecs[:, order] written over the first len(order) columns of vecs, 64
+    rows at a time, and returned as a view: no second n x n array."""
+    m = len(order)
+    for lo in range(0, vecs.shape[0], _BLOCK):
+        rows = slice(lo, lo + _BLOCK)
+        vecs[rows, :m] = vecs[rows, order]
+    return vecs[:, :m]
 
 
 def _densify(A) -> np.ndarray:
@@ -140,6 +160,36 @@ def _content_key(A) -> tuple:
     return A.shape, hashlib.blake2b(A).digest()
 
 
+def _geev(a: np.ndarray):
+    """(wr, wi, vr) of a real Fortran-ordered array, which LAPACK ``geev``
+    overwrites: the call ``la.eig`` makes, with the same optimal workspace,
+    so the bits are its. Like ``la.eig``, raises ValueError on a non-finite
+    entry and LinAlgError if geev fails."""
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+    geev, geev_lwork = la.get_lapack_funcs(("geev", "geev_lwork"), (a,))
+    lwork = int(geev_lwork(a.shape[0], compute_vl=0, compute_vr=1)[0])
+    wr, wi, _, vr, info = geev(a, lwork=lwork, compute_vl=0, compute_vr=1, overwrite_a=1)
+    if info != 0:
+        raise la.LinAlgError(f"eig algorithm (geev) failed with info={info}")
+    return wr, wi, vr
+
+
+def _complex_eigvecs(vals: np.ndarray, vr: np.ndarray) -> np.ndarray:
+    """geev's packed right eigenvectors as ``la.eig`` returns them: a pair
+    lambda, conj(lambda) stored as the real columns x, y becomes x + iy and
+    x - iy (LAPACK Users' Guide, DGEEV). A real spectrum keeps the real array."""
+    if np.all(vals.imag == 0.0):
+        return vr
+    vecs = np.array(vr, dtype=complex)
+    first = vals.imag > 0
+    first[:-1] |= vals.imag[1:] < 0  # as la.eig does, for a pair LAPACK misorders
+    for i in np.flatnonzero(first):
+        vecs.imag[:, i] = vr[:, i + 1]
+        np.conj(vecs[:, i], out=vecs[:, i + 1])
+    return vecs
+
+
 # (key, eigenvalues) of the last dense solve; replaced whole, never mutated
 _last_eigvals: Optional[tuple] = None
 
@@ -148,25 +198,29 @@ def _dense_eig(A, want_vectors: bool):
     """Eigenvalues, and right eigenvectors when asked, of a real matrix given
     as CSR or as an ndarray.
 
-    Always one ``la.eig`` with right eigenvectors: geev returns eigenvalues
-    that differ in the last bits with and without vectors, and one routine
-    makes them depend only on the matrix. The eigenvalues of the last matrix
-    solved are kept under ``_content_key``: its CSR arrays, or its bytes when
-    dense. An eigenvalues-only call on the same content returns a copy of them
-    without densifying or solving, the same bits a solve would give. A call
-    that wants vectors always solves. A solve densifies once, into a private
-    Fortran-ordered copy that geev overwrites. The trade-off: a cold
-    eigenvalues-only call pays for geev with vectors, about 1.5x the time of
-    eigvals alone at n = 1000.
+    Always one ``geev`` with right eigenvectors, the call ``la.eig`` makes:
+    geev returns eigenvalues that differ in the last bits with and without
+    vectors, and one routine makes them depend only on the matrix. The
+    eigenvalues of the last matrix solved are kept under ``_content_key``: its
+    CSR arrays, or its bytes when dense. An eigenvalues-only call on the same
+    content returns a copy of them without densifying or solving, the same
+    bits a solve would give. A call that wants vectors always solves. A solve
+    densifies once, into a private Fortran-ordered copy that geev overwrites
+    and that is dropped before the complex eigenvectors are formed from the
+    packed real ones: at n x n it holds at most the packed vectors and the
+    complex ones (24 n^2 bytes), and an eigenvalues-only solve forms none. The
+    trade-off: a cold eigenvalues-only call pays for geev with vectors, about
+    1.5x the time of eigvals alone at n = 1000.
     """
     global _last_eigvals
     key = _content_key(A)
     memo = _last_eigvals
     if not want_vectors and memo is not None and memo[0] == key:
         return memo[1].copy(), None
-    vals, vecs = la.eig(_densify(A), overwrite_a=True)
+    wr, wi, vr = _geev(_densify(A))  # the overwritten copy is freed on return
+    vals = wr + 1j * wi
     _last_eigvals = (key, vals.copy())
-    return vals, vecs if want_vectors else None
+    return vals, _complex_eigvecs(vals, vr) if want_vectors else None
 
 
 _RESIDUAL_COLUMNS = 64  # eigenvectors per product in _residuals
@@ -195,12 +249,13 @@ def _residuals(W, vals, vecs) -> np.ndarray:
 
 
 def _finish(A, vals, vecs, ordering: str, k: Optional[int], method: str) -> Spectrum:
-    """Sort by the ordering, keep the first k, fix phases and take residuals."""
+    """Sort by the ordering, keep the first k, fix phases and take residuals.
+    The eigenvectors are sorted and scaled in place, in blocks."""
     order = _sort_key(vals, ordering)[:k]  # [:None] keeps all
     vals = vals[order]
     if vecs is None:
         return Spectrum(vals, None, ordering, method, None)
-    vecs = _fix_phase(vecs[:, order])
+    vecs = _fix_phase(_take_columns(vecs, order))
     return Spectrum(vals, vecs, ordering, method, _residuals(A, vals, vecs))
 
 
@@ -233,6 +288,8 @@ def eig(W: MatrixLike, k: Optional[int] = None, ordering: str = "real_desc",
     else:
         which = "LR" if ordering == "real_desc" else "LM"
         ncv = min(n, 2 * k + 10)
+        import scipy.sparse.linalg as spla  # ARPACK loads on the first Arnoldi solve
+
         # uniform on [-1, 1): the ones vector would not do, W 1 = 1 makes it invariant
         v0 = 2.0 * CounterStream(0).uniform(n) - 1.0
         try:

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,15 @@ from lleboundary import EpsilonBall, build_graph, build_lle_matrix
 from lleboundary.samplers import PointCloud, sample_disk, sample_interval
 
 DISK_SEEDS = (1, 2, 3)
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def python_stdout(*args: str) -> str:
+    """stdout of a fresh interpreter that imports the package from src/."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, check=True).stdout
 
 
 def s1_grid_cloud(m: int) -> PointCloud:

@@ -1,31 +1,19 @@
 import itertools
 import math
-import os
 import re
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from conftest import ROOT, python_stdout
 from lleboundary.analytic import (AnalyticCoeffs, _ball_monomial, _cap_integral,
                                   cap_coefficient, coefficient_table, d_epsilon_1d,
                                   moments_oracle, sl_coefficient_a, sl_coefficient_b,
                                   sl_functions, sphere_volume)
 
 SQRT3 = math.sqrt(3.0)
-ROOT = Path(__file__).resolve().parents[1]
-
-
-def _python_stdout(*args: str) -> str:
-    """stdout of a fresh interpreter that imports the package from src/."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
-                          text=True, check=True).stdout
 
 
 def test_sphere_volumes():
@@ -106,7 +94,7 @@ def test_import_leaves_scipy_integrate_unloaded():
     # the cap integrals need no quadrature, so importing the package must not
     # pay for scipy.integrate (import time and resident memory)
     code = "import sys, lleboundary; print('scipy.integrate' in sys.modules)"
-    assert _python_stdout("-c", code).strip() == "False"
+    assert python_stdout("-c", code).strip() == "False"
 
 
 def test_moments_interior_ball_volume():
@@ -371,7 +359,7 @@ def test_one_d_array_matches_scalar_calls(eps, a):
 def test_operator_demo_lines_agree():
     # the demo prints both routes to the same digits: the 1-d branch formula
     # against the general sigma route, and p/w, p'/w against A, B
-    out = _python_stdout(str(ROOT / "demos" / "03_operator_coefficients.py"))
+    out = python_stdout(str(ROOT / "demos" / "03_operator_coefficients.py"))
     dual = re.search(r"1-d dual path at t = 0.3 eps: (\S+) vs (\S+)$", out, re.M)
     assert dual and dual[1] == dual[2]
     sl = re.search(r"p/w = (\S+) \(A = (\S+)\), p'/w = (\S+) \(B = (\S+)\)$", out, re.M)

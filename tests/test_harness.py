@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import python_stdout
 from lleboundary import harness
 from lleboundary.analytic import AnalyticCoeffs, coefficient_table
 from lleboundary.boundary import clip
@@ -127,6 +128,27 @@ def test_run_null_case_scaled():
     assert abs(ev[0] - 1.0) <= 1e-8
     assert res["diagnostics"]["bauer_fike_ok"]
     assert res["radius"]["row_sum_err"] <= 1e-12
+
+
+def test_null_case_loads_no_kd_tree_or_arpack():
+    # a KNN graph and a dense solve need neither, so the package imports the
+    # k-d tree and ARPACK on first use; an epsilon graph and Arnoldi load them
+    code = """
+import sys
+from dataclasses import replace
+import lleboundary as lb
+lazy = ("scipy.spatial", "scipy.sparse.linalg", "scipy.integrate")
+loaded = [[m for m in lazy if m in sys.modules]]
+lb.run_null_case(replace(lb.PRESETS["gaussian_null"], n=300))
+loaded.append([m for m in lazy if m in sys.modules])
+cloud = lb.sample_interval(300, seed=1)
+lle = lb.build_lle_matrix(cloud, lb.build_graph(cloud, lb.EpsilonBall(0.05)), "auto")
+assert lb.eig(lle, k=4).method == "arnoldi"
+loaded.append([m for m in lazy if m in sys.modules])
+print(loaded)
+"""
+    assert python_stdout("-c", code).strip() == str(
+        [[], [], ["scipy.spatial", "scipy.sparse.linalg"]])
 
 
 def test_null_case_refuses_n_above_cutoff_before_sampling(monkeypatch):

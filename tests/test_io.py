@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -352,15 +353,64 @@ META3 = {"scheme": "knn", "epsilon": None, "K": 1, "c": 1.0, "d": 1, "seed": 0, 
     ("row,col,value\n0,1,0.5\n\n1,3,0.5\n", 4, r"index \(1, 3\) outside \[0, 3\)"),
     ("row,col,value\n0,1,0.5\n\n2,0,0.5\n1,1,1\n2,0,0.25\n", 6, r"duplicate triplet \(2, 0\)"),
     ("row,col,value\n2,0,0.5\n\n2,0,0.5\n", 4, r"duplicate triplet \(2, 0\)"),
+    ("row,col,value\n0,1,0.5\n0,1,1_0\n", 3, r"could not convert string '1_0' to float64"),
+    ("row,col,value\n0,1,0.5\n\n1_0,2,0.5\n", 4, r"could not convert string '1_0' to int64"),
 ], ids=["header", "two_fields", "four_fields", "int_field", "float_field_after_blanks",
         "int64_overflow", "negative_row", "negative_col", "index_ge_n", "duplicate_unsorted",
-        "duplicate_adjacent"])
+        "duplicate_adjacent", "underscore_value", "underscore_index_after_blank"])
 def test_load_matrix_errors_name_file_and_line(tmp_path, text, line, reason):
     bad = tmp_path / "bad.csv"
     bad.write_text(text)
     (tmp_path / "bad.csv.json").write_text(json.dumps(META3))
     with pytest.raises(ValueError, match=rf"bad\.csv: line {line}: .*{reason}"):
         lio.load_matrix(bad)
+
+
+def test_line_finder_rejects_what_loadtxt_rejects():
+    # the finder names a line only if np.loadtxt would not read it: fields that
+    # int() or float() take but loadtxt does not, and the reverse
+    spaces = ["", " ", "\t", "\x1c", "\x1f", "\xa0", "\u3000"]
+    cores = ["1", "+1", "-0", "1_0", "0.5_5", "1.5", "1E-5", "nan", "-inf", "infinity",
+             "\u0661", "\uff11", "", "0x10", "9223372036854775808", "1e400"]
+    for core, before, after in itertools.product(cores, spaces, spaces):
+        field = before + core + after
+        for line in (f"{field},0,0.5", f"0,{field},0.5", f"0,0,{field}"):
+            try:
+                np.loadtxt([line], dtype=lio._TRIPLET_DTYPE, delimiter=",", comments=None)
+                reads = True
+            except ValueError:
+                reads = False
+            try:
+                for text, dtype in zip(line.split(","), (np.int64, np.int64, np.float64)):
+                    lio._check_field(text, dtype)
+                checks = True
+            except (ValueError, OverflowError):
+                checks = False
+            assert checks == reads, repr(line)
+
+
+@pytest.mark.parametrize("text, values", [
+    (b"row,col,value\r\n0,1,0.5\r\n1,2,0.25\r\n", ["0.5", "0.25"]),
+    (b"row,col,value\r0,1,0.5\r1,2,0.25\r", ["0.5", "0.25"]),
+    (b"row,col,value\n0,1,0.5\n1,2,0.25", ["0.5", "0.25"]),
+    (b"row,col,value\n 0 ,\t1\t, 0.5 \n1,2,\t0.25\n", ["0.5", "0.25"]),
+    (b"row,col,value\n+0,+1,+0.5\n1,2,1E-5\n", ["+0.5", "1E-5"]),
+    (b"row,col,value\n0,1,nan\n1,2,-inf\n", ["nan", "-inf"]),
+    (b"row,col,value\n0,1,0.1234567890123456789012345678901234\n",
+     ["0.1234567890123456789012345678901234"]),
+    (b"row,col,value\n0,1,9007199254740993\n", ["9007199254740993"]),
+], ids=["crlf", "cr_only", "no_final_newline", "spaces_and_tabs", "plus_and_upper_e",
+        "nan_and_minus_inf", "decimal_34_digits", "exact_tie"])
+def test_load_matrix_reads_triplets_as_float_does(tmp_path, text, values):
+    path = tmp_path / "w.csv"
+    path.write_bytes(text)
+    (tmp_path / "w.csv.json").write_text(json.dumps(META3))
+    loaded, _ = lio.load_matrix(path)
+    assert loaded.indptr.tolist() == [0, 1, len(values), len(values)]
+    assert loaded.indices.tolist() == [1, 2][:len(values)]
+    assert loaded.data.tobytes() == np.array([float(v) for v in values]).tobytes()
+    if values == ["9007199254740993"]:  # 2**53 + 1, a tie, rounds to the even 2**53
+        assert loaded.data[0] == 9007199254740992.0
 
 
 def test_load_matrix_accepts_unsorted_triplets_and_blank_lines(tmp_path):

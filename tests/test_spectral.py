@@ -305,19 +305,19 @@ def test_eigenvalues_same_bits_with_and_without_vectors():
 
 
 def count_dense_solves(monkeypatch, *names) -> dict:
-    """Patch each named scipy.linalg solver in spectral to count its calls."""
+    """Count calls in spectral by name: "eig" counts the dense solves (the one
+    geev call, ``_geev``), any other name the scipy.linalg solver of that name."""
     calls = dict.fromkeys(names, 0)
 
-    def counting(name):
-        solver = getattr(spectral.la, name)
-
+    def counting(name, solver):
         def counted(*args, **kwargs):
             calls[name] += 1
             return solver(*args, **kwargs)
         return counted
 
     for name in names:
-        monkeypatch.setattr(spectral.la, name, counting(name))
+        owner, attr = (spectral, "_geev") if name == "eig" else (spectral.la, name)
+        monkeypatch.setattr(owner, attr, counting(name, getattr(owner, attr)))
     return calls
 
 
@@ -414,6 +414,82 @@ def test_residuals_work_in_column_blocks(null_full):
     # under half of one n x n complex array; W @ V - V diag(lambda) in one go
     # holds several of them
     assert peak < vecs.size * 16 / 2
+
+
+def old_finish(W, vals, vecs, ordering, k=None):
+    """The oracle for the dense solve and _finish: la.eig's (vals, vecs) or
+    ARPACK's, sorted by _sort_key, copied by vecs[:, order] and phase-fixed as
+    a whole matrix."""
+    order = spectral._sort_key(vals, ordering)[:k]
+    vals, vecs = vals[order], vecs[:, order]
+    pivot = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
+    nonzero = pivot != 0
+    phase = np.ones_like(pivot)
+    phase[nonzero] = np.abs(pivot[nonzero]) / pivot[nonzero]
+    vecs *= phase
+    return vals, vecs, spectral._residuals(W, vals, vecs)
+
+
+@pytest.mark.parametrize("case", ["null_full", "null_dense_k", "real_spectrum", "disk_arnoldi"])
+def test_eig_same_bits_as_old_path(null_full, monkeypatch, case):
+    ordering, k = ("real_desc", None)
+    if case == "null_full":
+        (W, vals, vecs), ordering = null_full, "modulus_desc"
+    elif case == "null_dense_k":  # a dense solve that keeps n - 1 columns
+        W = null_lle().weights
+        k = W.shape[0] - 1
+        vals, vecs = la.eig(W.toarray())
+    elif case == "real_spectrum":  # la.eig returns real eigenvectors
+        W = np.random.default_rng(5).normal(size=(70, 70))
+        W = W + W.T
+        vals, vecs = la.eig(W)
+        assert vecs.dtype == float
+    else:  # the oracle finishes ARPACK's own output
+        W, k = disk_w(), 10
+        raw = []
+        finish = spectral._finish
+
+        def recording(A, vals, vecs, *args):
+            raw.append((vals.copy(), vecs.copy()))
+            return finish(A, vals, vecs, *args)
+        monkeypatch.setattr(spectral, "_finish", recording)
+    spec = eig(W, k=k, ordering=ordering)
+    if case == "disk_arnoldi":
+        assert spec.method == "arnoldi" and len(raw) == 1
+        vals, vecs = raw[0]
+    else:
+        assert spec.method == "dense"
+    ref = old_finish(W, vals, vecs, ordering, k)
+    assert spec.eigenvectors.dtype == ref[1].dtype
+    for got, want in zip((spec.eigenvalues, spec.eigenvectors, spec.residuals), ref):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_dense_eig_holds_two_n_by_n_arrays_at_most(null_full):
+    W = null_full[0]
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        eig(W, ordering="modulus_desc")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # geev's packed real vectors (8 MB at n 1000) and the complex ones (16 MB);
+    # la.eig and a whole-matrix sort and phase fix held 40 MB
+    assert peak <= 26e6
+
+
+def test_geev_failure_raises_linalg_error(monkeypatch):
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        eig(np.array([[1.0, np.nan], [0.0, 1.0]]))
+    get_lapack_funcs = spectral.la.get_lapack_funcs
+
+    def failing(names, arrays):
+        geev, geev_lwork = get_lapack_funcs(names, arrays)
+        return (lambda *args, **kwargs: (*geev(*args, **kwargs)[:4], 2)), geev_lwork
+    monkeypatch.setattr(spectral.la, "get_lapack_funcs", failing)
+    with pytest.raises(la.LinAlgError, match=r"geev\) failed with info=2"):
+        eig(np.diag([3.0, 2.0, 1.0]), want_vectors=False)
 
 
 @pytest.mark.parametrize("which, ordering, maxiter", [("disk", "real_desc", 6),
