@@ -19,8 +19,11 @@ exactly (nan, +-inf, |x| outside [1e-280, 1e280), subnormals included, and
 those near-ties) go through `"%.17g" % x`, the conversion of
 `format(x, ".17g")`, so the files equal those of a per-entry writer byte
 for byte. The harness and CLI write their CSV files through the same
-helper. The triplet reader parses the body in one `np.loadtxt` call and
-goes back to the file only to name the line of an error.
+helper. The triplet reader checks the header, then gives `np.loadtxt` the
+path, so numpy's C reader parses the body in blocks rather than one Python
+line at a time. It goes back to the file only to name the line of an error,
+decoding each line from UTF-8 on its own so that a byte that is not UTF-8
+is reported by line too. The sidecar's n must be a nonnegative JSON integer.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ SIDECAR_KEYS = ("n", "scheme", "epsilon", "K", "c", "d", "seed")
 _TRIPLET_DTYPE = np.dtype([("row", np.int64), ("col", np.int64), ("value", np.float64)])
 _BLOCK_CELLS = 1 << 15  # cells per block: keeps the block's temporaries in cache
 _CONVERSION = re.compile(r"%(\.17g|d|s)")
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")  # np.loadtxt opens such a path decompressed
 
 # `%.17g` cells: |x| in [_X_MIN, _X_MAX) is scaled by a tabled 10**(16 - E),
 # E in [_E_MIN, _E_MAX]; other cells, and those whose scaled fraction lies
@@ -325,12 +329,20 @@ def _write_sidecar(path: Path, sidecar: dict) -> None:
         fh.write("\n")
 
 
+def _check_plain_name(path: Path) -> None:
+    if path.suffix in _COMPRESSED:
+        raise ValueError(f"{path}: a triplet file is plain text, but np.loadtxt reads "
+                         f"a name ending in {path.suffix} as compressed")
+
+
 def save_matrix(W: Union[LleMatrix, sp.spmatrix, np.ndarray], path,
                 meta: Optional[dict] = None) -> Path:
     """Write triplets `row,col,value` (sorted by row, then col, duplicates
     summed) plus a JSON sidecar. The sidecar records one size n, so the
-    matrix must be square."""
+    matrix must be square. The name may not end in .gz, .bz2, .xz or .lzma
+    (see `load_matrix`)."""
     path = Path(path)
+    _check_plain_name(path)
     if isinstance(W, LleMatrix):
         meta = dict(W.meta) if meta is None else meta
         A = W.weights
@@ -351,14 +363,23 @@ def save_matrix(W: Union[LleMatrix, sp.spmatrix, np.ndarray], path,
     return path
 
 
+def _lines(path: Path):
+    """(1-based line number, text) of each line, split at universal newlines as
+    a text read splits them. Each line is decoded from UTF-8 on its own; text
+    is None for a line that is not UTF-8."""
+    # latin-1 maps each byte to one character, and no byte of a multibyte UTF-8
+    # character is CR or LF, so these lines are those of the UTF-8 text
+    with open(path, encoding="latin-1") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                yield lineno, line.rstrip("\n").encode("latin-1").decode("utf-8")
+            except UnicodeDecodeError:
+                yield lineno, None
+
+
 def _body_lines(path: Path):
     """(1-based line number, text) of each non-blank line after the header."""
-    with open(path, encoding="utf-8") as fh:
-        fh.readline()
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if line:
-                yield lineno, line
+    return ((lineno, line) for lineno, line in islice(_lines(path), 1, None) if line != "")
 
 
 def _check_field(text: str, dtype) -> None:
@@ -375,9 +396,11 @@ def _check_field(text: str, dtype) -> None:
 
 
 def _malformed_line(path: Path) -> Optional[str]:
-    """'line N: reason' for the first body line that np.loadtxt does not read
-    as `int,int,float`."""
+    """'line N: reason' for the first body line that is not UTF-8 or that
+    np.loadtxt does not read as `int,int,float`."""
     for lineno, line in _body_lines(path):
+        if line is None:
+            return f"line {lineno}: not UTF-8"
         parts = line.split(",")
         if len(parts) != 3:
             return f"line {lineno}: expected 3 fields, got {len(parts)}"
@@ -396,11 +419,14 @@ def _line_of_triplet(path: Path, i: int) -> int:
 def load_matrix(path) -> Tuple[sp.csr_matrix, dict]:
     """Load a triplet file and its sidecar; validates both.
 
-    Rejects, naming the file and line, a wrong header, a line that is not
-    `int,int,float`, an index outside [0, n) for the sidecar's n and a
-    repeated (row, col).
+    The sidecar's n must be a nonnegative JSON integer. Rejects, naming the
+    file and line, a line that is not UTF-8, a wrong header, a line that is
+    not `int,int,float`, an index outside [0, n) and a repeated (row, col).
+    np.loadtxt gets the path, so numpy reads the body in blocks; a name that
+    ends in .gz, .bz2, .xz or .lzma, which numpy would decompress, is refused.
     """
     path = Path(path)
+    _check_plain_name(path)
     sidecar_path = path.with_suffix(path.suffix + ".json")
     if not sidecar_path.exists():
         raise ValueError(f"missing sidecar {sidecar_path}")
@@ -409,18 +435,21 @@ def load_matrix(path) -> Tuple[sp.csr_matrix, dict]:
     missing = [k for k in SIDECAR_KEYS if k not in meta]
     if missing:
         raise ValueError(f"sidecar {sidecar_path} lacks required keys: {missing}")
-    n = int(meta["n"])
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != "row,col,value":
-            raise ValueError(f"{path}: line 1: expected header 'row,col,value', got {header!r}")
-        try:
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                t = np.loadtxt(fh, dtype=_TRIPLET_DTYPE, delimiter=",", comments=None,
-                               ndmin=1)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {_malformed_line(path) or exc}") from None
+    n = meta["n"]
+    if type(n) is not int or n < 0:  # not bool, an int subclass
+        raise ValueError(f"sidecar {sidecar_path}: n must be a nonnegative integer, got {n!r}")
+    header = next(_lines(path), (1, ""))[1]
+    if header is None:
+        raise ValueError(f"{path}: line 1: not UTF-8")
+    if header != "row,col,value":
+        raise ValueError(f"{path}: line 1: expected header 'row,col,value', got {header!r}")
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            t = np.loadtxt(path, dtype=_TRIPLET_DTYPE, delimiter=",", comments=None,
+                           ndmin=1, skiprows=1, encoding="utf-8")
+    except ValueError as exc:  # UnicodeDecodeError included
+        raise ValueError(f"{path}: {_malformed_line(path) or exc}") from None
     rows, cols = t["row"], t["col"]
     outside = np.flatnonzero((np.minimum(rows, cols) < 0) | (np.maximum(rows, cols) >= n))
     if len(outside):

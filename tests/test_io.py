@@ -115,6 +115,15 @@ def test_sidecar_validation(tmp_path):
         json.dump({"n": 2, "c": 1.0}, fh)
     with pytest.raises(ValueError, match="lacks required keys"):
         lio.load_matrix(path)
+    # n must be a nonnegative JSON integer: int() would take 2.7 and "2", and
+    # raise TypeError, ValueError or OverflowError on the rest without naming the file
+    for n in [2.7, 2.0, "2", None, "x", 1e300, True, -1]:
+        with open(tmp_path / "w.csv.json", "w") as fh:
+            json.dump(dict(META3, n=n), fh)
+        with pytest.raises(ValueError, match=r"sidecar .*w\.csv\.json: n must be a nonnegative"):
+            lio.load_matrix(path)
+    (tmp_path / "w.csv.json").write_text(json.dumps(dict(META3, n=0)))
+    assert lio.load_matrix(path)[0].shape == (0, 0)
 
 
 def test_cloud_csv(tmp_path):
@@ -355,12 +364,16 @@ META3 = {"scheme": "knn", "epsilon": None, "K": 1, "c": 1.0, "d": 1, "seed": 0, 
     ("row,col,value\n2,0,0.5\n\n2,0,0.5\n", 4, r"duplicate triplet \(2, 0\)"),
     ("row,col,value\n0,1,0.5\n0,1,1_0\n", 3, r"could not convert string '1_0' to float64"),
     ("row,col,value\n0,1,0.5\n\n1_0,2,0.5\n", 4, r"could not convert string '1_0' to int64"),
+    (b"row,col,value\n0,1,0.\xe9\n", 2, "not UTF-8"),
+    (b"row,col,value\r\n0,1,0.5\r\n\r\n\r\n1,2,\xff\r\n2,x,0.5\r\n", 5, "not UTF-8"),
+    (b"row,col,valu\xe9\n0,1,0.5\n", 1, "not UTF-8"),
 ], ids=["header", "two_fields", "four_fields", "int_field", "float_field_after_blanks",
         "int64_overflow", "negative_row", "negative_col", "index_ge_n", "duplicate_unsorted",
-        "duplicate_adjacent", "underscore_value", "underscore_index_after_blank"])
+        "duplicate_adjacent", "underscore_value", "underscore_index_after_blank",
+        "not_utf8_first_body_line", "not_utf8_after_blanks", "not_utf8_header"])
 def test_load_matrix_errors_name_file_and_line(tmp_path, text, line, reason):
     bad = tmp_path / "bad.csv"
-    bad.write_text(text)
+    bad.write_bytes(text if isinstance(text, bytes) else text.encode())
     (tmp_path / "bad.csv.json").write_text(json.dumps(META3))
     with pytest.raises(ValueError, match=rf"bad\.csv: line {line}: .*{reason}"):
         lio.load_matrix(bad)
@@ -399,8 +412,11 @@ def test_line_finder_rejects_what_loadtxt_rejects():
     (b"row,col,value\n0,1,0.1234567890123456789012345678901234\n",
      ["0.1234567890123456789012345678901234"]),
     (b"row,col,value\n0,1,9007199254740993\n", ["9007199254740993"]),
+    (b"row,col,value\n\n\n0,1,0.5\n1,2,0.25\n", ["0.5", "0.25"]),
+    (b"row,col,value\r\n0,1,0.5\n1,2,0.25\n", ["0.5", "0.25"]),
 ], ids=["crlf", "cr_only", "no_final_newline", "spaces_and_tabs", "plus_and_upper_e",
-        "nan_and_minus_inf", "decimal_34_digits", "exact_tie"])
+        "nan_and_minus_inf", "decimal_34_digits", "exact_tie", "blank_lines_after_header",
+        "crlf_header_lf_body"])
 def test_load_matrix_reads_triplets_as_float_does(tmp_path, text, values):
     path = tmp_path / "w.csv"
     path.write_bytes(text)
@@ -411,6 +427,26 @@ def test_load_matrix_reads_triplets_as_float_does(tmp_path, text, values):
     assert loaded.data.tobytes() == np.array([float(v) for v in values]).tobytes()
     if values == ["9007199254740993"]:  # 2**53 + 1, a tie, rounds to the even 2**53
         assert loaded.data[0] == 9007199254740992.0
+
+
+def test_load_matrix_header_only_is_empty(tmp_path):
+    path = tmp_path / "w.csv"
+    path.write_bytes(b"row,col,value")  # no final newline
+    (tmp_path / "w.csv.json").write_text(json.dumps(META3))
+    loaded, _ = lio.load_matrix(path)
+    assert loaded.shape == (3, 3) and loaded.nnz == 0
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_matrix_names_numpy_would_decompress_are_refused(tmp_path, suffix):
+    # np.loadtxt opens a path ending so through a decompressor
+    path = tmp_path / f"w.csv{suffix}"
+    with pytest.raises(ValueError, match=rf"w\.csv\{suffix}: a triplet file is plain text"):
+        lio.save_matrix(np.eye(3), path)
+    path.write_text("row,col,value\n0,1,0.5\n")
+    (tmp_path / f"w.csv{suffix}.json").write_text(json.dumps(META3))
+    with pytest.raises(ValueError, match="plain text"):
+        lio.load_matrix(path)
 
 
 def test_load_matrix_accepts_unsorted_triplets_and_blank_lines(tmp_path):
