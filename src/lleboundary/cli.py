@@ -221,7 +221,7 @@ def _run(command: str, values: dict, cfg: ExperimentConfig) -> None:
         regions = wave_partition(cloud, graph, lle, cfg)
         Wr, kept = clip_matrix(lle, regions)
         lio.save_matrix(Wr, out / "lle_matrix_clipped.csv", meta=lle.meta)
-        lio._write_table(out / "kept_indices.csv", "old_index", "%d\n", [kept])
+        lio._write_table(out / "kept_indices.csv", "old_index", [kept])
         print(f"clipped {cloud.n - len(kept)} wave points; kept {len(kept)}")
     elif command == "convergence":
         rows = run_convergence(cfg, values.get("ns", [cfg.n]), values.get("eps_list", [cfg.eps]))
@@ -242,8 +242,7 @@ def _run(command: str, values: dict, cfg: ExperimentConfig) -> None:
         table = coefficient_table(d, eps, ts)
         header = "t_over_eps,s0,s1d,s2,s2d,s3,s3d,phi1,phi2,V,B"
         path = out / "sigma_table.csv"
-        lio._write_table(path, header, ",".join(["%.17g"] * table.shape[1]) + "\n",
-                         list(table.T))
+        lio._write_table(path, header, list(table.T))
         print(f"wrote {path} ({len(ts)} rows, d={d}, eps={eps})")
 
 

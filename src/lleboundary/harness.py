@@ -10,7 +10,6 @@ JSON summary. Presets mirror the standard test manifolds: the unit interval
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -185,20 +184,12 @@ def _outdir(config: ExperimentConfig) -> Optional[Path]:
     return out
 
 
-def _write_summary(out: Optional[Path], name: str, payload: dict) -> None:
-    if out is None:
-        return
-    with open(out / name, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True, default=str)
-        fh.write("\n")
-
-
 def _eigfun_csv(out: Path, name: str, cloud: PointCloud, idx: np.ndarray,
                 spec: Spectrum) -> None:
     p, k = cloud.ambient_dim, len(spec)
     header = ",".join([f"x{i + 1}" for i in range(p)] + [f"v{j + 1}" for j in range(k)])
     columns = list(cloud.points[idx].T) + list(spec.eigenvectors.real.T)
-    lio._write_table(out / name, header, ",".join(["%.17g"] * (p + k)) + "\n", columns)
+    lio._write_table(out / name, header, columns)
 
 
 def run_eigenfunctions(config: ExperimentConfig) -> dict:
@@ -226,7 +217,8 @@ def run_eigenfunctions(config: ExperimentConfig) -> dict:
         summary["n_clipped"] = int(cloud.n - len(kept))
         if out is not None:
             _eigfun_csv(out, "eigenfunctions_clipped.csv", cloud, kept, spec_r)
-    _write_summary(out, "summary.json", summary)
+    if out is not None:
+        lio._write_json(out / "summary.json", summary)
     result["summary"] = summary
     return result
 
@@ -264,9 +256,8 @@ def run_convergence(config: ExperimentConfig,
     out = _outdir(config)
     if out is not None:
         cols = list(rows[0].keys())
-        columns = [np.array([r[c] for r in rows], dtype=object) for c in cols]
-        lio._write_table(out / "convergence.csv", ",".join(cols),
-                         ",".join(["%s"] * len(cols)) + "\n", columns)
+        columns = [np.array([str(r[c]) for r in rows]) for c in cols]
+        lio._write_table(out / "convergence.csv", ",".join(cols), columns)
     return rows
 
 
@@ -285,11 +276,12 @@ def run_null_case(config: Optional[ExperimentConfig] = None) -> dict:
     out = _outdir(cfg)
     if out is not None:
         lio.save_spectrum(spec, out / "spectrum.csv")
-    _write_summary(out, "nullcase.json", {
-        "n": cloud.n, "p": cloud.ambient_dim, "knn": cfg.knn, "c": lle.c,
-        "top_eigenvalue": [float(spec.eigenvalues[0].real), float(spec.eigenvalues[0].imag)],
-        **{k: v for k, v in diag.items()}, **radius,
-    })
+        lio._write_json(out / "nullcase.json", {
+            "n": cloud.n, "p": cloud.ambient_dim, "knn": cfg.knn, "c": lle.c,
+            "top_eigenvalue": [float(spec.eigenvalues[0].real),
+                               float(spec.eigenvalues[0].imag)],
+            **diag, **radius,
+        })
     return {"cloud": cloud, "lle": lle, "spectrum": spec,
             "diagnostics": diag, "radius": radius}
 
@@ -305,15 +297,15 @@ def run_indicator(config: ExperimentConfig, tau: Optional[float] = None) -> dict
     report = classify(indicator(cloud, graph, config.c_rule), tau)
     gt = cloud.ground_truth
     bdist = None if gt is None else gt.boundary_dist
+    summary = {"n": cloud.n, "eps": config.eps, "threshold": report.threshold,
+               "n_boundary": int(np.sum(report.labels == "boundary")),
+               "n_missing": int(np.sum(report.missing))}
     out = _outdir(config)
     if out is not None:
         lio.save_report(report, out / "indicator.csv", bdist=bdist)
         if bdist is not None:
             order = np.argsort(bdist)
-            lio._write_table(out / "profile.csv", "t_over_eps,B", "%.17g,%.17g\n",
+            lio._write_table(out / "profile.csv", "t_over_eps,B",
                              [bdist[order] / config.eps, report.b_values[order]])
-    summary = {"n": cloud.n, "eps": config.eps, "threshold": report.threshold,
-               "n_boundary": int(np.sum(report.labels == "boundary")),
-               "n_missing": int(np.sum(report.missing))}
-    _write_summary(out, "indicator.json", summary)
+        lio._write_json(out / "indicator.json", summary)
     return {"cloud": cloud, "report": report, "summary": summary}

@@ -5,31 +5,33 @@ double exactly), UTF-8, LF line endings. Sparse matrices are stored as
 lexicographically sorted triplets, duplicates summed, next to a JSON sidecar
 carrying the build metadata, so a load can validate what it reads.
 
-Writers build a block of rows at a time in numpy, without a `%` per cell.
-A `%.17g` cell of x != 0 is the 17-digit integer N = round(|x| 10**(16 - E)),
+Writers build a block of rows at a time in numpy, without a `%` per cell,
+and a column's dtype decides its cells (see `_write_table`). A `%.17g` cell
+of x != 0 is the 17-digit integer N = round(|x| 10**(16 - E)),
 E = floor(log10 |x|). |x| times a tabled double-double 10**(16 - E), by
 Dekker's exact two-product of Veltkamp-split halves, is known to about
 2**-104 relative, which rounds to N exactly unless the scaled fraction lies
 within 1e-9 of 1/2. N's digits come from a 4-digit table and are placed,
 with the sign, point, leading "0." or "e+XX", by one template per (sign, E,
-significant digits). `%d` cells use the same digit table and `%s` cells are
+significant digits). `%d` cells use the same digit table and text cells are
 their UTF-8 bytes. A block is one uint8 matrix of NUL-padded cells and
-literal text, written without its NULs. The cells the kernel cannot place
+separators, written without its NULs. The cells the kernel cannot place
 exactly (nan, +-inf, |x| outside [1e-280, 1e280), subnormals included, and
 those near-ties) go through `"%.17g" % x`, the conversion of
 `format(x, ".17g")`, so the files equal those of a per-entry writer byte
-for byte. The harness and CLI write their CSV files through the same
-helper. The triplet reader checks the header, then gives `np.loadtxt` the
-path, so numpy's C reader parses the body in blocks rather than one Python
-line at a time. It goes back to the file only to name the line of an error,
-decoding each line from UTF-8 on its own so that a byte that is not UTF-8
-is reported by line too. The sidecar's n must be a nonnegative JSON integer.
+for byte. Every CSV file, the harness's and CLI's included, goes through
+`_write_table`, and every JSON file, sidecars and run summaries, through
+`_write_json`. The triplet reader checks the header, then gives
+`np.loadtxt` the path, so numpy's C reader parses the body in blocks rather
+than one Python line at a time. It goes back to the file only to name the
+line of an error, decoding each line from UTF-8 on its own so that a byte
+that is not UTF-8 is reported by line too. The sidecar's n must be a JSON
+integer in [0, 2**63).
 """
 
 from __future__ import annotations
 
 import json
-import re
 import warnings
 from functools import lru_cache
 from itertools import islice
@@ -56,7 +58,6 @@ __all__ = [
 SIDECAR_KEYS = ("n", "scheme", "epsilon", "K", "c", "d", "seed")
 _TRIPLET_DTYPE = np.dtype([("row", np.int64), ("col", np.int64), ("value", np.float64)])
 _BLOCK_CELLS = 1 << 15  # cells per block: keeps the block's temporaries in cache
-_CONVERSION = re.compile(r"%(\.17g|d|s)")
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")  # np.loadtxt opens such a path decompressed
 
 # `%.17g` cells: |x| in [_X_MIN, _X_MAX) is scaled by a tabled 10**(16 - E),
@@ -273,47 +274,49 @@ def _quot_rem(a: np.ndarray, b: int, quot: np.ndarray, rem: np.ndarray) -> None:
     np.subtract(a, quot * b, out=rem)
 
 
-def _cells(conversion: str, v: np.ndarray) -> np.ndarray:
-    """One `%`-conversion applied to each entry of `v`, one NUL-padded row per entry."""
-    kind = v.dtype.kind
-    if conversion == "s":
-        return _text_cells(v if kind == "U" else [str(c) for c in v.tolist()])
-    if conversion == "d" and (kind in "bi" or (kind == "u" and v.dtype.itemsize < 8)):
-        return _int_cells(v.astype(np.int64))
-    return _text_cells([("%" + conversion) % c for c in v.tolist()])
+def _cell_kind(dtype: np.dtype) -> str:
+    """'g' (`%.17g`), 'd' (`%d`) or 's' (the text itself): the cells of a column of `dtype`."""
+    if dtype.kind == "f":
+        return "g"
+    if dtype.kind in "bi" or (dtype.kind == "u" and dtype.itemsize < 8):
+        return "d"
+    if dtype.kind == "U":
+        return "s"
+    raise TypeError(f"no text cells for a column of dtype {dtype}")
 
 
-def _write_table(path: Path, header: Optional[str], fmt: str,
-                 columns: Sequence[np.ndarray]) -> None:
-    """Write `header`, then the bytes of `fmt % (row's cells)` for each row of `columns`.
+def _write_table(path: Path, header: Optional[str], columns: Sequence[np.ndarray]) -> None:
+    """Write `header`, then one line per row of `columns`: its cells joined by
+    commas, ended by LF.
 
-    `fmt` holds one `%.17g`, `%d` or `%s` per column and no other `%`. A
-    block of rows is one uint8 matrix, literal text and NUL-padded cells side
-    by side, written without its NULs (so a text cell loses any NUL of its own).
+    A column's dtype decides its cells: float as `%.17g`; bool, signed int and
+    unsigned int narrower than 8 bytes as `%d`; str as its text. Any other
+    dtype raises TypeError before the file is opened. A block of rows is one
+    uint8 matrix, cells and separators side by side, written without its NULs
+    (so a text cell loses any NUL of its own).
     """
-    parts = _CONVERSION.split(fmt)
-    literals = [np.frombuffer(text.encode(), np.uint8)[None, :] for text in parts[::2]]
-    conversions = parts[1::2]
-    if len(conversions) != len(columns) or any(b"%" in lit.tobytes() for lit in literals):
-        raise ValueError(f"template {fmt!r} does not fit {len(columns)} columns")
+    columns = [np.asarray(col) for col in columns]
+    kinds = [_cell_kind(col.dtype) for col in columns]
+    floats = [j for j, kind in enumerate(kinds) if kind == "g"]
+    comma, newline = (np.frombuffer(c, np.uint8)[None, :] for c in (b",", b"\n"))
     nrow = len(columns[0])
     step = max(1, _BLOCK_CELLS // len(columns))
     with open(path, "wb") as fh:
         if header is not None:
             fh.write((header + "\n").encode())
         for lo in range(0, nrow, step):
-            hi = min(lo + step, nrow)
-            values = [np.asarray(col[lo:hi]) for col in columns]
-            numeric = [j for j, v in enumerate(values)
-                       if conversions[j] == ".17g" and v.dtype.kind in "biuf"]
+            values = [col[lo:lo + step] for col in columns]
             cells = {}
-            if numeric:  # all `%.17g` columns of numbers in one kernel call
-                x = np.stack([values[j] for j in numeric]).astype(np.float64, copy=False)
-                cells = dict(zip(numeric, _g17_cells(x)))
-            pieces = [literals[0]]
-            for j, (conversion, lit) in enumerate(zip(conversions, literals[1:])):
-                pieces += [cells[j] if j in cells else _cells(conversion, values[j]), lit]
-            block = np.empty((hi - lo, sum(piece.shape[1] for piece in pieces)), np.uint8)
+            if floats:  # all float columns in one kernel call
+                x = np.stack([values[j] for j in floats]).astype(np.float64, copy=False)
+                cells = dict(zip(floats, _g17_cells(x)))
+            pieces = []
+            for j, (kind, v) in enumerate(zip(kinds, values)):
+                if j not in cells:
+                    cells[j] = _int_cells(v.astype(np.int64)) if kind == "d" else _text_cells(v)
+                pieces += [cells[j], comma]
+            pieces[-1] = newline
+            block = np.empty((len(values[0]), sum(piece.shape[1] for piece in pieces)), np.uint8)
             at = 0
             for piece in pieces:
                 width = piece.shape[1]
@@ -323,10 +326,15 @@ def _write_table(path: Path, header: Optional[str], fmt: str,
             fh.write(block[block != 0])
 
 
-def _write_sidecar(path: Path, sidecar: dict) -> None:
-    with open(path.with_suffix(path.suffix + ".json"), "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=1, sort_keys=True)
+def _write_json(path: Path, payload: dict) -> None:
+    """`payload` as JSON with a one-space indent and sorted keys, then LF."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
+
+
+def _sidecar(path: Path) -> Path:
+    return path.with_suffix(path.suffix + ".json")
 
 
 def _check_plain_name(path: Path) -> None:
@@ -355,11 +363,11 @@ def save_matrix(W: Union[LleMatrix, sp.spmatrix, np.ndarray], path,
         raise ValueError(f"save_matrix needs a square matrix, got shape {A.shape}")
     A.sum_duplicates()
     rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-    _write_table(path, "row,col,value", "%d,%d,%.17g\n", [rows, A.indices, A.data])
+    _write_table(path, "row,col,value", [rows, A.indices, A.data])
     sidecar = {key: meta.get(key) for key in SIDECAR_KEYS}
     sidecar["n"] = int(A.shape[0])
     sidecar.update({k: v for k, v in meta.items() if k not in SIDECAR_KEYS})
-    _write_sidecar(path, sidecar)
+    _write_json(_sidecar(path), sidecar)
     return path
 
 
@@ -419,7 +427,9 @@ def _line_of_triplet(path: Path, i: int) -> int:
 def load_matrix(path) -> Tuple[sp.csr_matrix, dict]:
     """Load a triplet file and its sidecar; validates both.
 
-    The sidecar's n must be a nonnegative JSON integer. Rejects, naming the
+    The sidecar's n must be a JSON integer in [0, 2**63). An n that fits but
+    is too large for memory raises MemoryError from the allocation of the
+    CSR row pointer (n + 1 entries: 16 GiB at n = 2**31). Rejects, naming the
     file and line, a line that is not UTF-8, a wrong header, a line that is
     not `int,int,float`, an index outside [0, n) and a repeated (row, col).
     np.loadtxt gets the path, so numpy reads the body in blocks; a name that
@@ -427,7 +437,7 @@ def load_matrix(path) -> Tuple[sp.csr_matrix, dict]:
     """
     path = Path(path)
     _check_plain_name(path)
-    sidecar_path = path.with_suffix(path.suffix + ".json")
+    sidecar_path = _sidecar(path)
     if not sidecar_path.exists():
         raise ValueError(f"missing sidecar {sidecar_path}")
     with open(sidecar_path, encoding="utf-8") as fh:
@@ -436,8 +446,9 @@ def load_matrix(path) -> Tuple[sp.csr_matrix, dict]:
     if missing:
         raise ValueError(f"sidecar {sidecar_path} lacks required keys: {missing}")
     n = meta["n"]
-    if type(n) is not int or n < 0:  # not bool, an int subclass
-        raise ValueError(f"sidecar {sidecar_path}: n must be a nonnegative integer, got {n!r}")
+    if type(n) is not int or not 0 <= n < 2 ** 63:  # not bool, an int subclass
+        raise ValueError(f"sidecar {sidecar_path}: n must be a nonnegative integer "
+                         f"below 2**63, got {n!r}")
     header = next(_lines(path), (1, ""))[1]
     if header is None:
         raise ValueError(f"{path}: line 1: not UTF-8")
@@ -478,7 +489,7 @@ def save_cloud(cloud: PointCloud, path) -> Path:
     if bdist is not None:
         header += ",bdist"
         columns.append(bdist)
-    _write_table(path, header, ",".join(["%.17g"] * len(columns)) + "\n", columns)
+    _write_table(path, header, columns)
     return path
 
 
@@ -487,10 +498,9 @@ def save_spectrum(spec: Spectrum, path) -> Path:
     path = Path(path)
     columns = [np.real(spec.eigenvalues), np.imag(spec.eigenvalues)]
     if spec.residuals is None:
-        _write_table(path, "re,im", "%.17g,%.17g\n", columns)
+        _write_table(path, "re,im", columns)
     else:
-        _write_table(path, "re,im,residual", "%.17g,%.17g,%.17g\n",
-                     columns + [spec.residuals])
+        _write_table(path, "re,im,residual", columns + [spec.residuals])
     return path
 
 
@@ -501,13 +511,13 @@ def save_eigenvectors(spec: Spectrum, path, meta: Optional[dict] = None) -> Path
         raise ValueError("spectrum carries no eigenvectors")
     vecs = spec.eigenvectors
     flat = vecs.ravel(order="F")
-    _write_table(path, None, "%.17g,%.17g\n", [np.real(flat), np.imag(flat)])
+    _write_table(path, None, [np.real(flat), np.imag(flat)])
     sidecar = {"n": int(vecs.shape[0]), "k": int(vecs.shape[1]),
                "ordering": spec.ordering, "method": spec.method,
                "layout": "column-major"}
     if meta:
         sidecar.update(meta)
-    _write_sidecar(path, sidecar)
+    _write_json(_sidecar(path), sidecar)
     return path
 
 
@@ -518,14 +528,10 @@ def save_report(report: BoundaryReport, path,
     b = report.b_values
     header = "idx,B,label,region"
     columns = [np.arange(report.n), np.where(np.isfinite(b), b, np.nan)]
-    cells = ["%d", "%.17g"]
     for labels in (report.labels, report.regions):
-        cells.append("" if labels is None else "%s")
-        if labels is not None:
-            columns.append(np.asarray(labels))
+        columns.append(np.full(report.n, "") if labels is None else labels)
     if bdist is not None:
         header += ",bdist"
         columns.append(bdist)
-        cells.append("%.17g")
-    _write_table(path, header, ",".join(cells) + "\n", columns)
+    _write_table(path, header, columns)
     return path

@@ -117,7 +117,8 @@ def test_sidecar_validation(tmp_path):
         lio.load_matrix(path)
     # n must be a nonnegative JSON integer: int() would take 2.7 and "2", and
     # raise TypeError, ValueError or OverflowError on the rest without naming the file
-    for n in [2.7, 2.0, "2", None, "x", 1e300, True, -1]:
+    # n >= 2**63 does not fit the int64 indices of the CSR build
+    for n in [2.7, 2.0, "2", None, "x", 1e300, True, -1, 2 ** 63, 10 ** 30]:
         with open(tmp_path / "w.csv.json", "w") as fh:
             json.dump(dict(META3, n=n), fh)
         with pytest.raises(ValueError, match=r"sidecar .*w\.csv\.json: n must be a nonnegative"):
@@ -523,7 +524,7 @@ def test_g17_cells_match_format_on_hard_doubles(tmp_path):
     x = np.append(x, -0.0) if len(x) % 2 else x
     assert len(x) >= 10 ** 6
     path = tmp_path / "x.csv"
-    lio._write_table(path, None, "%.17g,%.17g\n", [x[::2], x[1::2]])
+    lio._write_table(path, None, [x[::2], x[1::2]])
     got = path.read_bytes()
     expected = ("{:.17g},{:.17g}\n" * (len(x) // 2)).format(*x.tolist()).encode()
     if got != expected:
@@ -539,5 +540,36 @@ def test_int_cells_match_percent_d(tmp_path):
                                                              -1, -10000], dtype=np.int32),
                    np.arange(12000), np.array([True, False])):
         path = tmp_path / "d.csv"
-        lio._write_table(path, "v", "%d\n", [column])
+        lio._write_table(path, "v", [column])
         assert path.read_text() == "v\n" + "".join("%d\n" % v for v in column.tolist())
+
+
+
+def _per_entry_cells(column):
+    if column.dtype.kind == "U":
+        return column.tolist()
+    if column.dtype.kind == "f":
+        return [format(v, ".17g") for v in column.tolist()]
+    return ["%d" % v for v in column.tolist()]
+
+
+def test_column_dtype_decides_cells(tmp_path):
+    rng = np.random.default_rng(17)
+    m = 7000  # more rows than one block holds
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-45, 3e38]
+    x = rng.normal(size=m) * 10.0 ** rng.integers(-30, 30, size=m)
+    x[:len(special)] = special
+    ints = [rng.integers(np.iinfo(t).min, np.iinfo(t).max, m, dtype=t, endpoint=True)
+            for t in (np.int8, np.int32, np.int64, np.uint8, np.uint16, np.uint32)]
+    text = np.array(["", "boundary", "\u00e9", "near_boundary", "x y"] * (m // 5))
+    columns = [rng.integers(0, 2, m).astype(bool), *ints, x.astype(np.float32), x, text]
+    path = tmp_path / "t.csv"
+    lio._write_table(path, "h", columns)
+    rows = zip(*(_per_entry_cells(c) for c in columns))
+    assert path.read_bytes() == ("h\n" + "".join(",".join(r) + "\n" for r in rows)).encode()
+    for bad in (np.array([1, "a"], dtype=object), np.array([1j, 2.0]),
+                np.array([2 ** 64 - 1, 0], dtype=np.uint64)):
+        bad_path = tmp_path / "bad.csv"
+        with pytest.raises(TypeError, match=str(bad.dtype)):
+            lio._write_table(bad_path, "h", [np.arange(2), bad])
+        assert not bad_path.exists()
