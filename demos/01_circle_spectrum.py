@@ -23,7 +23,7 @@ eps = 0.5 * (2 * np.sin(np.pi / n) + 2 * np.sin(2 * np.pi / n))
 lle = build_lle_matrix(cloud, build_graph(cloud, EpsilonBall(eps)), c_rule=1e-3)
 
 spec = eig(lle, want_vectors=False)
-centers, mult = cluster_eigenvalues(spec.eigenvalues, rtol=1e-7)
+centers, mult = cluster_eigenvalues(spec.eigenvalues)
 print(f"circle grid n={n}: clustered spectrum")
 for cval, mu in zip(centers, mult):
     print(f"  {cval:+.6f}  x{mu}")

@@ -139,28 +139,23 @@ class AnalyticCoeffs:
         }
         return layer, {k: np.where(layer, v, inner) for k, (v, inner) in values.items()}
 
-    def sigma(self, kind: str, t):
-        if kind not in _KINDS:
-            raise ValueError(f"unknown sigma kind {kind!r}")
-        return _shaped(self._table(t)[1][kind], t)
-
     def sigma0(self, t):
-        return self.sigma("s0", t)
+        return _shaped(self._table(t)[1]["s0"], t)
 
     def sigma1d(self, t):
-        return self.sigma("s1d", t)
+        return _shaped(self._table(t)[1]["s1d"], t)
 
     def sigma2(self, t):
-        return self.sigma("s2", t)
+        return _shaped(self._table(t)[1]["s2"], t)
 
     def sigma2d(self, t):
-        return self.sigma("s2d", t)
+        return _shaped(self._table(t)[1]["s2d"], t)
 
     def sigma3(self, t):
-        return self.sigma("s3", t)
+        return _shaped(self._table(t)[1]["s3"], t)
 
     def sigma3d(self, t):
-        return self.sigma("s3d", t)
+        return _shaped(self._table(t)[1]["s3d"], t)
 
     # --- operator coefficients, each read from one table -------------------
 

@@ -87,9 +87,12 @@ def default_threshold(d: int, eps: float) -> float:
 
 
 def classify(report: BoundaryReport, tau: Optional[float] = None) -> BoundaryReport:
-    """Label points boundary/interior by thresholding B_k (boundary iff B_k > tau)."""
+    """Label points boundary/interior by thresholding B_k (boundary iff B_k > tau).
+    A NaN or infinite tau is refused: it has no JSON spelling for a summary."""
     if tau is None:
         tau = default_threshold(report.d, report.eps)
+    if not np.isfinite(tau):
+        raise ValueError(f"tau must be a finite number, got {tau!r}")
     if tau <= 0:
         import warnings
         warnings.warn("nonpositive threshold labels every point as boundary")

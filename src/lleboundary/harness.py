@@ -144,10 +144,7 @@ _FLAT_DENSITY = {"interval": 1.0, "disk": 1.0 / math.pi}
 
 def _operator_targets(cloud: PointCloud, eps: float, f_test: str) -> np.ndarray:
     """Pointwise limit values phi1 (tangential Laplacian) + phi2 (normal second
-    derivative) + V (outward drift) for a flat manifold with constant density."""
-    if cloud.manifold_tag not in _FLAT_DENSITY:
-        raise ValueError("operator targets need a flat constant-density manifold "
-                         f"(interval or disk), got {cloud.manifold_tag!r}")
+    derivative) + V (outward drift) for a manifold in _FLAT_DENSITY."""
     p_val = _FLAT_DENSITY[cloud.manifold_tag]
     _, grad, hess = TEST_FUNCTIONS[f_test](cloud.points)
     gt = cloud.ground_truth
@@ -166,6 +163,8 @@ def wave_partition(cloud: PointCloud, graph: NeighborGraph, lle: LleMatrix,
     """Region labels at depth t*, using ground truth when the cloud has it and
     the indicator-derived depth proxy otherwise (torus and other clouds
     without an analytic boundary distance)."""
+    if config.eps is None:
+        raise ValueError("the wave strip needs eps, since its depth t* scales with eps")
     cf = AnalyticCoeffs(cloud.intrinsic_dim, config.eps)
     gt = cloud.ground_truth
     if gt is not None and gt.boundary_dist is not None:
@@ -228,8 +227,8 @@ def run_convergence(config: ExperimentConfig,
     """Mean interior/boundary-layer operator error over an (n, eps) sweep.
 
     For each grid point: error_k = |[(W - I) f]_k / eps^2 - target_k| with the
-    target from the closed-form coefficients, averaged over interior points
-    (boundary distance > 2 eps) and over the boundary layer separately.
+    target from the closed-form coefficients, averaged separately over the
+    partition_regions bands "interior" and "wave" plus "near_boundary".
     """
     if config.manifold not in _FLAT_DENSITY:
         raise ValueError("operator targets need a flat constant-density manifold "
@@ -242,9 +241,10 @@ def run_convergence(config: ExperimentConfig,
             f_vals, _, _ = TEST_FUNCTIONS[cfg.f_test](cloud.points)
             vals = apply_shifted(lle, f_vals) / eps ** 2
             targets = _operator_targets(cloud, eps, cfg.f_test)
-            bdist = cloud.ground_truth.boundary_dist
-            interior = bdist > 2.0 * eps
-            layer = bdist < eps
+            tstar = AnalyticCoeffs(cloud.intrinsic_dim, eps).tstar()
+            regions = partition_regions(cloud, eps, tstar)
+            interior = regions == "interior"
+            layer = np.isin(regions, ("wave", "near_boundary"))
             rows.append({
                 "n": cloud.n, "eps": eps, "f_test": cfg.f_test, "seed": cfg.seed,
                 "interior_mean_value": float(vals[interior].mean()),

@@ -25,8 +25,8 @@ for byte. Every CSV file, the harness's and CLI's included, goes through
 `np.loadtxt` the path, so numpy's C reader parses the body in blocks rather
 than one Python line at a time. It goes back to the file only to name the
 line of an error, decoding each line from UTF-8 on its own so that a byte
-that is not UTF-8 is reported by line too. The sidecar's n must be a JSON
-integer in [0, 2**63).
+that is not UTF-8 is reported by line too. The sidecar must be a JSON object
+whose n is a JSON integer in [0, 2**63).
 """
 
 from __future__ import annotations
@@ -427,11 +427,12 @@ def _line_of_triplet(path: Path, i: int) -> int:
 def load_matrix(path) -> Tuple[sp.csr_matrix, dict]:
     """Load a triplet file and its sidecar; validates both.
 
-    The sidecar's n must be a JSON integer in [0, 2**63). An n that fits but
-    is too large for memory raises MemoryError from the allocation of the
-    CSR row pointer (n + 1 entries: 16 GiB at n = 2**31). Rejects, naming the
-    file and line, a line that is not UTF-8, a wrong header, a line that is
-    not `int,int,float`, an index outside [0, n) and a repeated (row, col).
+    The sidecar must be a JSON object whose n is a JSON integer in
+    [0, 2**63). An n that fits but is too large for memory raises
+    MemoryError from the allocation of the CSR row pointer (n + 1 entries:
+    16 GiB at n = 2**31). Rejects, naming the file and line, a line that is
+    not UTF-8, a wrong header, a line that is not `int,int,float`, an index
+    outside [0, n) and a repeated (row, col).
     np.loadtxt gets the path, so numpy reads the body in blocks; a name that
     ends in .gz, .bz2, .xz or .lzma, which numpy would decompress, is refused.
     """
@@ -442,6 +443,9 @@ def load_matrix(path) -> Tuple[sp.csr_matrix, dict]:
         raise ValueError(f"missing sidecar {sidecar_path}")
     with open(sidecar_path, encoding="utf-8") as fh:
         meta = json.load(fh)
+    if not isinstance(meta, dict):
+        raise ValueError(f"sidecar {sidecar_path} must hold a JSON object, "
+                         f"got {type(meta).__name__}")
     missing = [k for k in SIDECAR_KEYS if k not in meta]
     if missing:
         raise ValueError(f"sidecar {sidecar_path} lacks required keys: {missing}")

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .rng import CounterStream
+from . import rng
 
 __all__ = [
     "GroundTruth",
@@ -100,7 +100,7 @@ def _check_count(n: int, name: str = "n") -> int:
 def sample_interval(n: int, seed: int) -> PointCloud:
     """Uniform i.i.d. points on the unit interval [0, 1]."""
     n = _check_count(n)
-    t = CounterStream(seed).uniform(n)
+    t = rng.uniform(seed, n)
     bdist = np.minimum(t, 1.0 - t)
     normal = np.where(t < 0.5, -1.0, 1.0)[:, None]
     gt = GroundTruth(param_coords=t[:, None], boundary_dist=bdist,
@@ -115,7 +115,7 @@ def _disk_draw(n_raw: int, seed: int):
     Returns the kept points, their radii and the keep mask over the candidates.
     """
     n_raw = _check_count(n_raw, "n_raw")
-    u = CounterStream(seed).uniform(2 * n_raw).reshape(n_raw, 2)
+    u = rng.uniform(seed, 2 * n_raw).reshape(n_raw, 2)
     xy = 2.0 * u - 1.0
     r = np.sqrt((xy ** 2).sum(axis=1))
     keep = r <= 1.0
@@ -169,7 +169,7 @@ def sample_curve_m3(n: int, seed: int) -> PointCloud:
     sorted parameters.
     """
     n = _check_count(n)
-    t = CounterStream(seed).uniform(n)
+    t = rng.uniform(seed, n)
     pts = curve_m3_point(t)
     order = np.argsort(t, kind="stable")
     knots = np.concatenate([[0.0], t[order], [1.0]])
@@ -224,7 +224,7 @@ def sample_truncated_torus(n_raw: int, seed: int) -> PointCloud:
     are dropped, the rest are embedded. No exact boundary distance is stored.
     """
     n_raw = _check_count(n_raw, "n_raw")
-    u = CounterStream(seed).uniform(2 * n_raw).reshape(n_raw, 2)
+    u = rng.uniform(seed, 2 * n_raw).reshape(n_raw, 2)
     theta = 2.0 * np.pi * u[:, 0]
     phi = 2.0 * np.pi * u[:, 1]
     keep = torus_keep_predicate(theta, phi)
@@ -240,5 +240,5 @@ def sample_gaussian_null(n: int, p: int, seed: int) -> PointCloud:
     """n i.i.d. standard normal vectors in R^p (no manifold, no ground truth)."""
     n = _check_count(n)
     p = _check_count(p, "p")
-    z = CounterStream(seed).normal(n * p).reshape(n, p)
+    z = rng.normal(seed, n * p).reshape(n, p)
     return PointCloud(z, intrinsic_dim=p, seed=seed, manifold_tag="gaussian_null")

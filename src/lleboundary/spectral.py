@@ -41,8 +41,8 @@ import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
 
+from . import rng
 from .lle import LleMatrix
-from .rng import CounterStream
 
 __all__ = [
     "Spectrum",
@@ -58,6 +58,7 @@ __all__ = [
 DENSE_CUTOFF = 2000
 RESIDUAL_TOL = 1e-8
 ARNOLDI_TOL = 1e-10  # ARPACK's relative accuracy for Ritz values
+CLUSTER_RTOL = 1e-7  # relative width of a cluster in cluster_eigenvalues
 
 MatrixLike = Union[np.ndarray, sp.spmatrix, LleMatrix]
 
@@ -291,7 +292,7 @@ def eig(W: MatrixLike, k: Optional[int] = None, ordering: str = "real_desc",
         import scipy.sparse.linalg as spla  # ARPACK loads on the first Arnoldi solve
 
         # uniform on [-1, 1): the ones vector would not do, W 1 = 1 makes it invariant
-        v0 = 2.0 * CounterStream(0).uniform(n) - 1.0
+        v0 = 2.0 * rng.uniform(0, n) - 1.0
         try:
             out = spla.eigs(A.astype(float, copy=False), k=k, which=which, tol=ARNOLDI_TOL,
                             maxiter=maxiter, ncv=ncv, v0=v0, return_eigenvectors=want_vectors)
@@ -310,8 +311,8 @@ def eig(W: MatrixLike, k: Optional[int] = None, ordering: str = "real_desc",
     return spectrum
 
 
-def cluster_eigenvalues(values: np.ndarray, rtol: float = 1e-7):
-    """Group (real parts of) eigenvalues within relative tolerance rtol.
+def cluster_eigenvalues(values: np.ndarray):
+    """Group (real parts of) eigenvalues within relative tolerance CLUSTER_RTOL.
 
     Returns (centers, multiplicities) sorted ascending. The scale for the
     relative tolerance is max(1, max |value|).
@@ -320,7 +321,7 @@ def cluster_eigenvalues(values: np.ndarray, rtol: float = 1e-7):
     scale = max(1.0, float(np.max(np.abs(v))) if len(v) else 1.0)
     centers, mult = [], []
     for x in v:
-        if centers and abs(x - centers[-1]) <= rtol * scale:
+        if centers and abs(x - centers[-1]) <= CLUSTER_RTOL * scale:
             centers[-1] = (centers[-1] * mult[-1] + x) / (mult[-1] + 1)
             mult[-1] += 1
         else:

@@ -123,8 +123,8 @@ def test_criterion_01_s1_exact_spectrum():
         dev = float(np.max(np.abs(got - expected)))
         if dev > 1e-8:
             failures.append(f"m={m}: max deviation {dev:.2e} > 1e-8")
-        centers, mult = cluster_eigenvalues(spec.eigenvalues, rtol=1e-7)
-        exp_centers, exp_mult = cluster_eigenvalues(expected, rtol=1e-7)
+        centers, mult = cluster_eigenvalues(spec.eigenvalues)
+        exp_centers, exp_mult = cluster_eigenvalues(expected)
         if mult.tolist() != exp_mult.tolist():
             failures.append(f"m={m}: multiplicities {mult.tolist()} != {exp_mult.tolist()}")
     elapsed = time.perf_counter() - t0

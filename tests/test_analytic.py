@@ -146,15 +146,16 @@ def test_moments_match_sigma_at_half_depth():
     s = np.array([0.0, 0.25, 0.5, 0.75, 1.0, 1.5])
     for d in range(1, 6):
         cf = AnalyticCoeffs(d, eps)
-        kinds = {"s0": (0, False), "s1d": (1, False), "s2d": (2, False), "s3d": (3, False)}
+        kinds = {cf.sigma0: (0, False), cf.sigma1d: (1, False), cf.sigma2d: (2, False),
+                 cf.sigma3d: (3, False)}
         if d > 1:  # x_1 is tangential only for d >= 2
-            kinds.update({"s2": (0, True), "s3": (1, True)})
-        for kind, (m, tangential) in kinds.items():
-            sig = cf.sigma(kind, s * eps)
+            kinds.update({cf.sigma2: (0, True), cf.sigma3: (1, True)})
+        for sigma, (m, tangential) in kinds.items():
+            sig = sigma(s * eps)
             assert sig.shape == s.shape
             v = [2 if tangential else 0] + [0] * (d - 2) + [m] if d > 1 else [m]
             mu = [moments_oracle(d, eps, si * eps, v) / eps ** (d + sum(v)) for si in s]
-            assert np.max(np.abs(sig - mu)) <= 1e-10, (d, kind)
+            assert np.max(np.abs(sig - mu)) <= 1e-10, (d, sigma.__name__)
 
 
 def test_moments_validation():
@@ -168,7 +169,7 @@ def test_moments_validation():
 
 def _d_values(cf, t):
     """Every sigma, phi1, phi2, V, B, psi1, psi2, the dm drift and the boundary slope at t."""
-    return [*(cf.sigma(kind, t) for kind in ("s0", "s1d", "s2", "s2d", "s3", "s3d")),
+    return [cf.sigma0(t), cf.sigma1d(t), cf.sigma2(t), cf.sigma2d(t), cf.sigma3(t), cf.sigma3d(t),
             *cf.phi(t), cf.potential_v(t, 0.7), cf.b_function(t), *cf.dm_coeffs(t).values(),
             cf.kernel_limits()["boundary_slope"](t)]
 
@@ -186,15 +187,6 @@ def test_d_array_matches_scalar_calls(d):
         assert whole.tobytes() == np.array([row[j] for row in pointwise]).tobytes(), j
     square = _d_values(cf, grid[:1000].reshape(40, 25))
     assert all(v.shape == (40, 25) for v in square)
-
-
-def test_sigma_kind_dispatch():
-    cf = AnalyticCoeffs(2, 0.5)
-    for kind, fn in [("s0", cf.sigma0), ("s1d", cf.sigma1d), ("s2", cf.sigma2),
-                     ("s2d", cf.sigma2d), ("s3", cf.sigma3), ("s3d", cf.sigma3d)]:
-        assert cf.sigma(kind, 0.2) == fn(0.2)
-    with pytest.raises(ValueError):
-        cf.sigma("nope", 0.1)
 
 
 def test_phi_values():

@@ -65,6 +65,11 @@ def test_classify_thresholds(interval_runs):
     for small, big in zip(sets[1:], sets[:-1]):
         assert small.issubset(big)
 
+    # NaN labels every point interior, and neither NaN nor inf has a JSON spelling
+    for tau in [float("nan"), float("inf"), -float("inf"), np.float64("nan")]:
+        with pytest.raises(ValueError, match="tau must be a finite number"):
+            classify(rep, tau=tau)
+
 
 def test_default_threshold_formula():
     d, eps = 2, 0.1

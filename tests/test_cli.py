@@ -101,7 +101,12 @@ def test_spectrum_writes_k_eigs_eigenvalues(tmp_path, k):
     (["spectrum", "--n", "300", "--eps", "0.05", "--k-eigs", "400"], "k must satisfy"),
     (["nullcase", "--manifold", "interval", "--n", "2500"], "exceeds the dense cutoff"),
     (["sigma-table", "--manifold", "gaussian_null"], "pass --eps"),
-], ids=["spectrum-k", "nullcase-dense", "sigma-table-eps"])
+    (["indicator", "--n", "300", "--eps", "0.05", "--tau", "nan"], "tau must be a finite"),
+    (["clip", "--manifold", "gaussian_null", "--n", "120", "--knn", "12"], "needs eps"),
+    (["eigenfunctions", "--manifold", "gaussian_null", "--n", "120", "--knn", "12",
+      "--tstar-clip"], "needs eps"),
+], ids=["spectrum-k", "nullcase-dense", "sigma-table-eps", "indicator-tau-nan", "clip-no-eps",
+        "eigenfunctions-clip-no-eps"])
 def test_library_errors_exit_cleanly(tmp_path, capsys, argv, message):
     # main returns a status instead of raising, so the console script prints no traceback
     assert main(argv + ["--out", str(tmp_path)]) != 0
@@ -109,6 +114,8 @@ def test_library_errors_exit_cleanly(tmp_path, capsys, argv, message):
     assert err.startswith(f"lleboundary {argv[0]}: ") and message in err
     if argv[0] == "nullcase":  # the subcommand takes no k, so the error must not ask for one
         assert "pass k" not in err and "(2000)" in err and "full spectrum" in err
+    if argv[0] == "indicator":  # refused before indicator.json is written
+        assert not (tmp_path / "indicator.json").exists()
 
 
 def test_sigma_table_takes_the_preset_eps(tmp_path, capsys):

@@ -115,6 +115,11 @@ def test_sidecar_validation(tmp_path):
         json.dump({"n": 2, "c": 1.0}, fh)
     with pytest.raises(ValueError, match="lacks required keys"):
         lio.load_matrix(path)
+    # a sidecar that is not an object; the string holds every key as a substring
+    for side in [5, None, "n scheme epsilon K c d seed"]:
+        (tmp_path / "w.csv.json").write_text(json.dumps(side))
+        with pytest.raises(ValueError, match=r"sidecar .*w\.csv\.json must hold a JSON object"):
+            lio.load_matrix(path)
     # n must be a nonnegative JSON integer: int() would take 2.7 and "2", and
     # raise TypeError, ValueError or OverflowError on the rest without naming the file
     # n >= 2**63 does not fit the int64 indices of the CSR build

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from lleboundary.rng import CounterStream
+from lleboundary import rng
 from lleboundary.samplers import (curve_m3_point, curve_m3_speed, sample_curve_m3, sample_disk,
                                   sample_gaussian_null, sample_interval, sample_surface,
                                   sample_truncated_torus, torus_embed, torus_keep_predicate)
@@ -113,7 +113,7 @@ def test_torus_embedding_and_retention():
     frac = cloud.n / n_raw
     assert 0.5 < frac < 1.0
     # the stored mask equals the retention predicate applied to the raw draws
-    u = CounterStream(9).uniform(2 * n_raw).reshape(n_raw, 2)
+    u = rng.uniform(9, 2 * n_raw).reshape(n_raw, 2)
     mask = torus_keep_predicate(2.0 * np.pi * u[:, 0], 2.0 * np.pi * u[:, 1])
     assert np.array_equal(cloud.kept_mask, mask)
 
@@ -133,3 +133,38 @@ def test_cloud_immutable():
     cloud = sample_interval(10, seed=1)
     with pytest.raises(ValueError):
         cloud.points[0, 0] = 2.0
+
+
+def _words(seed, n):
+    return np.random.Philox(key=seed).random_raw(n)
+
+
+def test_uniform_is_the_documented_transform():
+    for seed, n in [(0, 1), (1, 7), (9, 1000), (2 ** 40 + 3, 64)]:
+        expected = (_words(seed, n) >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+        assert np.array_equal(rng.uniform(seed, n), expected)
+    # pinned: the first draws of seed 1 must not move
+    assert [x.hex() for x in rng.uniform(1, 4)] == [
+        "0x1.36da89edd58a0p-2", "0x1.b289f407757c1p-1", "0x1.3fc3972bb8304p-3",
+        "0x1.fda5da5a81200p-6"]
+
+
+def test_normal_is_the_documented_transform():
+    for seed, n in [(0, 1), (1, 4), (1, 5), (7, 999), (7, 1000)]:
+        m = (n + 1) // 2
+        w = _words(seed, 2 * m) >> np.uint64(11)
+        u1 = (w[:m] + np.uint64(1)).astype(np.float64) * 2.0 ** -53
+        u2 = w[m:].astype(np.float64) * 2.0 ** -53
+        r = np.sqrt(-2.0 * np.log(u1))
+        expected = np.concatenate([r * np.cos(2.0 * np.pi * u2), r * np.sin(2.0 * np.pi * u2)])[:n]
+        assert np.array_equal(rng.normal(seed, n), expected)
+    pinned = ["0x1.b7b3faeb371edp-1", "0x1.1fae36e3eeb56p-1", "0x1.48841566afb25p+0",
+              "0x1.c7a0c3836cb36p-4"]
+    assert [x.hex() for x in rng.normal(1, 3)] == pinned[:3]  # odd n drops the last sine
+    assert [x.hex() for x in rng.normal(1, 4)] == pinned
+
+
+def test_negative_seed_is_refused():
+    for draw in (rng.uniform, rng.normal):
+        with pytest.raises(ValueError, match="nonnegative"):
+            draw(-1, 3)

@@ -119,7 +119,7 @@ def test_equal_modulus_order_does_not_depend_on_the_solver():
 
 def test_cluster_eigenvalues():
     vals = np.array([1.0, 1.0 + 5e-9, 0.5, 0.5 - 3e-9, -1.0])
-    centers, mult = cluster_eigenvalues(vals, rtol=1e-7)
+    centers, mult = cluster_eigenvalues(vals)
     assert np.allclose(centers, [-1.0, 0.5, 1.0])
     assert mult.tolist() == [1, 2, 2]
 
