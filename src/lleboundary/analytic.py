@@ -99,8 +99,8 @@ class AnalyticCoeffs:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("d must be >= 1")
-        if not self.eps > 0:
-            raise ValueError("eps must be positive")
+        if not 0 < self.eps < math.inf:  # also false for nan
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
 
     @property
     def sphere(self) -> float:
@@ -119,8 +119,8 @@ class AnalyticCoeffs:
         sigmas are the exact interior constants.
         """
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        if np.any(t < 0):
-            raise ValueError("t must be >= 0")
+        if not np.all(t >= 0):  # also refuses nan
+            raise ValueError("t must be >= 0 (and not nan)")
         d, sphere, cap = self.d, self.sphere, self.cap
         s = np.minimum(t / self.eps, 1.0)
         layer = s < 1
@@ -299,8 +299,8 @@ def moments_oracle(d: int, eps: float, t_bd: float, v) -> float:
         raise ValueError(f"exponent vector must have length d={d}")
     if sum(v) > 3:
         raise ValueError("moments above total order 3 are unsupported")
-    if t_bd < 0:
-        raise ValueError("t_bd must be >= 0")
+    if not t_bd >= 0:  # also refuses nan
+        raise ValueError("t_bd must be >= 0 (and not nan)")
     c = min(float(t_bd), eps)
     e_d, rest = v[-1], v[:-1]
 

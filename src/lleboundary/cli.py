@@ -3,8 +3,10 @@
 Subcommands: sample, build, spectrum, eigenfunctions, indicator, clip,
 convergence, nullcase, sigma-table. Every setting is one row of ``_FLAGS``:
 its flag, its config-file key, its parser and the ExperimentConfig field it
-sets. A plain-text config file of key=value lines (keys are the flag names)
-can seed any setting; explicit flags win.
+sets (or none, for a value the subcommand reads itself). ``_COMMANDS`` names
+the settings each subcommand reads, and it takes only those: any other flag,
+or config-file key, stops the run. A plain-text config file of key=value
+lines (keys are the flag names) can seed those settings; explicit flags win.
 """
 
 from __future__ import annotations
@@ -73,7 +75,6 @@ class _Flag(NamedTuple):
     field: Optional[str]  # ExperimentConfig field; None: the subcommand reads the value
     parse: Callable
     help: str
-    commands: Optional[tuple] = None  # subcommands that take it; None: all
 
 
 _FLAGS = {
@@ -87,29 +88,38 @@ _FLAGS = {
                "regularizer: a positive finite number, or auto for c = n * eps^(d+3)"),
     "seed": _Flag("seed", int, "integer RNG seed"),
     "k_eigs": _Flag("k_eigs", int, "number of eigenpairs; n gives the full spectrum"),
-    "alpha": _Flag("alpha", float, "alpha for the kernel family / DM normalization"),
+    "alpha": _Flag(None, float, "build the alpha-kernel matrix K^(alpha) instead of W"),
     "out": _Flag("out", Path, "output directory"),
     "tstar_clip": _Flag("tstar_clip", _switch, "also clip the wave region at depth t*"),
     "f_test": _Flag("f_test", _one_of(TEST_FUNCTIONS),
                     f"test function: {', '.join(sorted(TEST_FUNCTIONS))}"),
     "tau": _Flag(None, float, "indicator threshold override"),
-    "d": _Flag(None, int, "intrinsic dimension (default 1)", ("sigma-table",)),
+    "d": _Flag(None, int, "intrinsic dimension (default 1)"),
     "grid": _Flag(None, _grid, "comma list of t/eps values, or their COUNT on [0, 1.2] "
-                  "(default 101)", ("sigma-table",)),
-    "ns": _Flag(None, _list_of(int), "comma list of sample counts", ("convergence",)),
-    "eps_list": _Flag(None, _list_of(float), "comma list of eps values", ("convergence",)),
+                  "(default 101)"),
+    "ns": _Flag(None, _list_of(int), "comma list of sample counts"),
+    "eps_list": _Flag(None, _list_of(float), "comma list of eps values"),
 }
 
+_GRAPH = ("manifold", "n", "eps", "knn", "c", "seed", "out")  # sample -> graph -> W
+
+# subcommand: (its help, the settings it reads; the only flags it takes). No --knn
+# for convergence, whose sweep is over eps, nor for indicator, which is defined on
+# the eps ball.
 _COMMANDS = {
-    "sample": "draw a point cloud and write it as CSV",
-    "build": "assemble the LLE matrix and persist it as triplets",
-    "spectrum": "eigenvalues (and vectors) of the LLE matrix",
-    "eigenfunctions": "preset eigenfunction run, optionally clipped",
-    "indicator": "boundary indicator, classification, profile",
-    "clip": "clip the wave region and persist the reduced matrix",
-    "convergence": "operator-error sweep over n and eps",
-    "nullcase": "high-dimensional Gaussian spectrum diagnostics",
-    "sigma-table": "dump the analytic coefficient table",
+    "sample": ("draw a point cloud and write it as CSV", ("manifold", "n", "seed", "out")),
+    "build": ("assemble the LLE matrix and persist it as triplets", _GRAPH + ("alpha",)),
+    "spectrum": ("eigenvalues (and vectors) of the LLE matrix", _GRAPH + ("k_eigs",)),
+    "eigenfunctions": ("preset eigenfunction run, optionally clipped",
+                       _GRAPH + ("k_eigs", "tstar_clip")),
+    "indicator": ("boundary indicator, classification, profile",
+                  ("manifold", "n", "eps", "c", "seed", "out", "tau")),
+    "clip": ("clip the wave region and persist the reduced matrix", _GRAPH),
+    "convergence": ("operator-error sweep over n and eps",
+                    ("manifold", "n", "eps", "c", "seed", "out", "f_test", "ns", "eps_list")),
+    "nullcase": ("high-dimensional Gaussian spectrum diagnostics", _GRAPH),
+    "sigma-table": ("dump the analytic coefficient table",
+                    ("manifold", "eps", "out", "d", "grid")),
 }
 
 
@@ -117,14 +127,13 @@ def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="lleboundary",
                                      description="boundary-aware LLE toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in _COMMANDS.items():
+    for name, (helptext, keys) in _COMMANDS.items():
         # unset flags stay out of the namespace, so config-file values show through
         p = sub.add_parser(name, help=helptext, argument_default=argparse.SUPPRESS)
         p.add_argument("--config", help="key=value config file, keys named as the flags; "
                                         "flags override it")
-        for key, flag in _FLAGS.items():
-            if flag.commands is not None and name not in flag.commands:
-                continue
+        for key in keys:
+            flag = _FLAGS[key]
             option = "--" + key.replace("_", "-")
             if flag.parse is _switch:
                 p.add_argument(option, action="store_const", const=True, help=flag.help)
@@ -133,7 +142,8 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_config(path: str) -> dict:
+def _read_config(path: str, command: str) -> dict:
+    _, takes = _COMMANDS[command]
     values: dict = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
@@ -145,6 +155,8 @@ def _read_config(path: str) -> dict:
         key = key.replace("-", "_")
         if key not in _FLAGS:
             raise SystemExit(f"{path}:{lineno}: unknown key {key!r}")
+        if key not in takes:
+            raise SystemExit(f"{path}:{lineno}: {command} does not take {key!r}")
         try:
             values[key] = _FLAGS[key].parse(value)
         except (ValueError, argparse.ArgumentTypeError) as exc:
@@ -162,7 +174,7 @@ def _settings(argv) -> tuple:
     command = given.pop("command")
     config_file = given.pop("config", None)
     values = {"manifold": "gaussian_null" if command == "nullcase" else "interval",
-              **(_read_config(config_file) if config_file else {}), **given}
+              **(_read_config(config_file, command) if config_file else {}), **given}
     fields = {_FLAGS[key].field: v for key, v in values.items() if _FLAGS[key].field}
     if "eps" in fields:
         fields.setdefault("knn", None)  # an eps-ball graph unless K is given too
@@ -172,7 +184,6 @@ def _settings(argv) -> tuple:
 def _need_out(cfg: ExperimentConfig) -> Path:
     if cfg.out is None:
         raise SystemExit("this subcommand writes files; pass --out DIR")
-    cfg.out.mkdir(parents=True, exist_ok=True)
     return cfg.out
 
 
@@ -194,11 +205,12 @@ def _run(command: str, values: dict, cfg: ExperimentConfig) -> None:
         path = lio.save_cloud(cloud, out / f"{cfg.manifold}_cloud.csv")
         print(f"wrote {path} ({cloud.n} points)")
     elif command == "build":
-        if cfg.alpha is not None:
+        alpha = values.get("alpha")
+        if alpha is not None:
             cloud, graph = _sample_graph(cfg)
-            mat = build_alpha_kernel_matrix(cloud, graph, cfg.c_rule, cfg.alpha, cfg.eps)
+            mat = build_alpha_kernel_matrix(cloud, graph, cfg.c_rule, alpha, cfg.eps)
             path = lio.save_matrix(mat, out / "alpha_kernel_matrix.csv")
-            print(f"wrote {path} (n={mat.n}, alpha={cfg.alpha}, c={mat.c:.6g})")
+            print(f"wrote {path} (n={mat.n}, alpha={alpha}, c={mat.c:.6g})")
         else:
             cloud, graph, lle = build_pipeline(cfg)
             path = lio.save_matrix(lle, out / "lle_matrix.csv")

@@ -49,7 +49,6 @@ class ExperimentConfig:
     c_rule: Union[float, str] = "auto"
     seed: int = 1
     k_eigs: int = 10
-    alpha: Optional[float] = None
     f_test: str = "squared_radius"
     tstar_clip: bool = False
     out: Optional[Path] = None
@@ -176,11 +175,8 @@ def wave_partition(cloud: PointCloud, graph: NeighborGraph, lle: LleMatrix,
 # --- runners -------------------------------------------------------------------
 
 def _outdir(config: ExperimentConfig) -> Optional[Path]:
-    if config.out is None:
-        return None
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    """The output directory; the writers create it with their first file."""
+    return None if config.out is None else Path(config.out)
 
 
 def _eigfun_csv(out: Path, name: str, cloud: PointCloud, idx: np.ndarray,
@@ -194,6 +190,8 @@ def _eigfun_csv(out: Path, name: str, cloud: PointCloud, idx: np.ndarray,
 def run_eigenfunctions(config: ExperimentConfig) -> dict:
     """Leading eigenpairs of W (and of the clipped matrix when requested)."""
     cloud, graph, lle = build_pipeline(config)
+    # the wave strip first: a refused eps must stop the run before any file is written
+    regions = wave_partition(cloud, graph, lle, config) if config.tstar_clip else None
     out = _outdir(config)
     spec = eig(lle.weights, k=config.k_eigs, ordering="real_desc")
     result = {"cloud": cloud, "graph": graph, "lle": lle, "spectrum": spec}
@@ -205,8 +203,7 @@ def run_eigenfunctions(config: ExperimentConfig) -> dict:
     }
     if out is not None:
         _eigfun_csv(out, "eigenfunctions.csv", cloud, np.arange(cloud.n), spec)
-    if config.tstar_clip:
-        regions = wave_partition(cloud, graph, lle, config)
+    if regions is not None:
         Wr, kept = clip(lle, regions)
         spec_r = eig(Wr, k=config.k_eigs, ordering="real_desc")
         result.update({"regions": regions, "clipped": Wr, "kept": kept,

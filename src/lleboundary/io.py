@@ -21,12 +21,14 @@ those near-ties) go through `"%.17g" % x`, the conversion of
 `format(x, ".17g")`, so the files equal those of a per-entry writer byte
 for byte. Every CSV file, the harness's and CLI's included, goes through
 `_write_table`, and every JSON file, sidecars and run summaries, through
-`_write_json`. The triplet reader checks the header, then gives
-`np.loadtxt` the path, so numpy's C reader parses the body in blocks rather
-than one Python line at a time. It goes back to the file only to name the
-line of an error, decoding each line from UTF-8 on its own so that a byte
-that is not UTF-8 is reported by line too. The sidecar must be a JSON object
-whose n is a JSON integer in [0, 2**63).
+`_write_json`; both create the file's directory when it is missing, so a
+run that fails before its first write leaves nothing behind. The triplet
+reader checks the header, then gives `np.loadtxt` the path, so numpy's C
+reader parses the body in blocks rather than one Python line at a time. It
+goes back to the file only to name the line of an error, decoding each line
+from UTF-8 on its own so that a byte that is not UTF-8 is reported by line
+too. The sidecar must be a JSON object whose n is a JSON integer in
+[0, 2**63).
 """
 
 from __future__ import annotations
@@ -291,9 +293,9 @@ def _write_table(path: Path, header: Optional[str], columns: Sequence[np.ndarray
 
     A column's dtype decides its cells: float as `%.17g`; bool, signed int and
     unsigned int narrower than 8 bytes as `%d`; str as its text. Any other
-    dtype raises TypeError before the file is opened. A block of rows is one
-    uint8 matrix, cells and separators side by side, written without its NULs
-    (so a text cell loses any NUL of its own).
+    dtype raises TypeError before the file, or its missing directory, is
+    made. A block of rows is one uint8 matrix, cells and separators side by
+    side, written without its NULs (so a text cell loses any NUL of its own).
     """
     columns = [np.asarray(col) for col in columns]
     kinds = [_cell_kind(col.dtype) for col in columns]
@@ -301,6 +303,7 @@ def _write_table(path: Path, header: Optional[str], columns: Sequence[np.ndarray
     comma, newline = (np.frombuffer(c, np.uint8)[None, :] for c in (b",", b"\n"))
     nrow = len(columns[0])
     step = max(1, _BLOCK_CELLS // len(columns))
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:
         if header is not None:
             fh.write((header + "\n").encode())
@@ -327,7 +330,9 @@ def _write_table(path: Path, header: Optional[str], columns: Sequence[np.ndarray
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    """`payload` as JSON with a one-space indent and sorted keys, then LF."""
+    """`payload` as JSON with a one-space indent and sorted keys, then LF, in a
+    directory created if missing."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -113,8 +113,11 @@ def solve_barycentric(G: np.ndarray, c: float, path: str = "auto") -> Barycentri
 
 
 def default_regularizer(n: int, eps: float, d: int) -> float:
-    """The operative regularizer c = n * eps^(d+3)."""
-    return float(n) * float(eps) ** (d + 3)
+    """The operative regularizer c = n * eps^(d+3); inf where eps^(d+3) overflows."""
+    try:
+        return float(n) * float(eps) ** (d + 3)
+    except OverflowError:
+        return np.inf
 
 
 def _scheme_meta(scheme: Scheme) -> dict:
@@ -160,8 +163,9 @@ def resolve_c(cloud: PointCloud, graph: NeighborGraph,
             else:
                 raise ValueError(
                     "c_rule='auto' needs a bandwidth: the graph is KNN, so pass eps explicitly")
-        return default_regularizer(cloud.n, eps, cloud.intrinsic_dim)
-    c = float(c_rule)
+        c = default_regularizer(cloud.n, eps, cloud.intrinsic_dim)
+    else:
+        c = float(c_rule)
     _check_c(c)
     return c
 

@@ -39,8 +39,8 @@ class EpsilonBall:
     eps: float
 
     def __post_init__(self):
-        if not self.eps > 0:
-            raise ValueError("eps must be positive")
+        if not 0 < self.eps < np.inf:  # also false for nan
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
 
 
 @dataclass(frozen=True)

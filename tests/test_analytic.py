@@ -167,6 +167,19 @@ def test_moments_validation():
         moments_oracle(2, 0.5, -0.1, [0, 0])
 
 
+@pytest.mark.parametrize("call", [
+    lambda: AnalyticCoeffs(2, np.inf),
+    lambda: AnalyticCoeffs(2, np.nan),
+    lambda: AnalyticCoeffs(2, 0.1).sigma0(np.nan),
+    lambda: AnalyticCoeffs(2, 0.1).b_function(np.array([0.0, np.nan])),
+    lambda: coefficient_table(1, np.inf, [0.0, 0.1]),
+    lambda: moments_oracle(2, 0.1, np.nan, [0, 0]),
+], ids=["eps-inf", "eps-nan", "sigma0-nan", "b-function-nan", "table-eps-inf", "oracle-nan"])
+def test_non_finite_eps_and_nan_depth_are_refused(call):
+    with pytest.raises(ValueError):
+        call()
+
+
 def _d_values(cf, t):
     """Every sigma, phi1, phi2, V, B, psi1, psi2, the dm drift and the boundary slope at t."""
     return [cf.sigma0(t), cf.sigma1d(t), cf.sigma2(t), cf.sigma2d(t), cf.sigma3(t), cf.sigma3d(t),

@@ -22,7 +22,7 @@ SETTINGS = [
     ("build", "c", "1e-3", {"c_rule": 1e-3}),
     ("build", "seed", "5", {"seed": 5}),
     ("spectrum", "k_eigs", "4", {"k_eigs": 4}),
-    ("build", "alpha", "0.5", {"alpha": 0.5}),
+    ("build", "alpha", "0.5", 0.5),
     ("build", "out", "runs/a", {"out": Path("runs/a")}),
     ("eigenfunctions", "tstar_clip", "yes", {"tstar_clip": True}),
     ("convergence", "f_test", "trig", {"f_test": "trig"}),
@@ -61,8 +61,62 @@ def test_flag_and_config_line_agree(tmp_path, command, key, value, expect):
 def test_config_file_values_are_validated(tmp_path, line):
     cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text(f"# header\n{line}\n")
-    with pytest.raises(SystemExit, match=r"bad\.cfg:2: "):
-        _settings(["build", "--config", str(cfgfile)])
+    # a subcommand that takes the key, so that its value is what gets refused
+    command = {"f_test": "convergence", "tstar_clip": "eigenfunctions"}.get(
+        line.split(" = ")[0], "build")
+    with pytest.raises(SystemExit, match=r"bad\.cfg:2: ") as exc:
+        _settings([command, "--config", str(cfgfile)])
+    assert "does not take" not in str(exc.value)
+
+
+# the flags each subcommand takes besides --config and --help: the settings it reads
+TAKES = {
+    "sample": {"manifold", "n", "seed", "out"},
+    "build": {"manifold", "n", "eps", "knn", "c", "seed", "out", "alpha"},
+    "spectrum": {"manifold", "n", "eps", "knn", "c", "seed", "out", "k_eigs"},
+    "eigenfunctions": {"manifold", "n", "eps", "knn", "c", "seed", "out", "k_eigs",
+                       "tstar_clip"},
+    "indicator": {"manifold", "n", "eps", "c", "seed", "out", "tau"},
+    "clip": {"manifold", "n", "eps", "knn", "c", "seed", "out"},
+    "convergence": {"manifold", "n", "eps", "c", "seed", "out", "f_test", "ns", "eps_list"},
+    "nullcase": {"manifold", "n", "eps", "knn", "c", "seed", "out"},
+    "sigma-table": {"manifold", "eps", "out", "d", "grid"},
+}
+
+
+def _subparsers() -> dict:
+    parser = _parser()
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_each_subcommand_takes_only_what_it_reads(command):
+    dests = {a.dest for a in _subparsers()[command]._actions}
+    assert dests - {"help", "config"} == TAKES[command]
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--n", "300", "--eps", "0.05", "--tstar-clip"],
+    ["sample", "--eps", "0.1"],
+    ["nullcase", "--k-eigs", "3"],
+    ["indicator", "--knn", "5"],
+], ids=["spectrum-tstar-clip", "sample-eps", "nullcase-k-eigs", "indicator-knn"])
+def test_a_flag_the_subcommand_does_not_read_is_refused(tmp_path, capsys, argv):
+    out = tmp_path / "D"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_config_key_the_subcommand_does_not_read_is_refused(tmp_path):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("n = 40\ntau = 0.3\n")
+    with pytest.raises(SystemExit, match=r"run\.cfg:2: sample does not take 'tau'"):
+        _settings(["sample", "--config", str(cfgfile)])
+    assert _settings(["indicator", "--config", str(cfgfile)])[1]["tau"] == 0.3
 
 
 @pytest.mark.parametrize("command", SUBCOMMANDS)
@@ -74,10 +128,9 @@ def test_every_subcommand_has_help(command, capsys):
 
 
 def test_config_keys_are_the_parser_dests():
-    parser = _parser()
-    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    assert sorted(subparsers.choices) == sorted(SUBCOMMANDS)
-    dests = {a.dest for p in subparsers.choices.values() for a in p._actions}
+    subparsers = _subparsers()
+    assert sorted(subparsers) == sorted(SUBCOMMANDS)
+    dests = {a.dest for p in subparsers.values() for a in p._actions}
     assert dests - {"help", "config"} == set(_FLAGS)
 
 
@@ -124,3 +177,32 @@ def test_sigma_table_takes_the_preset_eps(tmp_path, capsys):
     assert main(["sigma-table", "--manifold", "gaussian_null", "--eps", "0.5",
                  "--out", str(tmp_path)]) == 0
     assert "eps=0.5" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["indicator", "--n", "300", "--eps", "0.05", "--tau", "nan"],
+    ["sample", "--n", "0"],
+    ["build", "--n", "300", "--eps", "-0.1"],
+    ["spectrum", "--n", "300", "--eps", "0.05", "--k-eigs", "0"],
+    ["sample", "--seed", "-1"],
+    ["eigenfunctions", "--manifold", "gaussian_null", "--n", "120", "--knn", "12",
+     "--k-eigs", "3", "--tstar-clip"],
+], ids=["indicator-tau-nan", "sample-n-0", "build-eps-negative", "spectrum-k-0",
+        "sample-seed-negative", "eigenfunctions-clip-no-eps"])
+def test_a_refused_run_leaves_no_output_directory(tmp_path, argv):
+    out = tmp_path / "D"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["build", "--n", "300", "--eps", "inf"], "eps must be positive and finite"),
+    (["indicator", "--n", "300", "--eps", "inf"], "eps must be positive and finite"),
+    (["sigma-table", "--eps", "inf", "--grid", "3"], "eps must be positive and finite"),
+    (["build", "--n", "300", "--eps", "1e100"], "regularizer c must be positive and finite"),
+], ids=["build-eps-inf", "indicator-eps-inf", "sigma-table-eps-inf", "build-c-overflow"])
+def test_a_non_finite_eps_is_refused(tmp_path, capsys, argv, message):
+    out = tmp_path / "D"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()

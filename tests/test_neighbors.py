@@ -104,6 +104,9 @@ def test_knn_k_too_large():
         Knn(0)
     with pytest.raises(ValueError):
         EpsilonBall(0.0)
+    for eps in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            EpsilonBall(eps)
 
 
 def test_isolated_point_allowed_under_eps():
