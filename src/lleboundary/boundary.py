@@ -43,7 +43,6 @@ class BoundaryReport:
     missing: np.ndarray
     threshold: Optional[float] = None
     labels: Optional[np.ndarray] = None
-    regions: Optional[np.ndarray] = None
 
     @property
     def n(self) -> int:
@@ -64,7 +63,7 @@ def indicator(cloud: PointCloud, graph: NeighborGraph,
         raise ValueError("the indicator is defined for the epsilon-ball scheme")
     eps = graph.scheme.eps
     if lle is None:
-        c = resolve_c(cloud, graph, c_rule)
+        c = resolve_c(cloud, graph.scheme, c_rule)
         _, y_sum = _lle_kernel(cloud.points, graph, c)
         n_k = graph.counts.astype(float)
     else:

@@ -207,8 +207,8 @@ def _run(command: str, values: dict, cfg: ExperimentConfig) -> None:
     elif command == "build":
         alpha = values.get("alpha")
         if alpha is not None:
-            cloud, graph = _sample_graph(cfg)
-            mat = build_alpha_kernel_matrix(cloud, graph, cfg.c_rule, alpha, cfg.eps)
+            cloud, graph, c = _sample_graph(cfg)
+            mat = build_alpha_kernel_matrix(cloud, graph, c, alpha, cfg.eps)
             path = lio.save_matrix(mat, out / "alpha_kernel_matrix.csv")
             print(f"wrote {path} (n={mat.n}, alpha={alpha}, c={mat.c:.6g})")
         else:

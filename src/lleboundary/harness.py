@@ -20,7 +20,7 @@ import numpy as np
 from . import io as lio
 from .analytic import AnalyticCoeffs
 from .boundary import classify, clip, indicator, partition_regions
-from .lle import LleMatrix, apply_shifted, build_lle_matrix
+from .lle import LleMatrix, apply_shifted, build_lle_matrix, resolve_c
 from .neighbors import EpsilonBall, Knn, NeighborGraph, build_graph
 from .samplers import (PointCloud, sample_curve_m3, sample_disk, sample_gaussian_null,
                        sample_interval, sample_surface, sample_truncated_torus)
@@ -85,20 +85,19 @@ def sample(config: ExperimentConfig) -> PointCloud:
 
 
 def _sample_graph(config: ExperimentConfig):
-    """sample -> neighbor graph, honoring the config's scheme."""
+    """sample -> c -> neighbor graph, honoring the config's scheme; a refused c stops the run."""
+    if config.knn is None and config.eps is None:
+        raise ValueError("config needs either eps or knn")
+    scheme = EpsilonBall(config.eps) if config.knn is None else Knn(config.knn)
     cloud = sample(config)
-    if config.knn is not None:
-        return cloud, build_graph(cloud, Knn(config.knn))
-    if config.eps is not None:
-        return cloud, build_graph(cloud, EpsilonBall(config.eps))
-    raise ValueError("config needs either eps or knn")
+    c = resolve_c(cloud, scheme, config.c_rule, config.eps)
+    return cloud, build_graph(cloud, scheme), c
 
 
 def build_pipeline(config: ExperimentConfig):
     """sample -> neighbor graph -> LLE matrix, honoring the config's scheme."""
-    cloud, graph = _sample_graph(config)
-    lle = build_lle_matrix(cloud, graph, config.c_rule, eps=config.eps)
-    return cloud, graph, lle
+    cloud, graph, c = _sample_graph(config)
+    return cloud, graph, build_lle_matrix(cloud, graph, c, eps=config.eps)
 
 
 # --- built-in test functions with ambient derivatives -------------------------
@@ -290,8 +289,10 @@ def run_indicator(config: ExperimentConfig, tau: Optional[float] = None) -> dict
     the indicator runs its own solves, so points without neighbors are
     reported as missing instead of failing the run.
     """
-    cloud, graph = _sample_graph(config)
-    report = classify(indicator(cloud, graph, config.c_rule), tau)
+    if config.knn is not None or config.eps is None:
+        raise ValueError("the indicator is defined for the epsilon-ball scheme: pass --eps")
+    cloud, graph, c = _sample_graph(config)
+    report = classify(indicator(cloud, graph, c), tau)
     gt = cloud.ground_truth
     bdist = None if gt is None else gt.boundary_dist
     summary = {"n": cloud.n, "eps": config.eps, "threshold": report.threshold,

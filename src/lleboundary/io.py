@@ -158,11 +158,7 @@ def _template(key: int):
 
 def _text_cells(text) -> np.ndarray:
     """UTF-8 of each string, one NUL-padded row per string."""
-    s = np.ascontiguousarray(text, dtype=str)
-    code = s.view(np.uint32).reshape(len(s), -1)  # UCS-4 code points
-    if code.max() < 128:
-        return code.astype(np.uint8)
-    b = np.char.encode(s, "utf-8")
+    b = np.char.encode(np.asarray(text, dtype=str), "utf-8")
     return b.view(np.uint8).reshape(len(b), b.dtype.itemsize)
 
 
@@ -532,13 +528,12 @@ def save_eigenvectors(spec: Spectrum, path, meta: Optional[dict] = None) -> Path
 
 def save_report(report: BoundaryReport, path,
                 bdist: Optional[np.ndarray] = None) -> Path:
-    """Indicator report CSV `idx,B,label,region[,bdist]`; a non-finite B is written `nan`."""
+    """Indicator report CSV `idx,B,label[,bdist]`; a non-finite B is written `nan`."""
     path = Path(path)
     b = report.b_values
-    header = "idx,B,label,region"
-    columns = [np.arange(report.n), np.where(np.isfinite(b), b, np.nan)]
-    for labels in (report.labels, report.regions):
-        columns.append(np.full(report.n, "") if labels is None else labels)
+    header = "idx,B,label"
+    labels = np.full(report.n, "") if report.labels is None else report.labels
+    columns = [np.arange(report.n), np.where(np.isfinite(b), b, np.nan), labels]
     if bdist is not None:
         header += ",bdist"
         columns.append(bdist)

@@ -130,13 +130,13 @@ def _scheme_meta(scheme: Scheme) -> dict:
 class LleMatrix:
     """Row-form LLE matrix with the per-row solve byproducts.
 
-    weights holds the row-stochastic W; kernel holds the unnormalized y values
-    on the same sparsity pattern (row k equals y_k). meta records n, scheme,
-    epsilon, K, c, d and seed for persistence sidecars.
+    weights holds the row-stochastic W; y holds the unnormalized kernel values
+    on W's pattern, in its CSR order (row k's slice equals y_k). meta records
+    n, scheme, epsilon, K, c, d and seed for persistence sidecars.
     """
 
     weights: sp.csr_matrix
-    kernel: sp.csr_matrix = field(repr=False)
+    y: np.ndarray = field(repr=False)
     y_sum: np.ndarray
     n_k: np.ndarray
     c: float
@@ -148,25 +148,28 @@ class LleMatrix:
 
     def row_kernel(self, k: int) -> np.ndarray:
         """Unnormalized kernel vector y_k (in neighbor-index order)."""
-        return self.kernel.data[self.kernel.indptr[k]:self.kernel.indptr[k + 1]]
+        return self.y[self.weights.indptr[k]:self.weights.indptr[k + 1]]
 
 
-def resolve_c(cloud: PointCloud, graph: NeighborGraph,
+def resolve_c(cloud: PointCloud, scheme: Scheme,
               c_rule: Union[float, str], eps: Optional[float] = None) -> float:
-    """Resolve the regularizer: an explicit float or the "auto" rule."""
+    """Resolve the regularizer (a float or the "auto" rule); reads no graph, only its scheme."""
     if isinstance(c_rule, str):
         if c_rule != "auto":
             raise ValueError(f"unknown c_rule {c_rule!r}")
         if eps is None:
-            if isinstance(graph.scheme, EpsilonBall):
-                eps = graph.scheme.eps
+            if isinstance(scheme, EpsilonBall):
+                eps = scheme.eps
             else:
                 raise ValueError(
                     "c_rule='auto' needs a bandwidth: the graph is KNN, so pass eps explicitly")
         c = default_regularizer(cloud.n, eps, cloud.intrinsic_dim)
+        if not 0 < c < np.inf:  # also false for nan
+            raise ValueError(f"auto regularizer c must be positive and finite, got c = n eps^(d+3)"
+                             f" = {c!r} (n={cloud.n}, eps={eps!r}, d={cloud.intrinsic_dim})")
     else:
         c = float(c_rule)
-    _check_c(c)
+        _check_c(c)
     return c
 
 
@@ -248,14 +251,14 @@ def build_lle_matrix(cloud: PointCloud, graph: NeighborGraph,
                      eps: Optional[float] = None) -> LleMatrix:
     """Assemble the n x n LLE matrix from the barycentric solves of every row."""
     _isolated_check(graph)
-    c = resolve_c(cloud, graph, c_rule, eps)
+    c = resolve_c(cloud, graph.scheme, c_rule, eps)
     y, y_sum = _lle_kernel(cloud.points, graph, c)
     counts = graph.counts
     meta = {"n": cloud.n, "c": c, "d": cloud.intrinsic_dim, "seed": cloud.seed}
     meta.update(_scheme_meta(graph.scheme))
     if eps is not None:
         meta["epsilon"] = eps
-    return LleMatrix(weights=_csr(y / np.repeat(y_sum, counts), graph), kernel=_csr(y, graph),
+    return LleMatrix(weights=_csr(y / np.repeat(y_sum, counts), graph), y=y,
                      y_sum=y_sum, n_k=counts, c=c, meta=meta)
 
 
@@ -282,7 +285,7 @@ def build_alpha_kernel_matrix(cloud: PointCloud, graph: NeighborGraph,
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     _isolated_check(graph)
-    c = resolve_c(cloud, graph, c, eps)
+    c = resolve_c(cloud, graph.scheme, c, eps)
     counts = graph.counts
     # G^T T_n = 1 - c y (push-through identity), so the LLE solves serve here too
     vals = alpha - (1.0 - alpha) * (1.0 - c * _kernel_y(cloud.points, graph, c))
@@ -294,7 +297,7 @@ def build_alpha_kernel_matrix(cloud: PointCloud, graph: NeighborGraph,
     meta = {"n": cloud.n, "c": c, "d": cloud.intrinsic_dim, "seed": cloud.seed,
             "alpha": alpha, "degenerate_rows": degenerate}
     meta.update(_scheme_meta(graph.scheme))
-    return LleMatrix(weights=_csr(wdata, graph), kernel=_csr(vals, graph), y_sum=row_sum,
+    return LleMatrix(weights=_csr(wdata, graph), y=vals, y_sum=row_sum,
                      n_k=counts, c=c, meta=meta)
 
 

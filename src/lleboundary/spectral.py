@@ -58,6 +58,7 @@ __all__ = [
 DENSE_CUTOFF = 2000
 RESIDUAL_TOL = 1e-8
 ARNOLDI_TOL = 1e-10  # ARPACK's relative accuracy for Ritz values
+ARNOLDI_MAXITER = 50000  # implicit restarts before Arnoldi gives up
 CLUSTER_RTOL = 1e-7  # relative width of a cluster in cluster_eigenvalues
 
 MatrixLike = Union[np.ndarray, sp.spmatrix, LleMatrix]
@@ -261,7 +262,7 @@ def _finish(A, vals, vecs, ordering: str, k: Optional[int], method: str) -> Spec
 
 
 def eig(W: MatrixLike, k: Optional[int] = None, ordering: str = "real_desc",
-        want_vectors: bool = True, maxiter: int = 50000) -> Spectrum:
+        want_vectors: bool = True) -> Spectrum:
     """Spectrum of a square real matrix.
 
     With k < n - 1, restarted Arnoldi (subspace min(n, 2k + 10)) targets the
@@ -272,9 +273,9 @@ def eig(W: MatrixLike, k: Optional[int] = None, ordering: str = "real_desc",
     finds it.
     Residuals are checked against the 1e-8 contract when vectors are
     computed; with want_vectors=False both solvers return eigenvalues only.
-    If Arnoldi stops at maxiter, EigenConvergenceError carries the converged
-    eigenpairs, sorted by the ordering, as method "arnoldi-partial" (or None
-    when none converged).
+    If Arnoldi stops after ARNOLDI_MAXITER restarts, EigenConvergenceError
+    carries the converged eigenpairs, sorted by the ordering, as method
+    "arnoldi-partial" (or None when none converged).
     """
     A = _as_operator(W)
     n = A.shape[0]
@@ -295,7 +296,8 @@ def eig(W: MatrixLike, k: Optional[int] = None, ordering: str = "real_desc",
         v0 = 2.0 * rng.uniform(0, n) - 1.0
         try:
             out = spla.eigs(A.astype(float, copy=False), k=k, which=which, tol=ARNOLDI_TOL,
-                            maxiter=maxiter, ncv=ncv, v0=v0, return_eigenvectors=want_vectors)
+                            maxiter=ARNOLDI_MAXITER, ncv=ncv, v0=v0,
+                            return_eigenvectors=want_vectors)
         except spla.ArpackNoConvergence as exc:
             partial = _finish(A, exc.eigenvalues, exc.eigenvectors, ordering, None,
                               "arnoldi-partial") if len(exc.eigenvalues) else None

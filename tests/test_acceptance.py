@@ -319,7 +319,7 @@ def test_criterion_09_kernel_sign_structure(disk_runs, interval_runs):
         cloud, lle = run["cloud"], run["lle"]
         name = f"{cloud.manifold_tag} seed {run['seed']}"
         cf, reg, near, depths = near_band(run)
-        row_min = np.minimum.reduceat(lle.kernel.data, lle.kernel.indptr[:-1])
+        row_min = np.minimum.reduceat(lle.y, lle.weights.indptr[:-1])
         if np.any(row_min[cloud.ground_truth.boundary_dist > cf.eps] < -1e-10):
             failures.append(f"{name}: a row with bdist > eps has y < -1e-10")
         if not np.all(lle.y_sum > 0.0):

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from lleboundary import harness
 from lleboundary.cli import _FLAGS, _parser, _settings, main
 
 SUBCOMMANDS = ["sample", "build", "spectrum", "eigenfunctions", "indicator", "clip",
@@ -205,4 +206,23 @@ def test_a_non_finite_eps_is_refused(tmp_path, capsys, argv, message):
     out = tmp_path / "D"
     assert main(argv + ["--out", str(out)]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_an_overflowed_auto_regularizer_is_refused_before_the_graph(tmp_path, capsys,
+                                                                    monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the graph was built")
+    monkeypatch.setattr(harness, "build_graph", unreachable)
+    out = tmp_path / "D"
+    assert main(["build", "--n", "300", "--eps", "1e100", "--out", str(out)]) == 2
+    assert "n eps^(d+3)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_indicator_on_a_knn_preset_asks_for_eps(tmp_path, capsys):
+    out = tmp_path / "D"
+    assert main(["indicator", "--manifold", "gaussian_null", "--n", "120",
+                 "--out", str(out)]) == 2
+    assert "--eps" in capsys.readouterr().err
     assert not out.exists()

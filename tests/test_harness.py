@@ -165,7 +165,7 @@ def test_run_indicator_files(tmp_path):
     res = run_indicator(cfg)
     assert (tmp_path / "indicator.csv").exists()
     header = (tmp_path / "indicator.csv").read_text().splitlines()[0]
-    assert header == "idx,B,label,region,bdist"
+    assert header == "idx,B,label,bdist"
     prof = (tmp_path / "profile.csv").read_text().splitlines()
     assert prof[0] == "t_over_eps,B"
     summary = json.loads((tmp_path / "indicator.json").read_text())

@@ -166,7 +166,7 @@ def test_report_csv(tmp_path):
     rep = classify(indicator(cloud, graph, c_rule=1e-3))
     path = lio.save_report(rep, tmp_path / "report.csv", bdist=cloud.ground_truth.boundary_dist)
     lines = path.read_text().splitlines()
-    assert lines[0] == "idx,B,label,region,bdist"
+    assert lines[0] == "idx,B,label,bdist"
     assert len(lines) == 31
     cells = lines[1].split(",")
     assert cells[2] in {"boundary", "interior", "missing"}
@@ -221,12 +221,11 @@ def ref_eigenvectors(spec):
 
 
 def ref_report(report, bdist):
-    lines = ["idx,B,label,region" + ("" if bdist is None else ",bdist")]
+    lines = ["idx,B,label" + ("" if bdist is None else ",bdist")]
     for i in range(report.n):
         b = report.b_values[i]
         cells = [str(i), _fmt(b) if np.isfinite(b) else "nan",
-                 "" if report.labels is None else str(report.labels[i]),
-                 "" if report.regions is None else str(report.regions[i])]
+                 "" if report.labels is None else str(report.labels[i])]
         if bdist is not None:
             cells.append(_fmt(bdist[i]))
         lines.append(",".join(cells))
@@ -342,10 +341,8 @@ def test_save_report_bytes_match_per_entry_writer(tmp_path, full):
     b = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 0.5, 1e308])
     labels = np.array(["missing", "boundary", "interior", "boundary", "interior",
                        "interior", "boundary"]) if full else None
-    regions = np.array(["wave", "interior", "transition", "near_boundary", "interior",
-                        "wave", "interior"]) if full else None
     report = BoundaryReport(b_values=b, d=1, eps=0.1, c=1e-3, missing=np.isnan(b),
-                            labels=labels, regions=regions)
+                            labels=labels)
     bdist = EXTREMES if full else None
     path = lio.save_report(report, tmp_path / "r.csv", bdist=bdist)
     assert path.read_bytes() == ref_report(report, bdist)

@@ -213,21 +213,21 @@ ORACLE_TOL = 1e-12
 
 
 def assert_rows_match_oracle(cloud, graph, lle):
-    W, Y = lle.weights, lle.kernel
+    W = lle.weights
     for k in range(cloud.n):
         sol = solve_barycentric(local_data_matrix(cloud, graph, k), lle.c)
         lo, hi = W.indptr[k], W.indptr[k + 1]
         assert np.max(np.abs(W.data[lo:hi] - sol.w)) <= ORACLE_TOL
-        assert np.max(np.abs(Y.data[lo:hi] - sol.y)) <= ORACLE_TOL * np.max(np.abs(sol.y))
+        assert np.max(np.abs(lle.y[lo:hi] - sol.y)) <= ORACLE_TOL * np.max(np.abs(sol.y))
         assert abs(lle.y_sum[k] - sol.y_sum) <= ORACLE_TOL * abs(sol.y_sum)
 
 
 def assert_alpha_rows_match_oracle(cloud, graph, c, alpha):
-    K = build_alpha_kernel_matrix(cloud, graph, c, alpha).kernel
+    K = build_alpha_kernel_matrix(cloud, graph, c, alpha)
     for k in range(cloud.n):
         G = local_data_matrix(cloud, graph, k)
         vals = alpha - (1.0 - alpha) * (G.T @ augmented_vector_discrete(G, c))
-        row = K.data[K.indptr[k]:K.indptr[k + 1]]
+        row = K.row_kernel(k)
         assert np.max(np.abs(row - vals)) <= ORACLE_TOL * max(1.0, np.max(np.abs(vals)))
 
 

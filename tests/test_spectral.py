@@ -494,14 +494,16 @@ def test_geev_failure_raises_linalg_error(monkeypatch):
 
 @pytest.mark.parametrize("which, ordering, maxiter", [("disk", "real_desc", 6),
                                                       ("null", "modulus_desc", 12)])
-def test_arnoldi_partial_result_sorted_and_checked(which, ordering, maxiter):
+def test_arnoldi_partial_result_sorted_and_checked(which, ordering, maxiter, monkeypatch):
     if which == "disk":
         W = disk_w()
     else:
         cloud = sample_gaussian_null(1000, 200, seed=1)
         W = build_lle_matrix(cloud, build_graph(cloud, Knn(50)), c_rule=1e-3).weights
+    monkeypatch.setattr(spectral, "ARNOLDI_MAXITER", maxiter)
     with pytest.raises(EigenConvergenceError) as info:
-        eig(W, k=10, ordering=ordering, maxiter=maxiter)
+        eig(W, k=10, ordering=ordering)
+    monkeypatch.undo()
     partial = info.value.partial
     assert partial is not None and 1 < len(partial) < 10
     assert partial.method == "arnoldi-partial" and partial.ordering == ordering
@@ -512,7 +514,8 @@ def test_arnoldi_partial_result_sorted_and_checked(which, ordering, maxiter):
     assert np.max(np.min(np.abs(vals[:, None] - converged[None, :]), axis=1)) <= 1e-8
 
 
-def test_arnoldi_nothing_converged_has_no_partial():
+def test_arnoldi_nothing_converged_has_no_partial(monkeypatch):
+    monkeypatch.setattr(spectral, "ARNOLDI_MAXITER", 1)
     with pytest.raises(EigenConvergenceError, match="No convergence") as info:
-        eig(disk_w(), k=10, ordering="real_desc", maxiter=1)
+        eig(disk_w(), k=10, ordering="real_desc")
     assert info.value.partial is None
