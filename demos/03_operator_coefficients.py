@@ -2,17 +2,17 @@
 
 Prints the sigma-function table across the boundary layer, locates the
 degeneracy depth t* where the normal second-order coefficient phi2 changes
-sign (the wave/elliptic interface), evaluates the drift V, checks the
-one-dimensional three-branch formula against the general sigma route, and
-verifies the Sturm-Liouville data p, w reproduce the operator coefficients.
+sign (the wave/elliptic interface), evaluates the drift V, and verifies that
+the closed-form Sturm-Liouville data p, w of the curve [0, a] reproduce the
+d = 1 operator read from the same table: A = phi2 and B = side * V at the
+depth min(t, a - t).
 """
 
 import math
 
 import numpy as np
 
-from lleboundary import AnalyticCoeffs, coefficient_table, d_epsilon_1d, moments_oracle
-from lleboundary.analytic import sl_coefficient_a, sl_coefficient_b, sl_functions
+from lleboundary import AnalyticCoeffs, coefficient_table, moments_oracle, sl_functions
 
 eps = 0.1
 for d in (1, 2, 3):
@@ -34,21 +34,16 @@ mu = moments_oracle(2, eps, 0.5 * eps, [0, 1]) / eps ** 3
 cf2 = AnalyticCoeffs(2, eps)
 print(f"\nmoment oracle vs closed form at half depth: {mu:.8f} vs {cf2.sigma1d(0.5 * eps):.8f}")
 
-# one-dimensional branch formula vs the general route
-cf1 = AnalyticCoeffs(1, eps)
-t = 0.3 * eps
-branch = d_epsilon_1d(0.0, 1.0, 1.0, t=t, a=1.0, eps=eps, density=lambda s: 1.0)
-general = cf1.phi(t)[1] * 1.0 + cf1.potential_v(t, 1.0) * (-1.0)
-print(f"1-d dual path at t = 0.3 eps: {branch:.10f} vs {general:.10f}")
-
-# Sturm-Liouville form: p/w and p'/w reproduce the operator coefficients
+# Sturm-Liouville form: p/w and p'/w reproduce the operator coefficients, here
+# A = phi2 and B = -V (the drift points inward from the end t = 0) of the d = 1 table
 a = 1.0
 t = 0.6 * eps
 h = 1e-6 * eps
 vals = sl_functions(t, eps, a)
 dp = (sl_functions(t + h, eps, a)["p"] - sl_functions(t - h, eps, a)["p"]) / (2 * h)
+cf1 = AnalyticCoeffs(1, eps)
 print(f"SL identity at t = 0.6 eps: p/w = {vals['p'] / vals['w']:+.8f} "
-      f"(A = {sl_coefficient_a(t, a, eps):+.8f}), p'/w = {dp / vals['w']:+.8f} "
-      f"(B = {sl_coefficient_b(t, a, eps):+.8f})")
+      f"(A = {cf1.phi(t)[1]:+.8f}), p'/w = {dp / vals['w']:+.8f} "
+      f"(B = {-cf1.potential_v(t, 1.0 / a):+.8f})")
 t0 = vals["degeneracy"][0]
 print(f"p vanishes at the degeneracy: p({t0:.6f}) = {sl_functions(t0, eps, a)['p']}")

@@ -6,8 +6,8 @@ indicator, clip the wave region, and validate everything against the
 closed-form boundary-layer operator coefficients.
 """
 
-from .analytic import (AnalyticCoeffs, cap_coefficient, coefficient_table, d_epsilon_1d,
-                       moments_oracle, sl_functions, sphere_volume)
+from .analytic import (AnalyticCoeffs, cap_coefficient, coefficient_table, moments_oracle,
+                       sl_functions, sphere_volume)
 from .boundary import BoundaryReport, classify, clip, default_threshold, indicator, partition_regions
 from .harness import (PRESETS, ExperimentConfig, build_pipeline, run_convergence,
                       run_eigenfunctions, run_indicator, run_null_case)

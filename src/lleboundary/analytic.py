@@ -12,12 +12,13 @@ coefficients psi1/psi2. Each call computes the six sigmas once, as one
 table at one scaled depth, and reads its coefficients from that table. A
 tensor-grid quadrature over the cap region serves as the independent oracle
 for the closed forms (moments_oracle).
-On a curve of length a the one-dimensional operator has explicit
-coefficients A (of f'') and B (of f') plus the Sturm-Liouville data
-(g, h, p, w) that brings it to divergence form; all of them follow from one
-depth map, r = min(t, a - t) and the side of the nearer end. Every function
-here takes t as a scalar or an array; a scalar gives a numpy scalar with the
-bits of the same t inside an array.
+On a curve of length a the one-dimensional operator is the d = 1 table read
+at the depth r = min(t, a - t), with the drift pointing along the side of the
+nearer end; its Sturm-Liouville data (g, h, p, w), which bring it to
+divergence form, follow from the same depth map and are the closed forms the
+table is checked against at d = 1. Every function here takes t as a scalar or
+an array; a scalar gives a numpy scalar with the bits of the same t inside an
+array.
 
 Convention: the ratio |S^(d-2)|/(d-1) is defined to be 1 when d = 1; it is
 centralized in :func:`cap_coefficient` and every sigma routes through it.
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -36,7 +37,6 @@ __all__ = [
     "cap_coefficient",
     "AnalyticCoeffs",
     "moments_oracle",
-    "d_epsilon_1d",
     "sl_functions",
     "coefficient_table",
 ]
@@ -319,20 +319,19 @@ def moments_oracle(d: int, eps: float, t_bd: float, v) -> float:
     return total
 
 
-# --- one-dimensional operator and its Sturm-Liouville form --------------------
+# --- Sturm-Liouville form of the one-dimensional operator ---------------------
 
 def _depth_1d(t, a: float, eps: float):
-    """Depth r = min(t, a - t) of arclength t, and the outward side (-1 toward 0,
-    +1 toward a): the one place the 1-d functions decide where t sits. t is a
-    scalar or an array with every entry in [0, a]; both come back at least 1-d,
-    so a scalar takes the same numpy loops as an array entry (numpy-scalar
-    arithmetic can round pow differently)."""
+    """Depth r = min(t, a - t) of arclength t. t is a scalar or an array with
+    every entry in [0, a]; both come back at least 1-d, so a scalar takes the
+    same numpy loops as an array entry (numpy-scalar arithmetic can round pow
+    differently)."""
     if a <= 2.0 * eps:
         raise ValueError("branches overlap: need a > 2*eps")
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if not np.all((0.0 <= t) & (t <= a)):
         raise ValueError("t must lie in [0, a]")
-    return np.minimum(t, a - t), np.where(t <= a - t, -1.0, 1.0)
+    return np.minimum(t, a - t)
 
 
 def _shaped(x: np.ndarray, t):
@@ -340,45 +339,20 @@ def _shaped(x: np.ndarray, t):
     return x.reshape(np.shape(t))[()]
 
 
-def sl_coefficient_a(t, a: float, eps: float):
-    """Second-order coefficient of the 1-d operator (f'' multiplier)."""
-    r, _ = _depth_1d(t, a, eps)
-    s = r / eps
-    return _shaped(np.where(r < eps, -(1.0 - 4.0 * s + s * s) / 12.0, 1.0 / 6.0), t)
-
-
-def sl_coefficient_b(t, a: float, eps: float):
-    """First-order coefficient of the 1-d operator (f' multiplier), uniform density 1/a.
-
-    The drift points inward: positive near t = 0, negative near t = a.
-    """
-    r, side = _depth_1d(t, a, eps)
-    drift = -side * 6.0 * a * eps ** 2 * (eps - r) / (eps + r) ** 3
-    return _shaped(np.where(r < eps, drift, 0.0), t)
-
-
-def d_epsilon_1d(f, f1, f2, t, a: float, eps: float, density: Callable):
-    """Boundary-layer operator A f2 + B f1 / (a density(t)) on a curve of length a.
-
-    f, f1, f2 are the function and its first two arclength derivatives at t
-    (the operator has no zeroth-order term); B is written for density 1/a.
-    """
-    return (sl_coefficient_a(t, a, eps) * f2
-            + sl_coefficient_b(t, a, eps) * f1 / (a * density(t)))
-
-
 def sl_functions(t, eps: float, a: float) -> dict:
-    """Sturm-Liouville data (g, h, p, w) of the 1-d operator, uniform density.
+    """Sturm-Liouville data (g, h, p, w) of the 1-d operator, uniform density 1/a.
 
-    g is the integrating factor exp(int B/A) on the layer, vanishing like
-    |r - t0|^((4+2sqrt3) a eps) at the degeneracy depth t0 = (2 - sqrt3) eps;
-    h = 12 eps^2 g / (|r - t0| |r - t1|) (with t1 = (2 + sqrt3) eps) makes
-    p/w equal the second-order coefficient exactly. Both are taken at the
+    With A = phi2(r) and B = side V(r, 1/a) of AnalyticCoeffs(1, eps), side
+    the outward direction (-1 toward 0, +1 toward a), the operator is
+    A f'' + B f' = (p f')'/w. g is the integrating factor exp(int B/A) on the
+    layer, vanishing like |r - t0|^((4+2sqrt3) a eps) at the degeneracy depth
+    t0 = (2 - sqrt3) eps; h = 12 eps^2 g / (|r - t0| |r - t1|) (with
+    t1 = (2 + sqrt3) eps) makes p/w equal A exactly. Both are taken at the
     depth min(r, eps), so they are constant in the interior; w = h, and
     p = g with the sign of A: negative on the wave strips r <= t0.
     Exactly at the degeneracy p = 0 and h, w return +inf.
     """
-    r, _ = _depth_1d(t, a, eps)
+    r = _depth_1d(t, a, eps)
     t0, t1 = (2.0 - _SQRT3) * eps, (2.0 + _SQRT3) * eps
     al, be = (4.0 + 2.0 * _SQRT3) * a * eps, (4.0 - 2.0 * _SQRT3) * a * eps
     u = np.minimum(r, eps)

@@ -85,10 +85,12 @@ def sample(config: ExperimentConfig) -> PointCloud:
 
 
 def _sample_graph(config: ExperimentConfig):
-    """sample -> c -> neighbor graph, honoring the config's scheme; a refused c stops the run."""
+    """sample -> c -> neighbor graph, honoring the config's scheme; a refused eps
+    (checked by EpsilonBall, also beside knn) or c stops the run."""
     if config.knn is None and config.eps is None:
         raise ValueError("config needs either eps or knn")
-    scheme = EpsilonBall(config.eps) if config.knn is None else Knn(config.knn)
+    ball = None if config.eps is None else EpsilonBall(config.eps)
+    scheme = ball if config.knn is None else Knn(config.knn)
     cloud = sample(config)
     c = resolve_c(cloud, scheme, config.c_rule, config.eps)
     return cloud, build_graph(cloud, scheme), c

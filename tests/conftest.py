@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lleboundary import EpsilonBall, build_graph, build_lle_matrix
+from lleboundary import AnalyticCoeffs, EpsilonBall, build_graph, build_lle_matrix
 from lleboundary.samplers import PointCloud, sample_disk, sample_interval
 
 DISK_SEEDS = (1, 2, 3)
@@ -34,6 +34,16 @@ def s1_grid_eps(m: int) -> float:
     """Radius capturing exactly the two adjacent grid points."""
     n = 2 * m
     return 0.5 * (2.0 * np.sin(np.pi / n) + 2.0 * np.sin(2.0 * np.pi / n))
+
+
+def one_d_operator(t, eps: float, a: float):
+    """(A, B) of the 1-d operator A f'' + B f' on [0, a], uniform density 1/a:
+    phi2 and side * V of AnalyticCoeffs(1, eps) at the depth r = min(t, a - t),
+    side being the outward direction (-1 toward 0, +1 toward a)."""
+    t = np.asarray(t, dtype=float)
+    r = np.minimum(t, a - t)
+    cf = AnalyticCoeffs(1, eps)
+    return cf.phi(r)[1], np.where(t <= a - t, -1.0, 1.0) * cf.potential_v(r, 1.0 / a)
 
 
 # ten-point cloud whose 5-NN LLE matrix at c = 1e-3 has an eigenvalue -2.4233

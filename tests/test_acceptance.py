@@ -28,9 +28,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import s1_grid_cloud, s1_grid_eps, ten_point_cloud
-from lleboundary.analytic import (AnalyticCoeffs, moments_oracle, sl_coefficient_a,
-                                  sl_coefficient_b, sl_functions)
+from conftest import one_d_operator, s1_grid_cloud, s1_grid_eps, ten_point_cloud
+from lleboundary.analytic import AnalyticCoeffs, moments_oracle, sl_functions
 from lleboundary.boundary import clip, indicator, partition_regions
 from lleboundary.lle import apply_shifted, build_lle_matrix
 from lleboundary.neighbors import EpsilonBall, Knn, build_graph
@@ -280,9 +279,10 @@ def test_criterion_07_sl_identity():
     worst_a = worst_b = 0.0
     for t in grid:
         vals = sl_functions(t, eps, a)
-        worst_a = max(worst_a, abs(vals["p"] / vals["w"] - sl_coefficient_a(t, a, eps)))
+        coef_a, coef_b = one_d_operator(t, eps, a)
+        worst_a = max(worst_a, abs(vals["p"] / vals["w"] - coef_a))
         dp = (sl_functions(t + h, eps, a)["p"] - sl_functions(t - h, eps, a)["p"]) / (2 * h)
-        worst_b = max(worst_b, abs(dp / vals["w"] - sl_coefficient_b(t, a, eps)))
+        worst_b = max(worst_b, abs(dp / vals["w"] - coef_b))
     if worst_a > 1e-5:
         failures.append(f"max |p/w - A| = {worst_a:.2e} > 1e-5")
     if worst_b > 1e-4:

@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import ROOT, python_stdout
+from conftest import ROOT, one_d_operator, python_stdout
 from lleboundary.analytic import (AnalyticCoeffs, _ball_monomial, _cap_integral,
-                                  cap_coefficient, coefficient_table, d_epsilon_1d,
-                                  moments_oracle, sl_coefficient_a, sl_coefficient_b,
+                                  cap_coefficient, coefficient_table, moments_oracle,
                                   sl_functions, sphere_volume)
 
 SQRT3 = math.sqrt(3.0)
@@ -278,34 +277,32 @@ def test_phi1_positive_and_phi2_single_sign_change():
         assert abs(crossing - cf.tstar()) < 1.0 / 399 + 1e-9
 
 
-def test_d_epsilon_1d_branches():
-    cf = AnalyticCoeffs(1, 0.05)
-    # interior: (1/6) f''
-    assert abs(d_epsilon_1d(0.0, 0.0, 6.0, t=0.5, a=1.0, eps=0.05,
-                            density=lambda t: 1.0) - 1.0) < 1e-14
-    # at the degeneracy the second-order coefficient vanishes
-    t0 = (2.0 - SQRT3) * 0.05
-    only_drift = d_epsilon_1d(0.0, 1.0, 0.0, t=t0, a=1.0, eps=0.05, density=lambda t: 1.0)
-    with_curv = d_epsilon_1d(0.0, 1.0, 100.0, t=t0, a=1.0, eps=0.05, density=lambda t: 1.0)
-    assert abs(only_drift - with_curv) < 1e-10
-    assert only_drift > 0.0
-    with pytest.raises(ValueError):
-        d_epsilon_1d(0.0, 0.0, 1.0, t=0.01, a=0.05, eps=0.05, density=lambda t: 1.0)
-
-
-def test_d_epsilon_dual_path():
-    eps, a = 0.05, 1.0
-    cf = AnalyticCoeffs(1, eps)
-    f1, f2 = -0.7, 2.3
-    for t in np.linspace(1e-4, eps * (1 - 1e-6), 100):
-        branch = d_epsilon_1d(0.0, f1, f2, t=t, a=a, eps=eps, density=lambda t: 1.0)
-        general = cf.phi(t)[1] * f2 + cf.potential_v(t, 1.0) * (-f1)
-        assert abs(branch - general) < 1e-10
-    # right boundary mirrors with the opposite outward direction
-    for t in np.linspace(a - eps * (1 - 1e-6), a - 1e-4, 50):
-        branch = d_epsilon_1d(0.0, f1, f2, t=t, a=a, eps=eps, density=lambda t: 1.0)
-        general = cf.phi(a - t)[1] * f2 + cf.potential_v(a - t, 1.0) * f1
-        assert abs(branch - general) < 1e-10
+@pytest.mark.parametrize("eps, a", [(0.05, 1.0), (0.01, 0.5), (0.2, 3.0)])
+def test_one_d_operator_closed_forms(eps, a):
+    # the d = 1 table read at the depth r = min(t, a - t) on both ends of [0, a],
+    # density P = 1/a, against its closed forms with s = r/eps: on the layer
+    # phi2 = -(1 - 4s + s^2)/12 to 1e-14 (|phi2| <= 1/6) and
+    # V = -6 (1 - s)/(P (1 + s)^3) to 1e-14 * 6/P (|V| <= 6/P); the largest gaps
+    # seen on these grids are 4.0e-16 and 1.6e-15 * 6/P
+    cf, p_val = AnalyticCoeffs(1, eps), 1.0 / a
+    t0 = (2.0 - SQRT3) * eps
+    t = np.concatenate([np.linspace(0.0, a, 20001), [t0, eps, a - eps, a - t0]])
+    r = np.minimum(t, a - t)
+    s = r / eps
+    layer = r < eps
+    phi2, drift = cf.phi(r)[1], cf.potential_v(r, p_val)
+    assert np.abs(phi2 + (1.0 - 4.0 * s + s * s) / 12.0)[layer].max() < 1e-14
+    closed_v = -6.0 * (1.0 - s) / (p_val * (1.0 + s) ** 3)
+    assert np.abs(drift - closed_v)[layer].max() < 1e-14 * 6.0 / p_val
+    # beyond the layer: the interior coefficient 1/6 and no drift, exactly
+    assert np.all(phi2[~layer] == 1.0 / 6.0) and np.all(drift[~layer] == 0.0)
+    # phi2 vanishes at the degeneracy depth (2 - sqrt3) eps at both ends
+    assert abs(cf.phi(t0)[1]) < 1e-15
+    # the drift B = side V points inward across the layer, t0 and a - t0 included:
+    # up from t = 0, down from t = a
+    _, b = one_d_operator(t, eps, a)
+    left = t < 0.5 * a
+    assert np.all(b[layer & left] > 0.0) and np.all(b[layer & ~left] < 0.0)
 
 
 def test_sl_functions():
@@ -327,18 +324,18 @@ def test_sl_functions():
     h = 1e-6 * eps
     for t in grid:
         vals = sl_functions(t, eps, a)
-        assert abs(vals["p"] / vals["w"] - sl_coefficient_a(t, a, eps)) < 1e-6
+        coef_a, coef_b = one_d_operator(t, eps, a)
+        assert abs(vals["p"] / vals["w"] - coef_a) < 1e-6
         dp = (sl_functions(t + h, eps, a)["p"] - sl_functions(t - h, eps, a)["p"]) / (2 * h)
-        assert abs(dp / vals["w"] - sl_coefficient_b(t, a, eps)) < 1e-5
+        assert abs(dp / vals["w"] - coef_b) < 1e-5
+    with pytest.raises(ValueError, match="branches overlap"):
+        sl_functions(0.01, 0.05, 0.05)
 
 
 def _one_d_values(t, eps, a):
-    """A, B, d_epsilon_1d, g, h, p, w at t."""
+    """g, h, p, w at t."""
     sl = sl_functions(t, eps, a)
-    density = lambda s: 1.0 + 0.5 * s  # correctly rounded ops: scalar and array agree
-    return [sl_coefficient_a(t, a, eps), sl_coefficient_b(t, a, eps),
-            d_epsilon_1d(0.0, -0.7, 2.3, t, a, eps, density),
-            sl["g"], sl["h"], sl["p"], sl["w"]]
+    return [sl["g"], sl["h"], sl["p"], sl["w"]]
 
 
 @pytest.mark.parametrize("eps, a", [(0.05, 1.0), (0.01, 0.5), (0.2, 3.0)])
@@ -354,19 +351,13 @@ def test_one_d_array_matches_scalar_calls(eps, a):
     assert all(v.shape == (20, 20) for v in square)
 
     for bad in ([0.5 * a, -1e-12], [0.5 * a, a * (1 + 1e-12)], [0.5 * a, np.nan]):
-        for fn in (lambda t: sl_coefficient_a(t, a, eps), lambda t: sl_coefficient_b(t, a, eps),
-                   lambda t: d_epsilon_1d(0.0, 1.0, 1.0, t, a, eps, lambda s: 1.0),
-                   lambda t: sl_functions(t, eps, a)):
-            with pytest.raises(ValueError, match=r"\[0, a\]"):
-                fn(np.array(bad))
+        with pytest.raises(ValueError, match=r"\[0, a\]"):
+            sl_functions(np.array(bad), eps, a)
 
 
 def test_operator_demo_lines_agree():
-    # the demo prints both routes to the same digits: the 1-d branch formula
-    # against the general sigma route, and p/w, p'/w against A, B
+    # the demo prints p/w, p'/w and the table's A, B to the same digits
     out = python_stdout(str(ROOT / "demos" / "03_operator_coefficients.py"))
-    dual = re.search(r"1-d dual path at t = 0.3 eps: (\S+) vs (\S+)$", out, re.M)
-    assert dual and dual[1] == dual[2]
     sl = re.search(r"p/w = (\S+) \(A = (\S+)\), p'/w = (\S+) \(B = (\S+)\)$", out, re.M)
     assert sl and sl[1] == sl[2] and sl[3] == sl[4]
 

@@ -209,6 +209,20 @@ def test_a_non_finite_eps_is_refused(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, manifold", [("build", "interval"), ("build", "disk"),
+                                               ("nullcase", "gaussian_null")])
+@pytest.mark.parametrize("eps", ["-0.1", "0", "nan", "inf"])
+def test_a_bad_eps_beside_knn_is_refused(tmp_path, capsys, monkeypatch, command, manifold, eps):
+    def no_sampling(config):
+        raise AssertionError("sampled before eps was checked")
+    monkeypatch.setattr(harness, "sample", no_sampling)
+    out = tmp_path / "D"
+    assert main([command, "--manifold", manifold, "--n", "400", "--knn", "12", "--eps", eps,
+                 "--out", str(out)]) == 2
+    assert "eps must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_an_overflowed_auto_regularizer_is_refused_before_the_graph(tmp_path, capsys,
                                                                     monkeypatch):
     def unreachable(*args, **kwargs):

@@ -160,6 +160,17 @@ def test_null_case_refuses_n_above_cutoff_before_sampling(monkeypatch):
         run_null_case(replace(PRESETS["gaussian_null"], n=2001))
 
 
+@pytest.mark.parametrize("manifold", ["interval", "disk", "gaussian_null"])
+@pytest.mark.parametrize("eps", [-0.1, 0.0, float("nan"), float("inf")])
+def test_a_bad_eps_beside_knn_is_refused_before_sampling(monkeypatch, manifold, eps):
+    # EpsilonBall checks eps whenever one is given, also when knn picks the graph
+    def no_sampling(config):
+        raise AssertionError("sampled before eps was checked")
+    monkeypatch.setattr(harness, "sample", no_sampling)
+    with pytest.raises(ValueError, match="eps must be positive and finite"):
+        build_pipeline(replace(PRESETS[manifold], n=400, knn=12, eps=eps))
+
+
 def test_run_indicator_files(tmp_path):
     cfg = replace(PRESETS["interval"], n=1000, out=tmp_path)
     res = run_indicator(cfg)
