@@ -277,32 +277,55 @@ def test_phi1_positive_and_phi2_single_sign_change():
         assert abs(crossing - cf.tstar()) < 1.0 / 399 + 1e-9
 
 
-@pytest.mark.parametrize("eps, a", [(0.05, 1.0), (0.01, 0.5), (0.2, 3.0)])
-def test_one_d_operator_closed_forms(eps, a):
-    # the d = 1 table read at the depth r = min(t, a - t) on both ends of [0, a],
-    # density P = 1/a, against its closed forms with s = r/eps: on the layer
-    # phi2 = -(1 - 4s + s^2)/12 to 1e-14 (|phi2| <= 1/6) and
-    # V = -6 (1 - s)/(P (1 + s)^3) to 1e-14 * 6/P (|V| <= 6/P); the largest gaps
-    # seen on these grids are 4.0e-16 and 1.6e-15 * 6/P
-    cf, p_val = AnalyticCoeffs(1, eps), 1.0 / a
+_ONE_D_CASES = [(0.05, 1.0), (0.01, 0.5), (0.2, 3.0)]
+
+
+def _one_d_grid(eps, a):
+    """t over [0, a] with t0, eps, a - eps, a - t0 added; the depth r; the layer."""
     t0 = (2.0 - SQRT3) * eps
     t = np.concatenate([np.linspace(0.0, a, 20001), [t0, eps, a - eps, a - t0]])
     r = np.minimum(t, a - t)
-    s = r / eps
-    layer = r < eps
-    phi2, drift = cf.phi(r)[1], cf.potential_v(r, p_val)
-    assert np.abs(phi2 + (1.0 - 4.0 * s + s * s) / 12.0)[layer].max() < 1e-14
-    closed_v = -6.0 * (1.0 - s) / (p_val * (1.0 + s) ** 3)
-    assert np.abs(drift - closed_v)[layer].max() < 1e-14 * 6.0 / p_val
-    # beyond the layer: the interior coefficient 1/6 and no drift, exactly
-    assert np.all(phi2[~layer] == 1.0 / 6.0) and np.all(drift[~layer] == 0.0)
-    # phi2 vanishes at the degeneracy depth (2 - sqrt3) eps at both ends
-    assert abs(cf.phi(t0)[1]) < 1e-15
-    # the drift B = side V points inward across the layer, t0 and a - t0 included:
-    # up from t = 0, down from t = a
-    _, b = one_d_operator(t, eps, a)
-    left = t < 0.5 * a
-    assert np.all(b[layer & left] > 0.0) and np.all(b[layer & ~left] < 0.0)
+    return t, r, r < eps
+
+
+def test_d_epsilon_1d_branches():
+    # the 1-d operator D f = A f'' + B f' on [0, a]: A = phi2 and B = side V of
+    # the d = 1 table at the depth r = min(t, a - t), density P = 1/a
+    for eps, a in _ONE_D_CASES:
+        t, _, layer = _one_d_grid(eps, a)
+        coef_a, coef_b = one_d_operator(t, eps, a)
+        # interior: (1/6) f'' and no drift, exactly
+        assert np.all(coef_a[~layer] == 1.0 / 6.0) and np.all(coef_b[~layer] == 0.0)
+        # at the degeneracy depth (2 - sqrt3) eps the second-order coefficient
+        # vanishes at both ends, so D f there is the drift alone
+        t0 = (2.0 - SQRT3) * eps
+        for end in (t0, a - t0):
+            at_deg = one_d_operator(end, eps, a)
+            assert abs(at_deg[0]) < 1e-15
+            assert abs((at_deg[0] * 100.0 + at_deg[1]) - at_deg[1]) < 1e-10
+        # the drift points inward across the layer, t0 and a - t0 included:
+        # up from t = 0, down from t = a
+        left = t < 0.5 * a
+        assert np.all(coef_b[layer & left] > 0.0) and np.all(coef_b[layer & ~left] < 0.0)
+    # interior: D f = 1 for f'' = 6
+    assert abs(one_d_operator(0.5, 0.05, 1.0)[0] * 6.0 - 1.0) < 1e-14
+    with pytest.raises(ValueError, match="branches overlap"):
+        sl_functions(0.01, 0.05, 0.05)
+
+
+def test_d_epsilon_dual_path():
+    # the d = 1 table read on both ends of [0, a], against its closed forms with
+    # s = r/eps: on the layer phi2 = -(1 - 4s + s^2)/12 to 1e-14 (|phi2| <= 1/6)
+    # and V = -6 (1 - s)/(P (1 + s)^3) to 1e-14 * 6/P (|V| <= 6/P); the largest
+    # gaps seen on these grids are 4.0e-16 and 1.6e-15 * 6/P
+    for eps, a in _ONE_D_CASES:
+        cf, p_val = AnalyticCoeffs(1, eps), 1.0 / a
+        _, r, layer = _one_d_grid(eps, a)
+        s = r / eps
+        phi2, drift = cf.phi(r)[1], cf.potential_v(r, p_val)
+        assert np.abs(phi2 + (1.0 - 4.0 * s + s * s) / 12.0)[layer].max() < 1e-14
+        closed_v = -6.0 * (1.0 - s) / (p_val * (1.0 + s) ** 3)
+        assert np.abs(drift - closed_v)[layer].max() < 1e-14 * 6.0 / p_val
 
 
 def test_sl_functions():
@@ -328,8 +351,6 @@ def test_sl_functions():
         assert abs(vals["p"] / vals["w"] - coef_a) < 1e-6
         dp = (sl_functions(t + h, eps, a)["p"] - sl_functions(t - h, eps, a)["p"]) / (2 * h)
         assert abs(dp / vals["w"] - coef_b) < 1e-5
-    with pytest.raises(ValueError, match="branches overlap"):
-        sl_functions(0.01, 0.05, 0.05)
 
 
 def _one_d_values(t, eps, a):
