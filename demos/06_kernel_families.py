@@ -38,14 +38,14 @@ print(f"kernel near the boundary (bdist {bd[near]:.4f}): "
       f"min y entry = {lle.row_kernel(near).min() * c:.4f} (negative)")
 print(f"kernel in the interior  (bdist {bd[interior]:.4f}): "
       f"min y entry = {lle.row_kernel(interior).min() * c:.4f}")
-print("analytic kernel infimum constant (d=1):",
-      AnalyticCoeffs(1, eps).kernel_limits()["kernel_inf"])
+cf = AnalyticCoeffs(1, eps)
+print("analytic kernel infimum constant (d=1):", 1.0 + cf.sigma1d(0.0) / cf.sigma2d(0.0))
 
 # boundary behavior: DM vs clipped LLE
 t = cloud.points[:, 0]
 dm = build_dm_matrix(cloud, eps=eps, alpha=1.0)
 spec_dm = eig(dm, k=4, ordering="real_desc")
-regions = partition_regions(cloud, eps, AnalyticCoeffs(1, eps).tstar())
+regions = partition_regions(cloud, eps, cf.tstar())
 Wr, kept = clip(lle, regions)
 spec_cl = eig(Wr, k=5, ordering="real_desc")
 

@@ -7,11 +7,12 @@ Three of them reduce to int_0^s (1 - x^2)^(m/2) dx, which one reduction
 formula in m gives in closed form for every d; the other three are closed
 forms outright. From them come the second-order coefficients phi1/phi2, the
 drift V, the degeneracy depth t* where phi2 changes sign, the boundary
-indicator limit B(t), the kernel limit constants, and the diffusion-map
-coefficients psi1/psi2. Each call computes the six sigmas once, as one
-table at one scaled depth, and reads its coefficients from that table. A
-tensor-grid quadrature over the cap region serves as the independent oracle
-for the closed forms (moments_oracle).
+indicator limit B(t), and the diffusion-map coefficients psi1/psi2. Each
+call computes the six sigmas once, as one table at one scaled depth, and
+reads its coefficients from that table. The boundary values are the same
+table at t = 0: B(0) is b_function(0) and the (negative) kernel infimum is
+1 + sigma1d(0)/sigma2d(0). A tensor-grid quadrature over the cap region
+serves as the independent oracle for the closed forms (moments_oracle).
 On a curve of length a the one-dimensional operator is the d = 1 table read
 at the depth r = min(t, a - t), with the drift pointing along the side of the
 nearer end; its Sturm-Liouville data (g, h, p, w), which bring it to
@@ -194,25 +195,6 @@ class AnalyticCoeffs:
         sigma1d is exactly 0."""
         return _shaped(self._b(self._table(t)[1]), t)
 
-    def b_at_boundary(self) -> float:
-        """Closed form of b_function(0): 4 d^2 (d+2) |S^(d-2)|^2 / ((d^2-1)^2 |S^(d-1)|^2)."""
-        d = self.d
-        return 4.0 * d * d * (d + 2) * self.cap ** 2 / ((d + 1) ** 2 * self.sphere ** 2)
-
-    def kernel_limits(self) -> dict:
-        """Limit kernel constants: the infimum constant and the boundary slope.
-
-        kernel_inf = 1 - |S^(d-2)|/(d-1) * 2d(d+2) / ((d+1)|S^(d-1)|) < 0,
-        boundary_slope(t) = -sigma1d(t) / (sigma2d(t) * eps).
-        """
-        kernel_inf = 1.0 - self.cap * 2.0 * self.d * (self.d + 2) / ((self.d + 1) * self.sphere)
-
-        def boundary_slope(t):
-            g = self._table(t)[1]
-            return _shaped(-g["s1d"] / (g["s2d"] * self.eps), t)
-
-        return {"kernel_inf": kernel_inf, "boundary_slope": boundary_slope}
-
     def dm_coeffs(self, t) -> dict:
         """Diffusion-map coefficients psi1 = sigma2/(2 sigma0), psi2 = sigma2d/(2 sigma0),
         and the order-eps drift sigma1d/sigma0 (curvature term excluded)."""
@@ -349,8 +331,8 @@ def sl_functions(t, eps: float, a: float) -> dict:
     t0 = (2 - sqrt3) eps; h = 12 eps^2 g / (|r - t0| |r - t1|) (with
     t1 = (2 + sqrt3) eps) makes p/w equal A exactly. Both are taken at the
     depth min(r, eps), so they are constant in the interior; w = h, and
-    p = g with the sign of A: negative on the wave strips r <= t0.
-    Exactly at the degeneracy p = 0 and h, w return +inf.
+    p = g with the sign of A: negative on the wave strips r < t0.
+    Exactly at the degeneracy p = +0.0 and h, w return +inf.
     """
     r = _depth_1d(t, a, eps)
     t0, t1 = (2.0 - _SQRT3) * eps, (2.0 + _SQRT3) * eps
@@ -361,7 +343,7 @@ def sl_functions(t, eps: float, a: float) -> dict:
     with np.errstate(divide="ignore", invalid="ignore"):
         h = np.where(u == t0, np.inf, 12.0 * eps * eps * g / (np.abs(u - t0) * np.abs(u - t1)))
     h = _shaped(h, t)
-    return {"g": _shaped(g, t), "h": h, "p": _shaped(np.where(r <= t0, -g, g), t), "w": h,
+    return {"g": _shaped(g, t), "h": h, "p": _shaped(np.where(r < t0, -g, g), t), "w": h,
             "degeneracy": (t0, a - t0)}
 
 

@@ -76,13 +76,13 @@ def indicator(cloud: PointCloud, graph: NeighborGraph,
 
 
 def default_threshold(d: int, eps: float) -> float:
-    """Threshold b(0) * (3/4)^(d+1) / 2, with b(0) = b_at_boundary().
+    """Threshold b(0) * (3/4)^(d+1) / 2, with b(0) = b_function(0.0) read from
+    the sigma table.
 
     It is not b(eps/2)/2, which is smaller: at d = 1, 2, 3 the threshold is
     0.211, 0.152, 0.111 and b(eps/2)/2 is 0.125, 0.079, 0.052.
     """
-    cf = AnalyticCoeffs(d, eps)
-    return cf.b_at_boundary() * 0.75 ** (d + 1) / 2.0
+    return float(AnalyticCoeffs(d, eps).b_function(0.0)) * 0.75 ** (d + 1) / 2.0
 
 
 def classify(report: BoundaryReport, tau: Optional[float] = None) -> BoundaryReport:

@@ -254,7 +254,7 @@ def run_convergence(config: ExperimentConfig,
     out = _outdir(config)
     if out is not None:
         cols = list(rows[0].keys())
-        columns = [np.array([str(r[c]) for r in rows]) for c in cols]
+        columns = [np.array([r[c] for r in rows]) for c in cols]
         lio._write_table(out / "convergence.csv", ",".join(cols), columns)
     return rows
 

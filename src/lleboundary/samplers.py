@@ -76,8 +76,8 @@ class PointCloud:
         if self.intrinsic_dim < 1 or pts.shape[1] < self.intrinsic_dim:
             raise ValueError("need p >= d >= 1")
         gt = self.ground_truth
-        if gt is not None and gt.boundary_dist is not None and np.any(gt.boundary_dist < 0):
-            raise ValueError("boundary distances must be nonnegative")
+        if gt is not None and gt.boundary_dist is not None and not np.all(gt.boundary_dist >= 0):
+            raise ValueError("boundary distances must be nonnegative (and not nan)")
         object.__setattr__(self, "points", _freeze(pts))
         object.__setattr__(self, "kept_mask", _freeze(self.kept_mask))
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from lleboundary import AnalyticCoeffs, EpsilonBall, build_graph, build_lle_matrix
+from lleboundary.analytic import cap_coefficient, sphere_volume
 from lleboundary.samplers import PointCloud, sample_disk, sample_interval
 
 DISK_SEEDS = (1, 2, 3)
@@ -44,6 +45,24 @@ def one_d_operator(t, eps: float, a: float):
     r = np.minimum(t, a - t)
     cf = AnalyticCoeffs(1, eps)
     return cf.phi(r)[1], np.where(t <= a - t, -1.0, 1.0) * cf.potential_v(r, 1.0 / a)
+
+
+# Closed forms of the two boundary values the sigma table gives at t = 0, from
+# |S^(d-2)|/(d-1) (cap_coefficient) and |S^(d-1)| (sphere_volume) alone.
+def b_zero_closed_form(d: int) -> float:
+    """B(0) = 4 d^2 (d+2) cap^2 / ((d+1)^2 sphere^2), the oracle of b_function(0)."""
+    cap, sphere = cap_coefficient(d), sphere_volume(d - 1)
+    return 4.0 * d * d * (d + 2) * cap ** 2 / ((d + 1) ** 2 * sphere ** 2)
+
+
+def kernel_inf_closed_form(d: int) -> float:
+    """1 - cap 2d(d+2)/((d+1) sphere), the oracle of the table's kernel infimum."""
+    return 1.0 - cap_coefficient(d) * 2.0 * d * (d + 2) / ((d + 1) * sphere_volume(d - 1))
+
+
+def kernel_inf(cf: AnalyticCoeffs) -> float:
+    """The limit kernel's infimum read from the sigma table: 1 + sigma1d(0)/sigma2d(0)."""
+    return 1.0 + cf.sigma1d(0.0) / cf.sigma2d(0.0)
 
 
 # ten-point cloud whose 5-NN LLE matrix at c = 1e-3 has an eigenvalue -2.4233

@@ -12,8 +12,9 @@ interval (P = 1), 0.1 pi ~ 0.314 on the disk (P = 1/pi), where it is of the
 size of sigma2d(0) = pi/8. At depth t the closed forms are
 min_j c y_kj = 1 - |sigma1d(t)| / (sigma2d(t) + reg) and
 B_k = sigma1d(t)^2 / (sigma0(t) (sigma2d(t) + reg)); at reg = 0 they reduce
-to kernel_limits()["kernel_inf"] (at t = 0) and b_function(t), which both
-tests also assert. Measured against predicted on seeds 1-3:
+to the kernel infimum 1 + sigma1d(0)/sigma2d(0) (at t = 0, checked against its
+closed form) and b_function(t), which both tests also assert. Measured
+against predicted on seeds 1-3:
 
 * disk: mean row minimum of c y 0.110-0.122 against 0.089 (reg = 0
   predicts -0.635); 1.1-2.8% of near rows negative where none is predicted;
@@ -28,7 +29,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import one_d_operator, s1_grid_cloud, s1_grid_eps, ten_point_cloud
+from conftest import (b_zero_closed_form, kernel_inf, kernel_inf_closed_form, one_d_operator,
+                      s1_grid_cloud, s1_grid_eps, ten_point_cloud)
 from lleboundary.analytic import AnalyticCoeffs, moments_oracle, sl_functions
 from lleboundary.boundary import clip, indicator, partition_regions
 from lleboundary.lle import apply_shifted, build_lle_matrix
@@ -79,9 +81,11 @@ def reg_zero_failures() -> list:
     failures = []
     for d, eps in ((1, PRESET_EPS["interval"]), (2, PRESET_EPS["disk"])):
         cf = AnalyticCoeffs(d, eps)
-        kernel_inf = cf.kernel_limits()["kernel_inf"]
-        if abs(predicted_kernel_min(cf, 0.0, 0.0) - kernel_inf) > 1e-12:
-            failures.append(f"d={d}: kernel minimum at reg=0, t=0 != kernel_inf {kernel_inf:.6f}")
+        closed = kernel_inf_closed_form(d)
+        for name, got in (("kernel minimum at reg=0, t=0", predicted_kernel_min(cf, 0.0, 0.0)),
+                          ("table kernel infimum", kernel_inf(cf))):
+            if abs(got - closed) > 1e-12:
+                failures.append(f"d={d}: {name} {got:.6f} != closed-form kernel_inf {closed:.6f}")
         for s in (0.0, 0.125, 0.25, 0.5):
             t = s * eps
             if abs(predicted_indicator(cf, t, 0.0) - cf.b_function(t)) > 1e-12:
@@ -231,16 +235,16 @@ def test_criterion_05_coefficient_ledger():
         ("V(0, P=1) = -6", cf1.potential_v(0.0, 1.0), -6.0),
         ("V(eps/2, P=1) = -8/9", cf1.potential_v(0.5, 1.0), -8.0 / 9.0),
         ("B(0) = 3/4", cf1.b_function(0.0), 0.75),
-        ("kernel_inf = -1/2", cf1.kernel_limits()["kernel_inf"], -0.5),
+        ("kernel_inf = -1/2", kernel_inf(cf1), -0.5),
     ]
     for name, got, expect in checks:
         if abs(got - expect) > 1e-10:
             failures.append(f"{name}: got {got!r}")
     # cross-checks against the independent closed forms
-    if abs(cf1.b_at_boundary() - 0.75) > 1e-10:
-        failures.append("b_at_boundary(d=1) != 3/4")
+    if abs(b_zero_closed_form(1) - 0.75) > 1e-10:
+        failures.append("closed-form B(0) at d=1 != 3/4")
     cf2 = AnalyticCoeffs(2, 1.0)
-    if abs(cf2.b_function(0.0) - cf2.b_at_boundary()) > 1e-10:
+    if abs(cf2.b_function(0.0) - b_zero_closed_form(2)) > 1e-10:
         failures.append("d=2 b_function(0) != closed form")
     report(5, "coefficient ledger (interior constants, d=1 values)", failures,
            time.perf_counter() - t0)

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import ROOT, one_d_operator, python_stdout
+from conftest import (ROOT, b_zero_closed_form, kernel_inf, kernel_inf_closed_form,
+                      one_d_operator, python_stdout)
 from lleboundary.analytic import (AnalyticCoeffs, _ball_monomial, _cap_integral,
                                   cap_coefficient, coefficient_table, moments_oracle,
                                   sl_functions, sphere_volume)
@@ -180,10 +181,9 @@ def test_non_finite_eps_and_nan_depth_are_refused(call):
 
 
 def _d_values(cf, t):
-    """Every sigma, phi1, phi2, V, B, psi1, psi2, the dm drift and the boundary slope at t."""
+    """Every sigma, phi1, phi2, V, B, psi1, psi2 and the dm drift at t."""
     return [cf.sigma0(t), cf.sigma1d(t), cf.sigma2(t), cf.sigma2d(t), cf.sigma3(t), cf.sigma3d(t),
-            *cf.phi(t), cf.potential_v(t, 0.7), cf.b_function(t), *cf.dm_coeffs(t).values(),
-            cf.kernel_limits()["boundary_slope"](t)]
+            *cf.phi(t), cf.potential_v(t, 0.7), cf.b_function(t), *cf.dm_coeffs(t).values()]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -332,9 +332,12 @@ def test_sl_functions():
     eps, a = 0.05, 1.0
     t0 = (2.0 - SQRT3) * eps
     at_deg = sl_functions(t0, eps, a)
-    assert at_deg["p"] == 0.0
     assert math.isinf(at_deg["h"]) and math.isinf(at_deg["w"])
-    assert sl_functions(a - t0, eps, a)["p"] == 0.0
+    # g is exactly 0 at both degeneracy depths and p takes A's sign only on
+    # r < t0, so p is +0.0 there, for a scalar t and inside an array
+    for p in (at_deg["p"], sl_functions(a - t0, eps, a)["p"],
+              *sl_functions(np.array([t0, a - t0]), eps, a)["p"]):
+        assert p == 0.0 and not np.signbit(p)
 
     for t in np.linspace(eps / 100, t0 * (1 - 1e-3), 25):
         vals = sl_functions(t, eps, a)
@@ -377,37 +380,44 @@ def test_one_d_array_matches_scalar_calls(eps, a):
 
 
 def test_operator_demo_lines_agree():
-    # the demo prints p/w, p'/w and the table's A, B to the same digits
+    # the demo prints p/w, p'/w and the table's A, B to the same digits, and p
+    # at the degeneracy as +0.0
     out = python_stdout(str(ROOT / "demos" / "03_operator_coefficients.py"))
     sl = re.search(r"p/w = (\S+) \(A = (\S+)\), p'/w = (\S+) \(B = (\S+)\)$", out, re.M)
     assert sl and sl[1] == sl[2] and sl[3] == sl[4]
+    assert re.search(r"^p vanishes at the degeneracy: .* = 0\.0$", out, re.M)
 
 
 def test_b_function():
+    # B(0) = b_function(0) against its closed form from cap_coefficient and sphere_volume
     cf1 = AnalyticCoeffs(1, 1.0)
     assert abs(cf1.b_function(0.0) - 0.75) < 1e-12
-    assert abs(cf1.b_at_boundary() - 0.75) < 1e-12
+    assert abs(b_zero_closed_form(1) - 0.75) < 1e-12
     cf2 = AnalyticCoeffs(2, 1.0)
     assert abs(cf2.b_function(0.0) - 64.0 / (9.0 * math.pi ** 2)) < 1e-12
-    assert abs(cf2.b_at_boundary() - cf2.b_function(0.0)) < 1e-12
+    assert abs(b_zero_closed_form(2) - cf2.b_function(0.0)) < 1e-12
     for d in (1, 2, 3):
         cfd = AnalyticCoeffs(d, 0.4)
         assert cfd.b_function(0.4) == 0.0
         assert cfd.b_function(2.0) == 0.0
         ts = np.linspace(0.0, 0.4, 80)
         assert np.all(np.diff(cfd.b_function(ts)) <= 1e-14)
-        assert abs(cfd.b_at_boundary() - cfd.b_function(0.0)) < 1e-12
+        assert abs(b_zero_closed_form(d) - cfd.b_function(0.0)) < 1e-12
 
 
 def test_kernel_limits():
+    # the kernel infimum 1 + sigma1d(0)/sigma2d(0) against its closed form; in
+    # the interior sigma1d is exactly 0, so the kernel is flat there
     cf1 = AnalyticCoeffs(1, 0.3)
-    lims = cf1.kernel_limits()
-    assert abs(lims["kernel_inf"] + 0.5) < 1e-12
-    assert abs(lims["boundary_slope"](0.3)) == 0.0
+    assert abs(kernel_inf(cf1) + 0.5) < 1e-12
+    assert abs(kernel_inf_closed_form(1) + 0.5) < 1e-12
+    assert cf1.sigma1d(0.3) == 0.0
     cf2 = AnalyticCoeffs(2, 0.3)
-    assert abs(cf2.kernel_limits()["kernel_inf"] - (1.0 - 16.0 / (3.0 * math.pi))) < 1e-12
+    assert abs(kernel_inf(cf2) - (1.0 - 16.0 / (3.0 * math.pi))) < 1e-12
     for d in range(1, 8):
-        assert AnalyticCoeffs(d, 1.0).kernel_limits()["kernel_inf"] < 0.0
+        cfd = AnalyticCoeffs(d, 1.0)
+        assert abs(kernel_inf(cfd) - kernel_inf_closed_form(d)) < 1e-12
+        assert kernel_inf(cfd) < 0.0
 
 
 def test_dm_coeffs():

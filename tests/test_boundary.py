@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import s1_grid_cloud, s1_grid_eps
+from conftest import b_zero_closed_form, s1_grid_cloud, s1_grid_eps
 from lleboundary.analytic import AnalyticCoeffs
 from lleboundary.boundary import (BoundaryReport, classify, clip, default_threshold,
                                   indicator, partition_regions)
@@ -72,10 +72,14 @@ def test_classify_thresholds(interval_runs):
 
 
 def test_default_threshold_formula():
-    d, eps = 2, 0.1
-    cf = AnalyticCoeffs(d, eps)
-    expect = cf.b_at_boundary() * 0.75 ** (d + 1) / 2.0
-    assert abs(default_threshold(d, eps) - expect) < 1e-15
+    # b(0) * (3/4)^(d+1) / 2 with b(0) read from the table, against the closed
+    # form of b(0); at d = 1 and 2 the two agree to the last bit
+    for d in (1, 2, 3, 5):
+        for eps in (0.01, 0.1, 0.3):
+            expect = b_zero_closed_form(d) * 0.75 ** (d + 1) / 2.0
+            assert abs(default_threshold(d, eps) - expect) < 1e-15
+            if d <= 2:
+                assert default_threshold(d, eps) == expect
     rep_tau = default_threshold(1, 0.01)
     assert 0.0 < rep_tau < 0.75
 
@@ -104,6 +108,15 @@ def test_partition_boundary_cases():
     assert regions[0] == "interior"
     assert regions[1] == "near_boundary"  # closed lower bound at exactly t*
     assert regions[2] == "wave"
+
+
+@pytest.mark.parametrize("bad", [-0.1, np.nan])
+def test_negative_or_nan_boundary_distance_is_refused(bad):
+    # a nan depth would fall in no band of partition_regions and survive clip
+    gt = GroundTruth(param_coords=np.zeros((3, 1)), boundary_dist=np.array([0.1, bad, 0.5]))
+    with pytest.raises(ValueError, match="nonnegative"):
+        PointCloud(np.zeros((3, 1)), intrinsic_dim=1, seed=0, manifold_tag="raw",
+                   ground_truth=gt)
 
 
 def _bisect_depth(cf, b):

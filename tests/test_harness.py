@@ -344,7 +344,8 @@ def ref_profile(bdist, b_values, eps):
 
 def ref_convergence(rows):
     cols = list(rows[0].keys())
-    return _text([",".join(cols)] + [",".join(str(r[c]) for c in cols) for r in rows])
+    return _text([",".join(cols)] + [",".join(format(r[c], ".17g") if isinstance(r[c], float)
+                                              else str(r[c]) for c in cols) for r in rows])
 
 
 def ref_savetxt(tmp_path, X, **kwargs):
@@ -380,10 +381,17 @@ def test_profile_csv_bytes_match_per_entry_writer(tmp_path, manifold, n):
 
 
 def test_convergence_csv_bytes_match_per_entry_writer(tmp_path):
+    # float cells are %.17g like every other CSV and read back to the same
+    # double; int cells are %d and f_test stays text
     cfg = replace(PRESETS["interval"], f_test="trig", out=tmp_path)
     rows = run_convergence(cfg, ns=[300, 500], eps_values=[0.05, 0.1])
     assert len(rows) == 4
-    assert (tmp_path / "convergence.csv").read_bytes() == ref_convergence(rows)
+    text = (tmp_path / "convergence.csv").read_bytes()
+    assert text == ref_convergence(rows)
+    lines = text.decode().splitlines()
+    for row, line in zip(rows, lines[1:]):
+        for col, cell in zip(lines[0].split(","), line.split(",")):
+            assert type(row[col])(cell) == row[col], (col, cell)
 
 
 @pytest.mark.parametrize("d, grid", [("2", "0,0.5,1"), ("5", "13"), ("1", "0")])
