@@ -332,10 +332,12 @@ def sl_functions(t, eps: float, a: float) -> dict:
     t1 = (2 + sqrt3) eps) makes p/w equal A exactly. Both are taken at the
     depth min(r, eps), so they are constant in the interior; w = h, and
     p = g with the sign of A: negative on the wave strips r < t0.
-    Exactly at the degeneracy p = +0.0 and h, w return +inf.
+    At both reported degeneracy points, t0 and a - t0, p = +0.0 and h, w
+    return +inf.
     """
     r = _depth_1d(t, a, eps)
     t0, t1 = (2.0 - _SQRT3) * eps, (2.0 + _SQRT3) * eps
+    r = np.where(np.asarray(t) == a - t0, t0, r)  # a - (a - t0) may round off t0
     al, be = (4.0 + 2.0 * _SQRT3) * a * eps, (4.0 - 2.0 * _SQRT3) * a * eps
     u = np.minimum(r, eps)
     g = (np.abs(u - t0) ** al * np.abs(u - t1) ** be * (u + eps) ** (-8.0 * a * eps)

@@ -220,6 +220,11 @@ def run_eigenfunctions(config: ExperimentConfig) -> dict:
     return result
 
 
+def _band_mean(x: np.ndarray, band: np.ndarray) -> float:
+    """Mean of x over a band of points; nan, without a warning, on an empty band."""
+    return float(x[band].mean()) if band.any() else float("nan")
+
+
 def run_convergence(config: ExperimentConfig,
                     ns: Sequence[int], eps_values: Sequence[float]) -> list:
     """Mean interior/boundary-layer operator error over an (n, eps) sweep.
@@ -243,12 +248,12 @@ def run_convergence(config: ExperimentConfig,
             regions = partition_regions(cloud, eps, tstar)
             interior = regions == "interior"
             layer = np.isin(regions, ("wave", "near_boundary"))
+            err = np.abs(vals - targets)
             rows.append({
                 "n": cloud.n, "eps": eps, "f_test": cfg.f_test, "seed": cfg.seed,
-                "interior_mean_value": float(vals[interior].mean()),
-                "interior_mean_err": float(np.abs(vals - targets)[interior].mean()),
-                "layer_mean_err": float(np.abs(vals - targets)[layer].mean())
-                if layer.any() else float("nan"),
+                "interior_mean_value": _band_mean(vals, interior),
+                "interior_mean_err": _band_mean(err, interior),
+                "layer_mean_err": _band_mean(err, layer),
                 "interior_count": int(interior.sum()),
             })
     out = _outdir(config)

@@ -8,7 +8,7 @@ are reproduced bit-exactly from (sampler, parameters, seed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -41,33 +41,32 @@ class GroundTruth:
     """Per-point analytic data for validation.
 
     boundary_dist is the geodesic distance to the manifold boundary. When
-    ``exact`` is False it is a documented proxy; ``bdist_upper`` then gives a
-    per-point upper bracket (the lower bracket is boundary_dist itself).
+    ``exact`` is False it is a documented proxy (or absent, as on the torus).
     """
 
     param_coords: np.ndarray
     boundary_dist: Optional[np.ndarray] = None
     outward_normal_tangent: Optional[np.ndarray] = None
     exact: bool = True
-    bdist_upper: Optional[np.ndarray] = None
 
     def __post_init__(self):
         object.__setattr__(self, "param_coords", _freeze(self.param_coords))
         object.__setattr__(self, "boundary_dist", _freeze(self.boundary_dist))
         object.__setattr__(self, "outward_normal_tangent", _freeze(self.outward_normal_tangent))
-        object.__setattr__(self, "bdist_upper", _freeze(self.bdist_upper))
 
 
 @dataclass(frozen=True)
 class PointCloud:
-    """n points in ambient R^p sampled from a d-dimensional manifold."""
+    """n points in ambient R^p sampled from a d-dimensional manifold.
+
+    A rejection sampler keeps only its accepted draws, in draw order.
+    """
 
     points: np.ndarray
     intrinsic_dim: int
     seed: int
     manifold_tag: str
     ground_truth: Optional[GroundTruth] = None
-    kept_mask: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -79,7 +78,6 @@ class PointCloud:
         if gt is not None and gt.boundary_dist is not None and not np.all(gt.boundary_dist >= 0):
             raise ValueError("boundary distances must be nonnegative (and not nan)")
         object.__setattr__(self, "points", _freeze(pts))
-        object.__setattr__(self, "kept_mask", _freeze(self.kept_mask))
 
     @property
     def n(self) -> int:
@@ -112,7 +110,7 @@ def sample_interval(n: int, seed: int) -> PointCloud:
 def _disk_draw(n_raw: int, seed: int):
     """n_raw candidates uniform on [-1, 1]^2, rejected to the closed unit disk.
 
-    Returns the kept points, their radii and the keep mask over the candidates.
+    Returns the kept points and their radii, in draw order.
     """
     n_raw = _check_count(n_raw, "n_raw")
     u = rng.uniform(seed, 2 * n_raw).reshape(n_raw, 2)
@@ -121,7 +119,7 @@ def _disk_draw(n_raw: int, seed: int):
     keep = r <= 1.0
     if not keep.any():
         raise ValueError("rejection sampling kept no points; increase n_raw")
-    return xy[keep], r[keep], keep
+    return xy[keep], r[keep]
 
 
 def sample_disk(n_raw: int, seed: int) -> PointCloud:
@@ -129,13 +127,12 @@ def sample_disk(n_raw: int, seed: int) -> PointCloud:
 
     n_raw candidates are drawn; roughly pi/4 of them survive.
     """
-    pts, rk, keep = _disk_draw(n_raw, seed)
+    pts, rk = _disk_draw(n_raw, seed)
     normal = np.where(rk[:, None] > 1e-12, pts / np.maximum(rk, 1e-12)[:, None],
                       np.array([1.0, 0.0]))
     gt = GroundTruth(param_coords=pts.copy(), boundary_dist=1.0 - rk,
                      outward_normal_tangent=normal)
-    return PointCloud(pts, intrinsic_dim=2, seed=seed, manifold_tag="disk",
-                      ground_truth=gt, kept_mask=keep)
+    return PointCloud(pts, intrinsic_dim=2, seed=seed, manifold_tag="disk", ground_truth=gt)
 
 
 def curve_m3_point(t):
@@ -193,17 +190,13 @@ def sample_surface(n_raw: int, seed: int) -> PointCloud:
     Candidates are uniform on [-1, 1]^2, rejected to the disk, then lifted;
     the resulting density on the surface is nonuniform. boundary_dist stores
     the parameter-space proxy 1 - r (a valid lower bracket for the geodesic
-    distance, since the surface metric dominates the flat one); bdist_upper
-    scales it by the global slope bound sqrt(1 + max|grad z|^2) = sqrt(14).
-    The proxy is flagged approximate.
+    distance, since the surface metric dominates the flat one), flagged
+    approximate.
     """
-    xyk, rk, keep = _disk_draw(n_raw, seed)
+    xyk, rk = _disk_draw(n_raw, seed)
     pts = np.column_stack([xyk[:, 0], xyk[:, 1], xyk[:, 0] ** 2 - xyk[:, 1] ** 3])
-    proxy = 1.0 - rk
-    gt = GroundTruth(param_coords=xyk.copy(), boundary_dist=proxy, exact=False,
-                     bdist_upper=np.sqrt(14.0) * proxy)
-    return PointCloud(pts, intrinsic_dim=2, seed=seed, manifold_tag="surface",
-                      ground_truth=gt, kept_mask=keep)
+    gt = GroundTruth(param_coords=xyk.copy(), boundary_dist=1.0 - rk, exact=False)
+    return PointCloud(pts, intrinsic_dim=2, seed=seed, manifold_tag="surface", ground_truth=gt)
 
 
 def torus_keep_predicate(theta, phi) -> np.ndarray:
@@ -232,8 +225,7 @@ def sample_truncated_torus(n_raw: int, seed: int) -> PointCloud:
         raise ValueError("rejection sampling kept no points; increase n_raw")
     pts = torus_embed(theta[keep], phi[keep])
     gt = GroundTruth(param_coords=np.column_stack([theta[keep], phi[keep]]), exact=False)
-    return PointCloud(pts, intrinsic_dim=2, seed=seed, manifold_tag="torus",
-                      ground_truth=gt, kept_mask=keep)
+    return PointCloud(pts, intrinsic_dim=2, seed=seed, manifold_tag="torus", ground_truth=gt)
 
 
 def sample_gaussian_null(n: int, p: int, seed: int) -> PointCloud:

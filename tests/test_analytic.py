@@ -328,17 +328,25 @@ def test_d_epsilon_dual_path():
         assert np.abs(drift - closed_v)[layer].max() < 1e-14 * 6.0 / p_val
 
 
+@pytest.mark.parametrize("eps, a", [(0.05, 1.0), (0.01, 0.5), (0.2, 3.0), (0.1, 1.0)])
+def test_sl_functions_at_both_degeneracies(eps, a):
+    # both reported degeneracy points give g = 0, p = +0.0 and h = w = inf, for
+    # a scalar t and inside an array; at (0.01, 0.5) a - (a - t0) rounds to
+    # 1.1e-17 below t0, so the far end is not the depth t0 by arithmetic alone
+    t0 = (2.0 - SQRT3) * eps
+    ends = sl_functions(t0, eps, a)["degeneracy"]
+    assert ends == (t0, a - t0)
+    inside = sl_functions(np.array([0.5 * t0, ends[0], 0.5 * a, ends[1]]), eps, a)
+    for end, j in zip(ends, (1, 3)):
+        for vals in (sl_functions(end, eps, a), {k: inside[k][j] for k in "ghpw"}):
+            assert vals["g"] == 0.0
+            assert vals["p"] == 0.0 and not np.signbit(vals["p"])
+            assert math.isinf(vals["h"]) and math.isinf(vals["w"])
+
+
 def test_sl_functions():
     eps, a = 0.05, 1.0
     t0 = (2.0 - SQRT3) * eps
-    at_deg = sl_functions(t0, eps, a)
-    assert math.isinf(at_deg["h"]) and math.isinf(at_deg["w"])
-    # g is exactly 0 at both degeneracy depths and p takes A's sign only on
-    # r < t0, so p is +0.0 there, for a scalar t and inside an array
-    for p in (at_deg["p"], sl_functions(a - t0, eps, a)["p"],
-              *sl_functions(np.array([t0, a - t0]), eps, a)["p"]):
-        assert p == 0.0 and not np.signbit(p)
-
     for t in np.linspace(eps / 100, t0 * (1 - 1e-3), 25):
         vals = sl_functions(t, eps, a)
         assert vals["p"] < 0.0

@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -77,6 +78,21 @@ def test_convergence_interior_targets(tmp_path):
     rows = run_convergence(replace(PRESETS["interval"], f_test="trig"),
                            ns=[2000], eps_values=[0.02])
     assert rows[0]["interior_mean_err"] <= 0.5  # |f''| reaches pi^2, ~10% observed
+
+
+def test_convergence_empty_interior_band_is_nan_without_warning(tmp_path):
+    # at eps 0.3 on [0, 1] every point lies within the layer, so the interior
+    # band is empty: its means are nan, with no "Mean of empty slice" warning
+    cfg = replace(PRESETS["interval"], seed=7, out=tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = run_convergence(cfg, ns=[300], eps_values=[0.3])
+    assert rows[0]["interior_count"] == 0
+    assert np.isnan(rows[0]["interior_mean_value"]) and np.isnan(rows[0]["interior_mean_err"])
+    assert np.isfinite(rows[0]["layer_mean_err"])
+    header, line = (tmp_path / "convergence.csv").read_text().splitlines()
+    cells = dict(zip(header.split(","), line.split(",")))
+    assert cells["interior_mean_value"] == cells["interior_mean_err"] == "nan"
 
 
 def test_convergence_rejects_curved_manifolds():

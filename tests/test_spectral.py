@@ -12,7 +12,7 @@ from lleboundary.boundary import clip, partition_regions
 from lleboundary.harness import run_null_case
 from lleboundary.lle import build_lle_matrix
 from lleboundary.neighbors import EpsilonBall, Knn, build_graph
-from lleboundary.samplers import sample_disk, sample_gaussian_null, sample_interval
+from lleboundary.samplers import PointCloud, sample_disk, sample_gaussian_null, sample_interval
 from lleboundary.spectral import (EigenConvergenceError, cluster_eigenvalues, eig,
                                   imaginary_diagnostics, spectral_radius_report,
                                   symmetric_split)
@@ -519,3 +519,23 @@ def test_arnoldi_nothing_converged_has_no_partial(monkeypatch):
     with pytest.raises(EigenConvergenceError, match="No convergence") as info:
         eig(disk_w(), k=10, ordering="real_desc")
     assert info.value.partial is None
+
+
+def test_unclipped_interval_spectrum_boundary_condition_set_by_kappa():
+    # the paper's "peculiar" boundary behaviour: without clipping, the first
+    # nontrivial eigenvalue nu_1 = (1 - mu_2)/eps^2 of W on [0, 1] sits well
+    # below the Neumann value pi^2/6 at the auto regularizer (kappa = 1 in
+    # c = kappa n eps^4) and climbs toward it as kappa grows; measured ratios
+    # 0.5185, 0.7914, 0.9235, 0.9833 at kappa 0.3, 1, 3, 10
+    n, eps = 4001, 0.02
+    cloud = PointCloud(np.linspace(0.0, 1.0, n)[:, None], intrinsic_dim=1, seed=0,
+                       manifold_tag="grid")
+    graph = build_graph(cloud, EpsilonBall(eps))
+    ratios = []
+    for kappa in (0.3, 1.0, 3.0, 10.0):
+        lle = build_lle_matrix(cloud, graph, c_rule=kappa * n * eps ** 4)
+        mu = eig(lle.weights, k=4, ordering="real_desc").eigenvalues
+        ratios.append((1.0 - mu[1].real) / eps ** 2 / (np.pi ** 2 / 6.0))
+    assert abs(ratios[1] - 0.79) <= 0.03, ratios
+    assert np.all(np.diff(ratios) > 0.0), ratios
+    assert ratios[-1] > 0.95, ratios
