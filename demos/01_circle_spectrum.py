@@ -22,7 +22,7 @@ cloud = PointCloud(np.column_stack([np.cos(ang), np.sin(ang)]),
 eps = 0.5 * (2 * np.sin(np.pi / n) + 2 * np.sin(2 * np.pi / n))
 lle = build_lle_matrix(cloud, build_graph(cloud, EpsilonBall(eps)), c_rule=1e-3)
 
-spec = eig(lle, want_vectors=False)
+spec = eig(lle.weights, want_vectors=False)
 centers, mult = cluster_eigenvalues(spec.eigenvalues)
 print(f"circle grid n={n}: clustered spectrum")
 for cval, mu in zip(centers, mult):
@@ -30,7 +30,7 @@ for cval, mu in zip(centers, mult):
 expected = np.sort(np.concatenate([[-1, 1], np.repeat(np.cos(np.pi * np.arange(1, m) / m), 2)]))
 print("max deviation from the cosine formula:",
       np.max(np.abs(np.sort(spec.eigenvalues.real) - expected)))
-print("radius report:", spectral_radius_report(lle))
+print("radius report:", spectral_radius_report(lle.weights))
 
 # --- scattered cloud in R^3 ----------------------------------------------------
 pts = np.array([
@@ -40,8 +40,8 @@ pts = np.array([
 ])
 cloud10 = PointCloud(pts, intrinsic_dim=3, seed=0, manifold_tag="scatter10")
 lle10 = build_lle_matrix(cloud10, build_graph(cloud10, Knn(5)), c_rule=1e-3)
-spec10 = eig(lle10, want_vectors=False)
+spec10 = eig(lle10.weights, want_vectors=False)
 print("\nten scattered points, 5-NN, c=1e-3:")
 print("  eigenvalues:", np.round(np.sort(spec10.eigenvalues.real), 4))
 print("  spectral radius:", np.abs(spec10.eigenvalues).max())
-print("  antisymmetry diagnostics:", imaginary_diagnostics(lle10))
+print("  antisymmetry diagnostics:", imaginary_diagnostics(lle10.weights))

@@ -120,10 +120,17 @@ def default_regularizer(n: int, eps: float, d: int) -> float:
         return np.inf
 
 
-def _scheme_meta(scheme: Scheme) -> dict:
+def _meta(cloud: PointCloud, scheme: Scheme, c: float, eps: Optional[float]) -> dict:
+    """The sidecar record of a built matrix: n, c, d, seed and the scheme, with
+    epsilon the ball radius or, beside KNN, the eps that resolved c."""
+    meta = {"n": cloud.n, "c": c, "d": cloud.intrinsic_dim, "seed": cloud.seed}
     if isinstance(scheme, EpsilonBall):
-        return {"scheme": "epsilon_ball", "epsilon": scheme.eps, "K": None}
-    return {"scheme": "knn", "epsilon": None, "K": scheme.k}
+        meta.update(scheme="epsilon_ball", epsilon=scheme.eps, K=None)
+    else:
+        meta.update(scheme="knn", epsilon=None, K=scheme.k)
+    if eps is not None:
+        meta["epsilon"] = eps
+    return meta
 
 
 @dataclass(frozen=True)
@@ -254,12 +261,8 @@ def build_lle_matrix(cloud: PointCloud, graph: NeighborGraph,
     c = resolve_c(cloud, graph.scheme, c_rule, eps)
     y, y_sum = _lle_kernel(cloud.points, graph, c)
     counts = graph.counts
-    meta = {"n": cloud.n, "c": c, "d": cloud.intrinsic_dim, "seed": cloud.seed}
-    meta.update(_scheme_meta(graph.scheme))
-    if eps is not None:
-        meta["epsilon"] = eps
     return LleMatrix(weights=_csr(y / np.repeat(y_sum, counts), graph), y=y,
-                     y_sum=y_sum, n_k=counts, c=c, meta=meta)
+                     y_sum=y_sum, n_k=counts, c=c, meta=_meta(cloud, graph.scheme, c, eps))
 
 
 def apply_shifted(lle: Union[LleMatrix, sp.spmatrix, np.ndarray], f: np.ndarray) -> np.ndarray:
@@ -294,9 +297,8 @@ def build_alpha_kernel_matrix(cloud: PointCloud, graph: NeighborGraph,
     if degenerate:
         warnings.warn(f"alpha-kernel rows with nonpositive sum left unnormalized: {degenerate}")
     wdata = vals / np.repeat(np.where(row_sum > 0, row_sum, 1.0), counts)
-    meta = {"n": cloud.n, "c": c, "d": cloud.intrinsic_dim, "seed": cloud.seed,
-            "alpha": alpha, "degenerate_rows": degenerate}
-    meta.update(_scheme_meta(graph.scheme))
+    meta = _meta(cloud, graph.scheme, c, eps)
+    meta.update(alpha=alpha, degenerate_rows=degenerate)
     return LleMatrix(weights=_csr(wdata, graph), y=vals, y_sum=row_sum,
                      n_k=counts, c=c, meta=meta)
 

@@ -54,6 +54,12 @@ class GroundTruth:
         object.__setattr__(self, "boundary_dist", _freeze(self.boundary_dist))
         object.__setattr__(self, "outward_normal_tangent", _freeze(self.outward_normal_tangent))
 
+    def __repr__(self) -> str:
+        # a summary, like NeighborGraph's: the field-by-field repr prints every array
+        present = [name for name in ("param_coords", "boundary_dist", "outward_normal_tangent")
+                   if getattr(self, name) is not None]
+        return f"GroundTruth({', '.join(present)}, exact={self.exact})"
+
 
 @dataclass(frozen=True)
 class PointCloud:
@@ -78,6 +84,10 @@ class PointCloud:
         if gt is not None and gt.boundary_dist is not None and not np.all(gt.boundary_dist >= 0):
             raise ValueError("boundary distances must be nonnegative (and not nan)")
         object.__setattr__(self, "points", _freeze(pts))
+
+    def __repr__(self) -> str:
+        return (f"PointCloud({self.manifold_tag!r}, n={self.n}, p={self.ambient_dim}, "
+                f"d={self.intrinsic_dim}, seed={self.seed}, ground_truth={self.ground_truth!r})")
 
     @property
     def n(self) -> int:

@@ -1,5 +1,9 @@
 """Eigen-analysis of (generally non-symmetric) LLE matrices.
 
+Every function here takes the matrix itself, sparse or dense (``lle.weights``,
+a clipped ``Wr``, any square ndarray): the module is linear algebra on W and
+does not import the LLE module.
+
 The solver follows what is asked, not the matrix size: a partial spectrum
 (k < n - 1 eigenpairs) comes from implicitly restarted Arnoldi with a
 subspace of min(n, 2k + 10) vectors, at every n; the full spectrum
@@ -35,14 +39,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
 
 from . import rng
-from .lle import LleMatrix
 
 __all__ = [
     "Spectrum",
@@ -60,8 +63,6 @@ RESIDUAL_TOL = 1e-8
 ARNOLDI_TOL = 1e-10  # ARPACK's relative accuracy for Ritz values
 ARNOLDI_MAXITER = 50000  # implicit restarts before Arnoldi gives up
 CLUSTER_RTOL = 1e-7  # relative width of a cluster in cluster_eigenvalues
-
-MatrixLike = Union[np.ndarray, sp.spmatrix, LleMatrix]
 
 
 def check_dense_cutoff(n: int) -> None:
@@ -89,12 +90,6 @@ class Spectrum:
 
     def __len__(self) -> int:
         return len(self.eigenvalues)
-
-
-def _as_operator(W: MatrixLike):
-    if isinstance(W, LleMatrix):
-        return W.weights
-    return W
 
 
 def _sort_key(vals: np.ndarray, ordering: str) -> np.ndarray:
@@ -261,7 +256,7 @@ def _finish(A, vals, vecs, ordering: str, k: Optional[int], method: str) -> Spec
     return Spectrum(vals, vecs, ordering, method, _residuals(A, vals, vecs))
 
 
-def eig(W: MatrixLike, k: Optional[int] = None, ordering: str = "real_desc",
+def eig(W: sp.spmatrix | np.ndarray, k: Optional[int] = None, ordering: str = "real_desc",
         want_vectors: bool = True) -> Spectrum:
     """Spectrum of a square real matrix.
 
@@ -277,15 +272,14 @@ def eig(W: MatrixLike, k: Optional[int] = None, ordering: str = "real_desc",
     carries the converged eigenpairs, sorted by the ordering, as method
     "arnoldi-partial" (or None when none converged).
     """
-    A = _as_operator(W)
-    n = A.shape[0]
-    if A.shape[0] != A.shape[1]:
+    n = W.shape[0]
+    if W.shape[1] != n:
         raise ValueError("matrix must be square")
     if k is not None and not 1 <= k <= n:
         raise ValueError("k must satisfy 1 <= k <= n")
     if k is None or k >= n - 1:
         check_dense_cutoff(n)
-        vals, vecs = _dense_eig(A, want_vectors)
+        vals, vecs = _dense_eig(W, want_vectors)
         method = "dense"
     else:
         which = "LR" if ordering == "real_desc" else "LM"
@@ -295,16 +289,16 @@ def eig(W: MatrixLike, k: Optional[int] = None, ordering: str = "real_desc",
         # uniform on [-1, 1): the ones vector would not do, W 1 = 1 makes it invariant
         v0 = 2.0 * rng.uniform(0, n) - 1.0
         try:
-            out = spla.eigs(A.astype(float, copy=False), k=k, which=which, tol=ARNOLDI_TOL,
+            out = spla.eigs(W.astype(float, copy=False), k=k, which=which, tol=ARNOLDI_TOL,
                             maxiter=ARNOLDI_MAXITER, ncv=ncv, v0=v0,
                             return_eigenvectors=want_vectors)
         except spla.ArpackNoConvergence as exc:
-            partial = _finish(A, exc.eigenvalues, exc.eigenvectors, ordering, None,
+            partial = _finish(W, exc.eigenvalues, exc.eigenvectors, ordering, None,
                               "arnoldi-partial") if len(exc.eigenvalues) else None
             raise EigenConvergenceError(str(exc), partial) from exc
         vals, vecs = out if want_vectors else (out, None)
         method = "arnoldi"
-    spectrum = _finish(A, vals, vecs, ordering, k, method)
+    spectrum = _finish(W, vals, vecs, ordering, k, method)
     vals, res = spectrum.eigenvalues, spectrum.residuals
     if res is not None and np.max(res) > RESIDUAL_TOL * max(1.0, float(np.max(np.abs(vals)))):
         raise EigenConvergenceError(
@@ -332,11 +326,10 @@ def cluster_eigenvalues(values: np.ndarray):
     return np.array(centers), np.array(mult, dtype=int)
 
 
-def symmetric_split(W: MatrixLike):
+def symmetric_split(W: sp.spmatrix | np.ndarray):
     """(W + W^T)/2 and (W - W^T)/2."""
-    A = _as_operator(W)
-    At = A.T
-    return (A + At) / 2.0, (A - At) / 2.0
+    Wt = W.T
+    return (W + Wt) / 2.0, (W - Wt) / 2.0
 
 
 def _norm_1_inf(A) -> float:
@@ -357,18 +350,17 @@ def _distance_to_real(vals: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return np.minimum(np.abs(vals - mu[lo]), np.abs(vals - mu[hi]))
 
 
-def imaginary_diagnostics(W: MatrixLike) -> dict:
+def imaginary_diagnostics(W: sp.spmatrix | np.ndarray) -> dict:
     """Bauer-Fike control of the imaginary parts via the antisymmetric part.
 
     bound = sqrt(||W^-||_1 ||W^-||_inf) dominates ||W^-||_2; every eigenvalue
     of W, read through ``eig`` (so n <= DENSE_CUTOFF), must lie within bound
     of a (real) eigenvalue of W^+.
     """
-    A = _as_operator(W)
-    vals = eig(A, want_vectors=False).eigenvalues
-    Wp, Wm = symmetric_split(A)
+    vals = eig(W, want_vectors=False).eigenvalues
+    Wp, Wm = symmetric_split(W)
     bound = _norm_1_inf(Wm)
-    # the sparse (A + A^T)/2 densifies to the bits of the dense one: a + b == b + a
+    # the sparse (W + W^T)/2 densifies to the bits of the dense one: a + b == b + a
     dist = _distance_to_real(vals, la.eigvalsh(_densify(Wp), overwrite_a=True))
     return {
         "bound": bound,
@@ -378,17 +370,15 @@ def imaginary_diagnostics(W: MatrixLike) -> dict:
     }
 
 
-def spectral_radius_report(W: MatrixLike) -> dict:
+def spectral_radius_report(W: sp.spmatrix | np.ndarray) -> dict:
     """Check W 1 = 1 and report a lower bound on the spectral radius.
 
     The eigenvalues come from ``eig``: all of them at n <= DENSE_CUTOFF, the
     six largest in modulus above it.
     """
-    A = _as_operator(W)
-    n = A.shape[0]
-    ones = np.ones(n)
-    row_err = float(np.max(np.abs(A @ ones - 1.0)))
-    vals = eig(A, k=None if n <= DENSE_CUTOFF else 6, ordering="modulus_desc",
+    n = W.shape[0]
+    row_err = float(np.max(np.abs(W @ np.ones(n) - 1.0)))
+    vals = eig(W, k=None if n <= DENSE_CUTOFF else 6, ordering="modulus_desc",
                want_vectors=False).eigenvalues
     rho_lower = float(np.max(np.abs(vals)))
     has_one = bool(np.min(np.abs(vals - 1.0)) <= 1e-8)

@@ -119,7 +119,7 @@ def test_criterion_01_s1_exact_spectrum():
         cloud = s1_grid_cloud(m)
         graph = build_graph(cloud, EpsilonBall(s1_grid_eps(m)))
         lle = build_lle_matrix(cloud, graph, c_rule=1e-3)
-        spec = eig(lle, want_vectors=False)
+        spec = eig(lle.weights, want_vectors=False)
         got = np.sort(spec.eigenvalues.real)
         inner = np.repeat(np.cos(np.pi * (m - np.arange(1, m)) / m), 2)
         expected = np.sort(np.concatenate([[-1.0, 1.0], inner]))
@@ -142,7 +142,7 @@ def test_criterion_02_ten_point_fixture():
     cloud = ten_point_cloud()
     graph = build_graph(cloud, Knn(5))
     lle = build_lle_matrix(cloud, graph, c_rule=1e-3)
-    spec = eig(lle, want_vectors=False)
+    spec = eig(lle.weights, want_vectors=False)
     dist = float(np.min(np.abs(spec.eigenvalues - (-2.4233))))
     if dist > 5e-4:
         failures.append(f"closest eigenvalue to -2.4233 is off by {dist:.2e} > 5e-4")
@@ -172,7 +172,7 @@ def test_criterion_03_row_stochastic_and_radius(disk_runs, interval_runs):
     constructed.append(("nullcase", build_lle_matrix(nc, build_graph(nc, Knn(50)), 1e-3)))
 
     for name, lle in constructed:
-        rep = spectral_radius_report(lle)
+        rep = spectral_radius_report(lle.weights)
         if rep["row_sum_err"] > 1e-12:
             failures.append(f"{name}: ||W1-1||_inf = {rep['row_sum_err']:.2e} > 1e-12")
         if rep["rho_lower"] < 1.0 - 1e-10:
@@ -373,14 +373,14 @@ def test_criterion_11_null_case(disk_runs):
     cloud = sample_gaussian_null(400, 200, seed=7)
     graph = build_graph(cloud, Knn(50))
     lle = build_lle_matrix(cloud, graph, c_rule=1e-3)
-    spec = eig(lle, ordering="real_desc", want_vectors=False)
+    spec = eig(lle.weights, ordering="real_desc", want_vectors=False)
     top = spec.eigenvalues[0]
     if abs(top - 1.0) > 1e-8:
         failures.append(f"top eigenvalue {top} not within 1e-8 of 1")
     max_im = float(np.max(np.abs(spec.eigenvalues.imag)))
     if max_im <= 0.01:
         failures.append(f"max |Im| = {max_im:.4f} <= 0.01")
-    diag = imaginary_diagnostics(lle)
+    diag = imaginary_diagnostics(lle.weights)
     if not diag["bauer_fike_ok"]:
         failures.append("an eigenvalue escapes the Bauer-Fike bound "
                         f"sqrt(||W-||_1 ||W-||_inf) = {diag['bound']:.3f}")

@@ -498,3 +498,11 @@ def test_coefficient_table():
                    cf.b_function(t))
             assert np.allclose(row, ref, rtol=1e-14, atol=0.0)
     assert coefficient_table(2, 0.25, []).shape == (0, 11)
+
+
+@pytest.mark.parametrize("call", [lambda: sphere_volume(-1), lambda: cap_coefficient(0),
+                                  lambda: AnalyticCoeffs(0, 0.1)],
+                         ids=["sphere-volume", "cap-coefficient", "coeffs-d"])
+def test_dimension_refusals(call):
+    with pytest.raises(ValueError, match="must be >= "):
+        call()

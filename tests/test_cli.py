@@ -240,3 +240,16 @@ def test_indicator_on_a_knn_preset_asks_for_eps(tmp_path, capsys):
                  "--out", str(out)]) == 2
     assert "--eps" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["no", "0", "False"])
+def test_config_switch_can_be_turned_off(tmp_path, value):
+    # the flag form only turns a switch on; a config line can also say no
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"tstar_clip = {value}\n")
+    assert _settings(["eigenfunctions", "--config", str(cfgfile)])[2].tstar_clip is False
+
+
+def test_a_writing_subcommand_without_out_names_it():
+    with pytest.raises(SystemExit, match="--out"):
+        main(["sample"])

@@ -159,7 +159,7 @@ lb.run_null_case(replace(lb.PRESETS["gaussian_null"], n=300))
 loaded.append([m for m in lazy if m in sys.modules])
 cloud = lb.sample_interval(300, seed=1)
 lle = lb.build_lle_matrix(cloud, lb.build_graph(cloud, lb.EpsilonBall(0.05)), "auto")
-assert lb.eig(lle, k=4).method == "arnoldi"
+assert lb.eig(lle.weights, k=4).method == "arnoldi"
 loaded.append([m for m in lazy if m in sys.modules])
 print(loaded)
 """
@@ -431,3 +431,8 @@ def test_kept_indices_bytes_match_savetxt(tmp_path):
     assert 0 < len(kept) < cloud.n
     expected = ref_savetxt(tmp_path, kept, fmt="%d", header="old_index")
     assert (tmp_path / "kept_indices.csv").read_bytes() == expected
+
+
+def test_config_without_eps_or_knn_is_refused():
+    with pytest.raises(ValueError, match="either eps or knn"):
+        build_pipeline(replace(PRESETS["interval"], n=50, eps=None, knn=None))

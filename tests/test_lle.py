@@ -3,9 +3,10 @@ import pytest
 
 from conftest import s1_grid_cloud, s1_grid_eps, ten_point_cloud
 from lleboundary.cli import main
+from lleboundary.io import SIDECAR_KEYS
 from lleboundary.lle import (_gram_eig, apply_shifted, augmented_vector_discrete,
                              build_alpha_kernel_matrix, build_dm_matrix, build_lle_matrix,
-                             default_regularizer, solve_barycentric)
+                             default_regularizer, resolve_c, solve_barycentric)
 from lleboundary.neighbors import (EpsilonBall, Knn, brute_force_neighbors, build_graph,
                                    local_data_matrix)
 from lleboundary.samplers import (PointCloud, sample_disk, sample_interval,
@@ -393,3 +394,28 @@ def test_kernel_row_storage(disk_runs):
     y = lle.row_kernel(k)
     assert len(y) == lle.n_k[k]
     assert abs(y.sum() - lle.y_sum[k]) <= 1e-9 * max(1.0, abs(lle.y_sum[k]))
+
+
+@pytest.mark.parametrize("call, word", [
+    (lambda: solve_barycentric(np.ones((1, 2)), 1e-3, path="x"), "unknown path"),
+    (lambda: resolve_c(sample_interval(50, seed=1), EpsilonBall(0.1), "fixed"), "c_rule"),
+    (lambda: build_alpha_kernel_matrix(sample_interval(50, seed=1), None, 1e-3, alpha=1.5),
+     "alpha"),
+    (lambda: build_dm_matrix(sample_interval(50, seed=1), eps=0.0, alpha=0.5), "eps"),
+    (lambda: build_dm_matrix(sample_interval(50, seed=1), eps=0.1, alpha=-0.1), "alpha"),
+], ids=["solve-path", "c-rule", "alpha-kernel-alpha", "dm-eps", "dm-alpha"])
+def test_builder_refusals(call, word):
+    with pytest.raises(ValueError, match=word):
+        call()
+
+
+@pytest.mark.parametrize("knn", [12, None], ids=["knn-and-eps", "eps-ball"])
+def test_alpha_kernel_sidecar_matches_the_lle_one(knn):
+    # both builders write one record: beside KNN, epsilon is the eps that resolved c
+    cloud = sample_interval(400, seed=1)
+    graph = build_graph(cloud, EpsilonBall(0.1) if knn is None else Knn(knn))
+    lle = build_lle_matrix(cloud, graph, "auto", eps=0.1)
+    alpha = build_alpha_kernel_matrix(cloud, graph, "auto", alpha=0.5, eps=0.1)
+    assert {key: alpha.meta[key] for key in SIDECAR_KEYS} == {
+        key: lle.meta[key] for key in SIDECAR_KEYS}
+    assert alpha.meta["epsilon"] == 0.1 and alpha.meta["alpha"] == 0.5

@@ -153,3 +153,8 @@ def test_translation_and_rotation_invariance():
         A = local_data_matrix(cloud, g, k)
         B = local_data_matrix(rotated, g3, k)
         assert np.allclose(A.T @ A, B.T @ B, atol=1e-10)
+
+
+def test_unknown_scheme_is_a_type_error():
+    with pytest.raises(TypeError, match="unknown scheme"):
+        build_graph(cloud_from([[0.0], [1.0]]), 0.5)

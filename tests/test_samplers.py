@@ -3,9 +3,10 @@ import pytest
 from scipy.integrate import quad
 
 from lleboundary import rng
-from lleboundary.samplers import (curve_m3_point, curve_m3_speed, sample_curve_m3, sample_disk,
-                                  sample_gaussian_null, sample_interval, sample_surface,
-                                  sample_truncated_torus, torus_embed, torus_keep_predicate)
+from lleboundary.samplers import (PointCloud, curve_m3_point, curve_m3_speed, sample_curve_m3,
+                                  sample_disk, sample_gaussian_null, sample_interval,
+                                  sample_surface, sample_truncated_torus, torus_embed,
+                                  torus_keep_predicate)
 
 ALL_SAMPLERS = [
     lambda seed: sample_interval(500, seed),
@@ -169,3 +170,33 @@ def test_negative_seed_is_refused():
     for draw in (rng.uniform, rng.normal):
         with pytest.raises(ValueError, match="nonnegative"):
             draw(-1, 3)
+
+
+@pytest.mark.parametrize("call, word", [
+    (lambda: PointCloud(np.empty((0, 2)), intrinsic_dim=1, seed=0, manifold_tag="x"),
+     "at least one point"),
+    (lambda: PointCloud(np.zeros((3, 1)), intrinsic_dim=2, seed=0, manifold_tag="x"), "p >= d"),
+    (lambda: sample_disk(1, 0), "kept no points"),
+    (lambda: sample_surface(1, 0), "kept no points"),
+    (lambda: sample_truncated_torus(1, 4), "kept no points"),
+], ids=["empty-cloud", "p-below-d", "disk-none-kept", "surface-none-kept", "torus-none-kept"])
+def test_cloud_refusals(call, word):
+    with pytest.raises(ValueError, match=word):
+        call()
+
+
+@pytest.mark.parametrize("make", ALL_SAMPLERS,
+                         ids=["interval", "disk", "curve_m3", "surface", "torus", "null"])
+def test_repr_is_one_short_line(make):
+    cloud = make(1)
+    text = repr(cloud)
+    assert "\n" not in text and len(text) < 200, text
+    assert text.startswith(f"PointCloud({cloud.manifold_tag!r}, n={cloud.n}, "
+                           f"p={cloud.ambient_dim}, d={cloud.intrinsic_dim}, seed=1")
+    gt = cloud.ground_truth
+    if gt is None:
+        assert text.endswith("ground_truth=None)")
+    else:
+        assert ("boundary_dist" in text) == (gt.boundary_dist is not None)
+        assert ("outward_normal_tangent" in text) == (gt.outward_normal_tangent is not None)
+        assert f"exact={gt.exact}" in text

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from scipy.optimize import brentq
 
 from conftest import s1_grid_cloud, s1_grid_eps, ten_point_cloud
 from lleboundary import spectral
@@ -31,7 +33,7 @@ def s1_expected(m):
 
 def test_s1_grid_full_spectrum():
     m = 6
-    spec = eig(s1_lle(m), ordering="real_desc")
+    spec = eig(s1_lle(m).weights, ordering="real_desc")
     got = np.sort(spec.eigenvalues.real)
     assert np.max(np.abs(spec.eigenvalues.imag)) < 1e-12
     assert np.max(np.abs(got - s1_expected(m))) < 1e-10
@@ -46,9 +48,9 @@ def test_ten_point_fixture_eigenvalue():
     cloud = ten_point_cloud()
     graph = build_graph(cloud, Knn(5))
     lle = build_lle_matrix(cloud, graph, c_rule=1e-3)
-    spec = eig(lle, ordering="modulus_desc")
+    spec = eig(lle.weights, ordering="modulus_desc")
     assert np.min(np.abs(spec.eigenvalues - (-2.4233))) <= 5e-4
-    report = spectral_radius_report(lle)
+    report = spectral_radius_report(lle.weights)
     assert report["rho_lower"] >= 2.42
     assert report["has_eig_one"]
 
@@ -99,7 +101,7 @@ def test_imaginary_diagnostics_small_null_case():
 
 def test_residual_contract_and_phase():
     lle = s1_lle(7)
-    spec = eig(lle, ordering="real_desc")
+    spec = eig(lle.weights, ordering="real_desc")
     assert np.max(spec.residuals) <= 1e-8
     for j in range(spec.eigenvectors.shape[1]):
         i = np.argmax(np.abs(spec.eigenvectors[:, j]))
@@ -110,7 +112,7 @@ def test_residual_contract_and_phase():
 def test_equal_modulus_order_does_not_depend_on_the_solver():
     # the moduli of the circle grid's -1 and 1 differ in the last bits, each
     # solver rounding them its own way; the order must follow the values
-    W = s1_lle(5)
+    W = s1_lle(5).weights
     dense = eig(W, ordering="modulus_desc").eigenvalues[:2]
     arnoldi = eig(W, k=3, ordering="modulus_desc").eigenvalues[:2]
     assert np.allclose(dense, [1.0, -1.0], atol=1e-12)
@@ -128,20 +130,20 @@ def test_arnoldi_path_above_cutoff():
     cloud = sample_interval(2200, seed=6)
     graph = build_graph(cloud, EpsilonBall(0.02))
     lle = build_lle_matrix(cloud, graph, "auto")
-    spec = eig(lle, k=4, ordering="real_desc")
+    spec = eig(lle.weights, k=4, ordering="real_desc")
     assert spec.method == "arnoldi"
     assert len(spec) == 4
     assert np.max(spec.residuals) <= 1e-8
     assert abs(spec.eigenvalues[0] - 1.0) <= 1e-10
     with pytest.raises(ValueError):
-        eig(lle, k=None)
+        eig(lle.weights, k=None)
 
 
 def test_arnoldi_without_vectors():
     cloud = sample_interval(2200, seed=6)
     lle = build_lle_matrix(cloud, build_graph(cloud, EpsilonBall(0.02)), "auto")
-    full = eig(lle, k=4, ordering="real_desc")
-    bare = eig(lle, k=4, ordering="real_desc", want_vectors=False)
+    full = eig(lle.weights, k=4, ordering="real_desc")
+    bare = eig(lle.weights, k=4, ordering="real_desc", want_vectors=False)
     assert bare.method == "arnoldi"
     assert bare.eigenvectors is None and bare.residuals is None
     assert np.max(np.abs(bare.eigenvalues - full.eigenvalues)) <= 1e-12
@@ -150,14 +152,14 @@ def test_arnoldi_without_vectors():
 def test_spectral_radius_report_above_cutoff_reads_eigenvalues_only(monkeypatch):
     cloud = sample_interval(2200, seed=6)
     lle = build_lle_matrix(cloud, build_graph(cloud, EpsilonBall(0.02)), "auto")
-    full = eig(lle, k=6, ordering="modulus_desc", want_vectors=True)
+    full = eig(lle.weights, k=6, ordering="modulus_desc", want_vectors=True)
     asked = []
 
     def recording(*args, **kwargs):
         asked.append(kwargs["want_vectors"])
         return eig(*args, **kwargs)
     monkeypatch.setattr(spectral, "eig", recording)
-    report = spectral_radius_report(lle)
+    report = spectral_radius_report(lle.weights)
     assert asked == [False]
     assert abs(report["rho_lower"] - np.max(np.abs(full.eigenvalues))) <= 1e-12
     assert report["has_eig_one"]
@@ -204,7 +206,7 @@ def test_eig_refuses_dense_k_above_cutoff(monkeypatch, k):
 
 
 def test_spectral_radius_report_s1():
-    report = spectral_radius_report(s1_lle(5))
+    report = spectral_radius_report(s1_lle(5).weights)
     assert report["row_sum_err"] <= 1e-12
     assert report["has_eig_one"]
     assert abs(report["rho_lower"] - 1.0) <= 1e-10
@@ -514,6 +516,24 @@ def test_arnoldi_partial_result_sorted_and_checked(which, ordering, maxiter, mon
     assert np.max(np.min(np.abs(vals[:, None] - converged[None, :]), axis=1)) <= 1e-8
 
 
+@pytest.mark.parametrize("call, word", [
+    (lambda: eig(np.ones((2, 3))), "square"),
+    (lambda: eig(np.eye(3), ordering="ascending"), "ordering"),
+], ids=["non-square", "unknown-ordering"])
+def test_eig_refusals(call, word):
+    with pytest.raises(ValueError, match=word):
+        call()
+
+
+def test_residual_contract_breach_carries_the_sorted_spectrum(monkeypatch):
+    monkeypatch.setattr(spectral, "_residuals", lambda W, vals, vecs: np.full(len(vals), 1e-6))
+    with pytest.raises(EigenConvergenceError, match="contract") as info:
+        eig(np.diag([1.0, 3.0, 2.0]))
+    partial = info.value.partial
+    assert partial.method == "dense" and partial.eigenvalues.tolist() == [3.0, 2.0, 1.0]
+    assert partial.residuals.tolist() == [1e-6] * 3
+
+
 def test_arnoldi_nothing_converged_has_no_partial(monkeypatch):
     monkeypatch.setattr(spectral, "ARNOLDI_MAXITER", 1)
     with pytest.raises(EigenConvergenceError, match="No convergence") as info:
@@ -539,3 +559,45 @@ def test_unclipped_interval_spectrum_boundary_condition_set_by_kappa():
     assert abs(ratios[1] - 0.79) <= 0.03, ratios
     assert np.all(np.diff(ratios) > 0.0), ratios
     assert ratios[-1] > 0.95, ratios
+
+
+def end_mass_modes(m, count):
+    """nu_j = k_j^2/6 of -(1/6) f'' = nu f on [0, 1] with a point mass m at each
+    end: odd j solves cot(k/2) = k m on (2i pi, 2i pi + pi), i = (j - 1)/2; even j
+    solves -tan(k/2) = k m on ((2i - 1) pi, 2i pi), i = j/2 (Fulton, Proc. Roy.
+    Soc. Edinburgh 77A, 1977: an eigenparameter-dependent boundary condition)."""
+    nu = []
+    for j in range(1, count + 1):
+        lo = (j - 1) * np.pi
+        if j % 2:
+            k = brentq(lambda k: 1.0 / np.tan(k / 2.0) - k * m, lo + 1e-9, lo + np.pi)
+        else:
+            k = brentq(lambda k: -np.tan(k / 2.0) - k * m, lo + 1e-9, lo + np.pi)
+        nu.append(k * k / 6.0)
+    return np.array(nu)
+
+
+def test_unclipped_interval_spectrum_obeys_the_end_mass_condition():
+    # nu_1..nu_6 of the unclipped W follow the point-mass boundary condition,
+    # with the end mass m read from W's stationary measure pi (W^T pi = pi,
+    # interior median 1), not fitted: m is Sum(pi - 1)/n over each half,
+    # averaged. m scales as 1/kappa. Measured max |nu/pred - 1|: 1.27%, 0.61%
+    # and 0.13%; m kappa: 0.06263, 0.06249 and 0.06165 at kappa 0.5, 1 and 2
+    n, eps = 4001, 0.02
+    t = np.linspace(0.0, 1.0, n)
+    cloud = PointCloud(t[:, None], intrinsic_dim=1, seed=0, manifold_tag="grid")
+    graph = build_graph(cloud, EpsilonBall(eps))
+    interior = (t > 2 * eps) & (t < 1 - 2 * eps)
+    m_kappa = []
+    for kappa, tol in ((0.5, 0.02), (1.0, 0.01), (2.0, 0.01)):
+        W = build_lle_matrix(cloud, graph, c_rule=kappa * n * eps ** 4).weights
+        mu = eig(W, k=8, ordering="real_desc").eigenvalues
+        nu = (1.0 - mu[1:7].real) / eps ** 2
+        _, vec = spla.eigs(W.T.tocsr(), k=1, which="LR", v0=np.ones(n))
+        pi = vec[:, 0].real / np.median(vec[interior, 0].real)
+        m = 0.5 * (np.sum(pi[t < 0.5] - 1.0) + np.sum(pi[t >= 0.5] - 1.0)) / n
+        err = np.max(np.abs(nu / end_mass_modes(m, 6) - 1.0))
+        assert err <= tol, (kappa, m, err)
+        m_kappa.append(m * kappa)
+    assert max(m_kappa) / min(m_kappa) - 1.0 <= 0.03, m_kappa
+    assert all(0.058 <= x <= 0.067 for x in m_kappa), m_kappa
