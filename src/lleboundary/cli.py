@@ -23,7 +23,7 @@ import numpy as np
 from . import io as lio
 from .analytic import coefficient_table
 from .boundary import clip as clip_matrix
-from .harness import (PRESETS, TEST_FUNCTIONS, ExperimentConfig, _sample_graph,
+from .harness import (PRESETS, TEST_FUNCTIONS, ExperimentConfig, _sample_graph, _wave_eps,
                       build_pipeline, run_convergence, run_eigenfunctions, run_indicator,
                       run_null_case, sample, wave_partition)
 from .lle import build_alpha_kernel_matrix
@@ -58,6 +58,12 @@ def _switch(value: str) -> bool:
     raise argparse.ArgumentTypeError(f"expected yes or no, got {value!r}")
 
 
+def _positive_int(value: str) -> int:
+    if int(value) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {value!r}")
+    return int(value)
+
+
 def _list_of(kind) -> Callable[[str], list]:
     def parse(value: str) -> list:
         return [kind(v) for v in value.split(",")]
@@ -87,7 +93,7 @@ _FLAGS = {
     "c": _Flag("c_rule", _regularizer,
                "regularizer: a positive finite number, or auto for c = n * eps^(d+3)"),
     "seed": _Flag("seed", int, "integer RNG seed"),
-    "k_eigs": _Flag("k_eigs", int, "number of eigenpairs; n gives the full spectrum"),
+    "k_eigs": _Flag("k_eigs", _positive_int, "number of eigenpairs; n gives the full spectrum"),
     "alpha": _Flag(None, float, "build the alpha-kernel matrix K^(alpha) instead of W"),
     "out": _Flag("out", Path, "output directory"),
     "tstar_clip": _Flag("tstar_clip", _switch, "also clip the wave region at depth t*"),
@@ -97,15 +103,15 @@ _FLAGS = {
     "d": _Flag(None, int, "intrinsic dimension (default 1)"),
     "grid": _Flag(None, _grid, "comma list of t/eps values, or their COUNT on [0, 1.2] "
                   "(default 101)"),
-    "ns": _Flag(None, _list_of(int), "comma list of sample counts"),
-    "eps_list": _Flag(None, _list_of(float), "comma list of eps values"),
+    "ns": _Flag(None, _list_of(int), "comma list of sample counts (default: the preset's)"),
+    "eps_list": _Flag(None, _list_of(float), "comma list of eps values (default: the preset's)"),
 }
 
 _GRAPH = ("manifold", "n", "eps", "knn", "c", "seed", "out")  # sample -> graph -> W
 
 # subcommand: (its help, the settings it reads; the only flags it takes). No --knn
-# for convergence, whose sweep is over eps, nor for indicator, which is defined on
-# the eps ball.
+# for indicator, defined on the eps ball, or convergence, whose sweep is --ns by
+# --eps-list; the sigma table is a function of --d and --eps alone.
 _COMMANDS = {
     "sample": ("draw a point cloud and write it as CSV", ("manifold", "n", "seed", "out")),
     "build": ("assemble the LLE matrix and persist it as triplets", _GRAPH + ("alpha",)),
@@ -116,10 +122,9 @@ _COMMANDS = {
                   ("manifold", "n", "eps", "c", "seed", "out", "tau")),
     "clip": ("clip the wave region and persist the reduced matrix", _GRAPH),
     "convergence": ("operator-error sweep over n and eps",
-                    ("manifold", "n", "eps", "c", "seed", "out", "f_test", "ns", "eps_list")),
+                    ("manifold", "c", "seed", "out", "f_test", "ns", "eps_list")),
     "nullcase": ("high-dimensional Gaussian spectrum diagnostics", _GRAPH),
-    "sigma-table": ("dump the analytic coefficient table",
-                    ("manifold", "eps", "out", "d", "grid")),
+    "sigma-table": ("dump the analytic coefficient table", ("eps", "out", "d", "grid")),
 }
 
 
@@ -128,8 +133,10 @@ def _parser() -> argparse.ArgumentParser:
                                      description="boundary-aware LLE toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (helptext, keys) in _COMMANDS.items():
-        # unset flags stay out of the namespace, so config-file values show through
-        p = sub.add_parser(name, help=helptext, argument_default=argparse.SUPPRESS)
+        # unset flags stay out of the namespace (config-file values show through); no
+        # abbreviations, or --n would still reach --ns
+        p = sub.add_parser(name, help=helptext, argument_default=argparse.SUPPRESS,
+                           allow_abbrev=False)
         p.add_argument("--config", help="key=value config file, keys named as the flags; "
                                         "flags override it")
         for key in keys:
@@ -181,12 +188,6 @@ def _settings(argv) -> tuple:
     return command, values, replace(PRESETS[fields["manifold"]], **fields)
 
 
-def _need_out(cfg: ExperimentConfig) -> Path:
-    if cfg.out is None:
-        raise SystemExit("this subcommand writes files; pass --out DIR")
-    return cfg.out
-
-
 def main(argv=None) -> int:
     command, values, cfg = _settings(argv)
     try:
@@ -198,7 +199,9 @@ def main(argv=None) -> int:
 
 
 def _run(command: str, values: dict, cfg: ExperimentConfig) -> None:
-    out = None if command == "nullcase" else _need_out(cfg)  # nullcase writes only with --out
+    out = cfg.out
+    if out is None and command != "nullcase":  # nullcase writes only with --out
+        raise SystemExit("this subcommand writes files; pass --out DIR")
 
     if command == "sample":
         cloud = sample(cfg)
@@ -229,6 +232,7 @@ def _run(command: str, values: dict, cfg: ExperimentConfig) -> None:
         result = run_indicator(cfg, values.get("tau"))
         print(json.dumps(result["summary"]))
     elif command == "clip":
+        _wave_eps(cfg)
         cloud, graph, lle = build_pipeline(cfg)
         regions = wave_partition(cloud, graph, lle, cfg)
         Wr, kept = clip_matrix(lle, regions)
@@ -246,15 +250,11 @@ def _run(command: str, values: dict, cfg: ExperimentConfig) -> None:
               f"max |Im| {result['diagnostics']['max_imag']:.4f}, "
               f"bauer_fike_ok {result['diagnostics']['bauer_fike_ok']}")
     elif command == "sigma-table":
-        d = values.get("d", 1)
-        eps = cfg.eps
-        if eps is None:
-            raise ValueError(f"the {cfg.manifold} preset has no eps; pass --eps")
+        d, eps = values.get("d", 1), cfg.eps
         ts = [s * eps for s in values.get("grid", _grid("101"))]
-        table = coefficient_table(d, eps, ts)
-        header = "t_over_eps,s0,s1d,s2,s2d,s3,s3d,phi1,phi2,V,B"
         path = out / "sigma_table.csv"
-        lio._write_table(path, header, list(table.T))
+        lio._write_table(path, "t_over_eps,s0,s1d,s2,s2d,s3,s3d,phi1,phi2,V,B",
+                         list(coefficient_table(d, eps, ts).T))
         print(f"wrote {path} ({len(ts)} rows, d={d}, eps={eps})")
 
 

@@ -158,14 +158,19 @@ def _operator_targets(cloud: PointCloud, eps: float, f_test: str) -> np.ndarray:
     return phi1 * (trace - h_nn) + phi2 * h_nn + cf.potential_v(bdist, p_val) * dn
 
 
+def _wave_eps(config: ExperimentConfig) -> float:
+    """config.eps for the wave strip; runners check it before they sample."""
+    if config.eps is None:
+        raise ValueError("the wave strip needs eps, since its depth t* scales with eps")
+    return config.eps
+
+
 def wave_partition(cloud: PointCloud, graph: NeighborGraph, lle: LleMatrix,
                    config: ExperimentConfig) -> np.ndarray:
     """Region labels at depth t*, using ground truth when the cloud has it and
     the indicator-derived depth proxy otherwise (torus and other clouds
     without an analytic boundary distance)."""
-    if config.eps is None:
-        raise ValueError("the wave strip needs eps, since its depth t* scales with eps")
-    cf = AnalyticCoeffs(cloud.intrinsic_dim, config.eps)
+    cf = AnalyticCoeffs(cloud.intrinsic_dim, _wave_eps(config))
     gt = cloud.ground_truth
     if gt is not None and gt.boundary_dist is not None:
         return partition_regions(cloud, config.eps, cf.tstar())
@@ -174,11 +179,6 @@ def wave_partition(cloud: PointCloud, graph: NeighborGraph, lle: LleMatrix,
 
 
 # --- runners -------------------------------------------------------------------
-
-def _outdir(config: ExperimentConfig) -> Optional[Path]:
-    """The output directory; the writers create it with their first file."""
-    return None if config.out is None else Path(config.out)
-
 
 def _eigfun_csv(out: Path, name: str, cloud: PointCloud, idx: np.ndarray,
                 spec: Spectrum) -> None:
@@ -190,10 +190,11 @@ def _eigfun_csv(out: Path, name: str, cloud: PointCloud, idx: np.ndarray,
 
 def run_eigenfunctions(config: ExperimentConfig) -> dict:
     """Leading eigenpairs of W (and of the clipped matrix when requested)."""
+    if config.tstar_clip:
+        _wave_eps(config)
     cloud, graph, lle = build_pipeline(config)
-    # the wave strip first: a refused eps must stop the run before any file is written
     regions = wave_partition(cloud, graph, lle, config) if config.tstar_clip else None
-    out = _outdir(config)
+    out = config.out
     spec = eig(lle.weights, k=config.k_eigs, ordering="real_desc")
     result = {"cloud": cloud, "graph": graph, "lle": lle, "spectrum": spec}
     summary = {
@@ -242,7 +243,7 @@ def run_convergence(config: ExperimentConfig,
             cfg = replace(config, n=int(n), eps=float(eps), knn=None)
             cloud, graph, lle = build_pipeline(cfg)
             f_vals, _, _ = TEST_FUNCTIONS[cfg.f_test](cloud.points)
-            vals = apply_shifted(lle, f_vals) / eps ** 2
+            vals = apply_shifted(lle.weights, f_vals) / eps ** 2
             targets = _operator_targets(cloud, eps, cfg.f_test)
             tstar = AnalyticCoeffs(cloud.intrinsic_dim, eps).tstar()
             regions = partition_regions(cloud, eps, tstar)
@@ -256,7 +257,7 @@ def run_convergence(config: ExperimentConfig,
                 "layer_mean_err": _band_mean(err, layer),
                 "interior_count": int(interior.sum()),
             })
-    out = _outdir(config)
+    out = config.out
     if out is not None:
         cols = list(rows[0].keys())
         columns = [np.array([r[c] for r in rows]) for c in cols]
@@ -264,23 +265,22 @@ def run_convergence(config: ExperimentConfig,
     return rows
 
 
-def run_null_case(config: Optional[ExperimentConfig] = None) -> dict:
+def run_null_case(config: ExperimentConfig) -> dict:
     """High-dimensional Gaussian cloud: complex spectrum plus the antisymmetry
     diagnostics (the Bauer-Fike bound from the antisymmetric part). The full
     spectrum is dense: above DENSE_CUTOFF points it raises ValueError, before
     sampling when the sampler returns exactly n points."""
-    cfg = config or PRESETS["gaussian_null"]
-    if cfg.manifold in _EXACT_N:
-        check_dense_cutoff(cfg.n)
-    cloud, graph, lle = build_pipeline(cfg)
+    if config.manifold in _EXACT_N:
+        check_dense_cutoff(config.n)
+    cloud, graph, lle = build_pipeline(config)
     spec = eig(lle.weights, ordering="modulus_desc")
     diag = imaginary_diagnostics(lle.weights)
     radius = spectral_radius_report(lle.weights)
-    out = _outdir(cfg)
+    out = config.out
     if out is not None:
         lio.save_spectrum(spec, out / "spectrum.csv")
         lio._write_json(out / "nullcase.json", {
-            "n": cloud.n, "p": cloud.ambient_dim, "knn": cfg.knn, "c": lle.c,
+            "n": cloud.n, "p": cloud.ambient_dim, "knn": config.knn, "c": lle.c,
             "top_eigenvalue": [float(spec.eigenvalues[0].real),
                                float(spec.eigenvalues[0].imag)],
             **diag, **radius,
@@ -305,7 +305,7 @@ def run_indicator(config: ExperimentConfig, tau: Optional[float] = None) -> dict
     summary = {"n": cloud.n, "eps": config.eps, "threshold": report.threshold,
                "n_boundary": int(np.sum(report.labels == "boundary")),
                "n_missing": int(np.sum(report.missing))}
-    out = _outdir(config)
+    out = config.out
     if out is not None:
         lio.save_report(report, out / "indicator.csv", bdist=bdist)
         if bdist is not None:

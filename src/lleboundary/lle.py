@@ -265,9 +265,8 @@ def build_lle_matrix(cloud: PointCloud, graph: NeighborGraph,
                      y_sum=y_sum, n_k=counts, c=c, meta=_meta(cloud, graph.scheme, c, eps))
 
 
-def apply_shifted(lle: Union[LleMatrix, sp.spmatrix, np.ndarray], f: np.ndarray) -> np.ndarray:
-    """(W - I) f."""
-    W = lle.weights if isinstance(lle, LleMatrix) else lle
+def apply_shifted(W: sp.spmatrix | np.ndarray, f: np.ndarray) -> np.ndarray:
+    """(W - I) f for the sparse or dense matrix W (``lle.weights``)."""
     f = np.asarray(f, dtype=float)
     if W.shape[1] != f.shape[0]:
         raise ValueError(f"dimension mismatch: W is {W.shape}, f has length {f.shape[0]}")

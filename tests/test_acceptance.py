@@ -302,7 +302,7 @@ def test_criterion_08_pointwise_convergence_disk(disk_runs):
     for run in disk_runs:
         cloud, lle = run["cloud"], run["lle"]
         f = (cloud.points ** 2).sum(axis=1)
-        vals = apply_shifted(lle, f) / 0.1 ** 2
+        vals = apply_shifted(lle.weights, f) / 0.1 ** 2
         interior = cloud.ground_truth.boundary_dist > 0.2
         mean = float(vals[interior].mean())
         means.append(mean)

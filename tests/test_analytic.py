@@ -229,6 +229,15 @@ def test_potential_values():
         cf.potential_v(0.1, 0.0)
 
 
+def test_tstar_refuses_a_bracket_without_a_sign_change(monkeypatch):
+    # a bracket wholly past the root, where phi2 > 0 at both ends
+    eps = 0.5
+    monkeypatch.setattr(AnalyticCoeffs, "deltas", lambda self: (0.9, 0.95))
+    a, b = 0.99 * 0.9 * eps, min(1.01 * 0.95 * eps, eps)
+    with pytest.raises(RuntimeError, match=re.escape(f"not bracketed on [{a}, {b}]")):
+        AnalyticCoeffs(1, eps).tstar()
+
+
 def test_tstar_and_deltas():
     eps = 0.73
     cf = AnalyticCoeffs(1, eps)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from lleboundary import harness
+from lleboundary import cli, harness
 from lleboundary.cli import _FLAGS, _parser, _settings, main
 
 SUBCOMMANDS = ["sample", "build", "spectrum", "eigenfunctions", "indicator", "clip",
@@ -58,13 +58,14 @@ def test_flag_and_config_line_agree(tmp_path, command, key, value, expect):
 
 
 @pytest.mark.parametrize("line", ["manifold = sphere", "f_test = cubic", "c = fixed",
-                                  "c = -1", "n = many", "tstar_clip = maybe", "c_rule = auto"])
+                                  "c = -1", "n = many", "tstar_clip = maybe", "c_rule = auto",
+                                  "k_eigs = 0"])
 def test_config_file_values_are_validated(tmp_path, line):
     cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text(f"# header\n{line}\n")
     # a subcommand that takes the key, so that its value is what gets refused
-    command = {"f_test": "convergence", "tstar_clip": "eigenfunctions"}.get(
-        line.split(" = ")[0], "build")
+    command = {"f_test": "convergence", "tstar_clip": "eigenfunctions",
+               "k_eigs": "spectrum"}.get(line.split(" = ")[0], "build")
     with pytest.raises(SystemExit, match=r"bad\.cfg:2: ") as exc:
         _settings([command, "--config", str(cfgfile)])
     assert "does not take" not in str(exc.value)
@@ -79,9 +80,9 @@ TAKES = {
                        "tstar_clip"},
     "indicator": {"manifold", "n", "eps", "c", "seed", "out", "tau"},
     "clip": {"manifold", "n", "eps", "knn", "c", "seed", "out"},
-    "convergence": {"manifold", "n", "eps", "c", "seed", "out", "f_test", "ns", "eps_list"},
+    "convergence": {"manifold", "c", "seed", "out", "f_test", "ns", "eps_list"},
     "nullcase": {"manifold", "n", "eps", "knn", "c", "seed", "out"},
-    "sigma-table": {"manifold", "eps", "out", "d", "grid"},
+    "sigma-table": {"eps", "out", "d", "grid"},
 }
 
 
@@ -110,6 +111,34 @@ def test_a_flag_the_subcommand_does_not_read_is_refused(tmp_path, capsys, argv):
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("convergence", "n", "300"), ("convergence", "eps", "0.05"),
+    ("sigma-table", "manifold", "disk"),
+])
+def test_a_setting_has_one_spelling(tmp_path, capsys, command, key, value):
+    # the convergence sweep is --ns and --eps-list, which --n and --eps do not abbreviate;
+    # the sigma table is a function of --d and --eps, whatever the manifold
+    out = tmp_path / "D"
+    with pytest.raises(SystemExit) as exc:
+        main([command, f"--{key}", value, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --{key} {value}" in capsys.readouterr().err
+    assert not out.exists()
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"{key} = {value}\n")
+    with pytest.raises(SystemExit, match=rf"run\.cfg:1: {command} does not take '{key}'"):
+        _settings([command, "--config", str(cfgfile)])
+
+
+@pytest.mark.parametrize("manifold, n, eps", [("interval", 8000, 0.01), ("disk", 20000, 0.1)])
+def test_the_convergence_sweep_defaults_to_the_preset(monkeypatch, manifold, n, eps):
+    swept = []
+    monkeypatch.setattr(cli, "run_convergence", lambda cfg, ns, eps_values: swept.append(
+        (ns, eps_values)) or [])
+    assert main(["convergence", "--manifold", manifold, "--out", "unused"]) == 0
+    assert swept == [([n], [eps])]
 
 
 def test_a_config_key_the_subcommand_does_not_read_is_refused(tmp_path):
@@ -154,12 +183,11 @@ def test_spectrum_writes_k_eigs_eigenvalues(tmp_path, k):
 @pytest.mark.parametrize("argv, message", [
     (["spectrum", "--n", "300", "--eps", "0.05", "--k-eigs", "400"], "k must satisfy"),
     (["nullcase", "--manifold", "interval", "--n", "2500"], "exceeds the dense cutoff"),
-    (["sigma-table", "--manifold", "gaussian_null"], "pass --eps"),
     (["indicator", "--n", "300", "--eps", "0.05", "--tau", "nan"], "tau must be a finite"),
     (["clip", "--manifold", "gaussian_null", "--n", "120", "--knn", "12"], "needs eps"),
     (["eigenfunctions", "--manifold", "gaussian_null", "--n", "120", "--knn", "12",
       "--tstar-clip"], "needs eps"),
-], ids=["spectrum-k", "nullcase-dense", "sigma-table-eps", "indicator-tau-nan", "clip-no-eps",
+], ids=["spectrum-k", "nullcase-dense", "indicator-tau-nan", "clip-no-eps",
         "eigenfunctions-clip-no-eps"])
 def test_library_errors_exit_cleanly(tmp_path, capsys, argv, message):
     # main returns a status instead of raising, so the console script prints no traceback
@@ -175,9 +203,36 @@ def test_library_errors_exit_cleanly(tmp_path, capsys, argv, message):
 def test_sigma_table_takes_the_preset_eps(tmp_path, capsys):
     assert main(["sigma-table", "--d", "3", "--grid", "11", "--out", str(tmp_path)]) == 0
     assert "eps=0.01" in capsys.readouterr().out  # the default interval preset's eps
-    assert main(["sigma-table", "--manifold", "gaussian_null", "--eps", "0.5",
-                 "--out", str(tmp_path)]) == 0
+    assert main(["sigma-table", "--eps", "0.5", "--out", str(tmp_path)]) == 0
     assert "eps=0.5" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["clip", "--manifold", "gaussian_null", "--n", "300", "--knn", "12"],
+    ["eigenfunctions", "--manifold", "gaussian_null", "--n", "300", "--tstar-clip"],
+], ids=["clip", "eigenfunctions-tstar-clip"])
+def test_a_wave_strip_without_eps_is_refused_before_sampling(tmp_path, capsys, monkeypatch,
+                                                             argv):
+    def no_sampling(n, seed, cfg):
+        raise AssertionError("sampled before the wave strip's eps was checked")
+    monkeypatch.setitem(harness._SAMPLERS, "gaussian_null", no_sampling)
+    out = tmp_path / "D"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "the wave strip needs eps" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_k_eigs_below_one_is_refused_by_its_parser(tmp_path, capsys, monkeypatch, value):
+    def no_sampling(config):
+        raise AssertionError("sampled before k was checked")
+    monkeypatch.setattr(harness, "sample", no_sampling)
+    out = tmp_path / "D"
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--n", "300", "--eps", "0.05", "--k-eigs", value, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--k-eigs: expected an integer >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -192,7 +247,11 @@ def test_sigma_table_takes_the_preset_eps(tmp_path, capsys):
         "sample-seed-negative", "eigenfunctions-clip-no-eps"])
 def test_a_refused_run_leaves_no_output_directory(tmp_path, argv):
     out = tmp_path / "D"
-    assert main(argv + ["--out", str(out)]) == 2
+    try:
+        status = main(argv + ["--out", str(out)])
+    except SystemExit as exc:  # refused by the flag's parser (--k-eigs 0)
+        status = exc.code
+    assert status == 2
     assert not out.exists()
 
 

@@ -108,7 +108,7 @@ def test_interval_near_boundary_operator_value(interval_runs):
     cloud, lle = run["cloud"], run["lle"]
     eps = 0.01
     t = cloud.points[:, 0]
-    vals = apply_shifted(lle, t * t) / eps ** 2
+    vals = apply_shifted(lle.weights, t * t) / eps ** 2
     cf = AnalyticCoeffs(1, eps)
     band = (t > 0.4 * eps) & (t < 0.6 * eps)
     assert band.sum() >= 5
@@ -174,6 +174,15 @@ def test_null_case_refuses_n_above_cutoff_before_sampling(monkeypatch):
     monkeypatch.setitem(harness._SAMPLERS, "gaussian_null", no_sampling)
     with pytest.raises(ValueError, match=r"n=2001 exceeds the dense cutoff \(2000\)"):
         run_null_case(replace(PRESETS["gaussian_null"], n=2001))
+
+
+def test_a_wave_strip_without_eps_is_refused_before_sampling(monkeypatch):
+    # t* scales with eps, so a KNN run asking for the clip is refused before it builds W
+    def no_sampling(n, seed, cfg):
+        raise AssertionError("sampled before the wave strip's eps was checked")
+    monkeypatch.setitem(harness._SAMPLERS, "gaussian_null", no_sampling)
+    with pytest.raises(ValueError, match="the wave strip needs eps"):
+        run_eigenfunctions(replace(PRESETS["gaussian_null"], n=300, tstar_clip=True))
 
 
 @pytest.mark.parametrize("manifold", ["interval", "disk", "gaussian_null"])

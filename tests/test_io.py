@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -403,6 +404,19 @@ def test_line_finder_rejects_what_loadtxt_rejects():
             except (ValueError, OverflowError):
                 checks = False
             assert checks == reads, repr(line)
+
+
+def test_load_matrix_falls_back_to_the_loadtxt_message(tmp_path, monkeypatch):
+    # when the line finder names no line, the refusal carries np.loadtxt's own reason
+    monkeypatch.setattr(lio, "_check_field", lambda text, dtype: None)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("row,col,value\n0,1,0.5\n1,2,abc\n")
+    (tmp_path / "bad.csv.json").write_text(json.dumps(META3))
+    with pytest.raises(ValueError) as exc:
+        np.loadtxt(bad, dtype=lio._TRIPLET_DTYPE, delimiter=",", comments=None, skiprows=1)
+    reason = str(exc.value)
+    with pytest.raises(ValueError, match=rf"^{re.escape(f'{bad}: {reason}')}$"):
+        lio.load_matrix(bad)
 
 
 @pytest.mark.parametrize("text, values", [

@@ -107,10 +107,10 @@ def test_apply_shifted():
     cloud = s1_grid_cloud(m)
     graph = build_graph(cloud, EpsilonBall(s1_grid_eps(m)))
     lle = build_lle_matrix(cloud, graph, c_rule=1e-3)
-    out = apply_shifted(lle, np.full(2 * m, 3.7))
+    out = apply_shifted(lle.weights, np.full(2 * m, 3.7))
     assert np.max(np.abs(out)) <= 1e-12
     with pytest.raises(ValueError):
-        apply_shifted(lle, np.ones(5))
+        apply_shifted(lle.weights, np.ones(5))
 
 
 def test_affine_reproduction_by_barycentric_average():

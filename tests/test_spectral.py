@@ -11,7 +11,7 @@ from conftest import s1_grid_cloud, s1_grid_eps, ten_point_cloud
 from lleboundary import spectral
 from lleboundary.analytic import AnalyticCoeffs
 from lleboundary.boundary import clip, partition_regions
-from lleboundary.harness import run_null_case
+from lleboundary.harness import PRESETS, run_null_case
 from lleboundary.lle import build_lle_matrix
 from lleboundary.neighbors import EpsilonBall, Knn, build_graph
 from lleboundary.samplers import PointCloud, sample_disk, sample_gaussian_null, sample_interval
@@ -325,7 +325,7 @@ def count_dense_solves(monkeypatch, *names) -> dict:
 
 def test_null_case_factors_w_once(monkeypatch):
     calls = count_dense_solves(monkeypatch, "eig", "eigvals")
-    res = run_null_case()
+    res = run_null_case(PRESETS["gaussian_null"])
     assert res["cloud"].n == 400
     assert calls == {"eig": 1, "eigvals": 0}
 
@@ -582,7 +582,11 @@ def test_unclipped_interval_spectrum_obeys_the_end_mass_condition():
     # with the end mass m read from W's stationary measure pi (W^T pi = pi,
     # interior median 1), not fitted: m is Sum(pi - 1)/n over each half,
     # averaged. m scales as 1/kappa. Measured max |nu/pred - 1|: 1.27%, 0.61%
-    # and 0.13%; m kappa: 0.06263, 0.06249 and 0.06165 at kappa 0.5, 1 and 2
+    # and 0.13%; m kappa: 0.06263, 0.06249 and 0.06165 at kappa 0.5, 1 and 2.
+    # The eigenvectors v_1..v_3 meet the same condition, f'(0) = -6 nu m f(0)
+    # and f'(1) = +6 nu m f(1) (Neumann would give 0): A cos kt + B sin kt,
+    # k = sqrt(6 nu), fitted on [2 eps, 1 - 2 eps], gives each end's
+    # log-derivative. Measured ratios to the condition: 0.957 to 1.034
     n, eps = 4001, 0.02
     t = np.linspace(0.0, 1.0, n)
     cloud = PointCloud(t[:, None], intrinsic_dim=1, seed=0, manifold_tag="grid")
@@ -591,13 +595,21 @@ def test_unclipped_interval_spectrum_obeys_the_end_mass_condition():
     m_kappa = []
     for kappa, tol in ((0.5, 0.02), (1.0, 0.01), (2.0, 0.01)):
         W = build_lle_matrix(cloud, graph, c_rule=kappa * n * eps ** 4).weights
-        mu = eig(W, k=8, ordering="real_desc").eigenvalues
-        nu = (1.0 - mu[1:7].real) / eps ** 2
+        spec = eig(W, k=8, ordering="real_desc")
+        nu = (1.0 - spec.eigenvalues[1:7].real) / eps ** 2
         _, vec = spla.eigs(W.T.tocsr(), k=1, which="LR", v0=np.ones(n))
         pi = vec[:, 0].real / np.median(vec[interior, 0].real)
         m = 0.5 * (np.sum(pi[t < 0.5] - 1.0) + np.sum(pi[t >= 0.5] - 1.0)) / n
         err = np.max(np.abs(nu / end_mass_modes(m, 6) - 1.0))
         assert err <= tol, (kappa, m, err)
         m_kappa.append(m * kappa)
+        for j in (1, 2, 3):
+            k = np.sqrt(6.0 * nu[j - 1])
+            basis = np.column_stack([np.cos(k * t), np.sin(k * t)])
+            (a, b), *_ = np.linalg.lstsq(basis[interior], spec.eigenvectors[interior, j].real,
+                                         rcond=None)
+            at_1 = k * (b * np.cos(k) - a * np.sin(k)) / (a * np.cos(k) + b * np.sin(k))
+            ratios = np.array([k * b / a, -at_1]) / (-6.0 * nu[j - 1] * m)
+            assert np.all(np.abs(ratios - 1.0) <= 0.06), (kappa, j, ratios)
     assert max(m_kappa) / min(m_kappa) - 1.0 <= 0.03, m_kappa
     assert all(0.058 <= x <= 0.067 for x in m_kappa), m_kappa
