@@ -2,18 +2,18 @@
 
 The signed LLE kernel is the alpha = 1/2 member of
 K^(alpha) = alpha K1 + (1 - alpha) K2, where K1 is the 0-1 ball kernel and
-K2 the signed augmented-vector kernel. alpha = 1 gives uniform averaging
-(diffusion-map style), alpha = 0 the pure signed kernel. The script verifies
-the alpha = 1/2 identity numerically, shows the kernel's negative values near
-the boundary, and contrasts boundary behavior of diffusion-map eigenvectors
-(Neumann-like, large at the ends) with clipped-LLE ones (Dirichlet-like).
+K2 the signed augmented-vector kernel. alpha = 1 gives the ball average (the
+diffusion-type operator of AnalyticCoeffs.dm_coeffs), alpha = 0 the pure
+signed kernel. The script verifies the alpha = 1/2 identity numerically, shows
+the kernel's negative values near the boundary, and contrasts boundary behavior
+of alpha = 1 eigenvectors (Neumann-like, large at the ends) with clipped-LLE
+ones (Dirichlet-like), all on one graph.
 """
 
 import numpy as np
 
-from lleboundary import (AnalyticCoeffs, EpsilonBall, build_alpha_kernel_matrix,
-                         build_dm_matrix, build_graph, build_lle_matrix, clip, eig,
-                         partition_regions, sample_interval)
+from lleboundary import (AnalyticCoeffs, EpsilonBall, build_alpha_kernel_matrix, build_graph,
+                         build_lle_matrix, clip, eig, partition_regions, sample_interval)
 from lleboundary.lle import default_regularizer
 
 cloud = sample_interval(2000, seed=1)
@@ -41,19 +41,18 @@ print(f"kernel in the interior  (bdist {bd[interior]:.4f}): "
 cf = AnalyticCoeffs(1, eps)
 print("analytic kernel infimum constant (d=1):", 1.0 + cf.sigma1d(0.0) / cf.sigma2d(0.0))
 
-# boundary behavior: DM vs clipped LLE
+# boundary behavior: the alpha = 1 ball average vs clipped LLE
 t = cloud.points[:, 0]
-dm = build_dm_matrix(cloud, eps=eps, alpha=1.0)
-spec_dm = eig(dm, k=4, ordering="real_desc")
+spec_ball = eig(uniform.weights, k=4, ordering="real_desc")
 regions = partition_regions(cloud, eps, cf.tstar())
 Wr, kept = clip(lle, regions)
 spec_cl = eig(Wr, k=5, ordering="real_desc")
 
 print("\n|eigenvector| at the interval ends relative to its max:")
 for j in (1, 2):
-    v = np.abs(spec_dm.eigenvectors.real[:, j])
+    v = np.abs(spec_ball.eigenvectors.real[:, j])
     r = max(v[np.argmin(t)], v[np.argmax(t)]) / v.max()
-    print(f"  diffusion map mode {j + 1}: {r:.3f}  (Neumann-like)")
+    print(f"  alpha = 1 mode {j + 1}:     {r:.3f}  (Neumann-like)")
 tk = t[kept]
 for j in (2, 3):
     v = np.abs(spec_cl.eigenvectors.real[:, j])

@@ -7,7 +7,7 @@ Three of them reduce to int_0^s (1 - x^2)^(m/2) dx, which one reduction
 formula in m gives in closed form for every d; the other three are closed
 forms outright. From them come the second-order coefficients phi1/phi2, the
 drift V, the degeneracy depth t* where phi2 changes sign, the boundary
-indicator limit B(t), and the diffusion-map coefficients psi1/psi2. Each
+indicator limit B(t), and the ball average's coefficients psi1/psi2. Each
 call computes the six sigmas once, as one table at one scaled depth, and
 reads its coefficients from that table. The boundary values are the same
 table at t = 0: B(0) is b_function(0) and the (negative) kernel infimum is
@@ -196,8 +196,10 @@ class AnalyticCoeffs:
         return _shaped(self._b(self._table(t)[1]), t)
 
     def dm_coeffs(self, t) -> dict:
-        """Diffusion-map coefficients psi1 = sigma2/(2 sigma0), psi2 = sigma2d/(2 sigma0),
-        and the order-eps drift sigma1d/sigma0 (curvature term excluded)."""
+        """Coefficients of the 0-1 ball average (the alpha = 1 kernel on the eps ball):
+        (W - I) f / eps^2 = psi1 (Laplacian f - f_nn) + psi2 f_nn + (drift/eps) df/dn
+        at depth t, with psi1 = sigma2/(2 sigma0), psi2 = sigma2d/(2 sigma0), the drift
+        sigma1d/sigma0 and n the outward normal (curvature term excluded)."""
         layer, g = self._table(t)
         interior = 1.0 / (2.0 * (self.d + 2))
         s0 = g["s0"]

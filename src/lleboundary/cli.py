@@ -40,13 +40,25 @@ def _one_of(names) -> Callable[[str], str]:
     return parse
 
 
+def _checked(kind, value: str, expected: str, ok=lambda x: True):
+    """kind(value) where it converts and passes ok; otherwise a message saying what
+    was expected (a bare ValueError would show argparse the parser's name)."""
+    try:
+        x = kind(value)
+    except ValueError:
+        pass
+    else:
+        if ok(x):
+            return x
+    raise argparse.ArgumentTypeError(f"expected {expected}, got {value!r}")
+
+
 def _regularizer(value: str):
     """'auto' (c = n eps^(d+3)) or a positive finite number, as ExperimentConfig.c_rule."""
     if value == "auto":
         return value
-    if not 0 < float(value) < np.inf:  # also false for nan
-        raise argparse.ArgumentTypeError(f"expected a finite c > 0 or auto, got {value!r}")
-    return float(value)
+    # the check is also false for nan
+    return _checked(float, value, "a finite c > 0 or auto", lambda c: 0 < c < np.inf)
 
 
 def _switch(value: str) -> bool:
@@ -59,22 +71,21 @@ def _switch(value: str) -> bool:
 
 
 def _positive_int(value: str) -> int:
-    if int(value) < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {value!r}")
-    return int(value)
+    return _checked(int, value, "an integer >= 1", lambda k: k >= 1)
 
 
-def _list_of(kind) -> Callable[[str], list]:
+def _list_of(kind, expected: str) -> Callable[[str], list]:
     def parse(value: str) -> list:
-        return [kind(v) for v in value.split(",")]
+        return _checked(lambda v: [kind(part) for part in v.split(",")], value, expected)
     return parse
 
 
 def _grid(value: str) -> list:
-    """t/eps values: a comma list, or a count of them spread over [0, 1.2]."""
+    """t/eps values: a comma list, or a count >= 1 of them spread over [0, 1.2]."""
     if "," in value:
-        return [float(v) for v in value.split(",")]
-    return np.linspace(0.0, 1.2, int(value)).tolist()
+        return _list_of(float, "a comma list of numbers")(value)
+    count = _checked(int, value, "a count >= 1 or a comma list of numbers", lambda m: m >= 1)
+    return np.linspace(0.0, 1.2, count).tolist()
 
 
 class _Flag(NamedTuple):
@@ -103,8 +114,10 @@ _FLAGS = {
     "d": _Flag(None, int, "intrinsic dimension (default 1)"),
     "grid": _Flag(None, _grid, "comma list of t/eps values, or their COUNT on [0, 1.2] "
                   "(default 101)"),
-    "ns": _Flag(None, _list_of(int), "comma list of sample counts (default: the preset's)"),
-    "eps_list": _Flag(None, _list_of(float), "comma list of eps values (default: the preset's)"),
+    "ns": _Flag(None, _list_of(int, "a comma list of integers"),
+                "comma list of sample counts (default: the preset's)"),
+    "eps_list": _Flag(None, _list_of(float, "a comma list of numbers"),
+                      "comma list of eps values (default: the preset's)"),
 }
 
 _GRAPH = ("manifold", "n", "eps", "knn", "c", "seed", "out")  # sample -> graph -> W

@@ -4,9 +4,11 @@ Per point, the regularized normal equations (G^T G + c I) y = 1 are solved
 either directly (N x N) or through the eigendecomposition of the small p x p
 Gram matrix G G^T; the two routes agree to rounding and the cheaper one is
 picked by default. Row-normalizing y gives the barycentric weights, hence the
-row-stochastic LLE matrix W. The module also builds the comparison kernels:
-the alpha-family interpolating between the 0-1 kernel and the signed LLE
-kernel, and the Gaussian diffusion-map matrix.
+row-stochastic LLE matrix W. The module also builds the comparison kernels on
+W's own graph: the alpha family interpolating between the 0-1 ball kernel and
+the signed LLE kernel. Its alpha = 1 member, the ball average, is the
+diffusion-type operator that AnalyticCoeffs.dm_coeffs describes; every matrix
+here is built from a graph the caller gives.
 
 The matrix builders batch the gram route over the CSR neighbor graph;
 solve_barycentric is the per-row oracle they are tested against.
@@ -21,7 +23,7 @@ from typing import Optional, Union
 import numpy as np
 import scipy.sparse as sp
 
-from .neighbors import EpsilonBall, NeighborGraph, Scheme, build_graph
+from .neighbors import EpsilonBall, NeighborGraph, Scheme
 from .samplers import PointCloud
 
 __all__ = [
@@ -33,7 +35,6 @@ __all__ = [
     "build_lle_matrix",
     "apply_shifted",
     "build_alpha_kernel_matrix",
-    "build_dm_matrix",
 ]
 
 
@@ -300,26 +301,3 @@ def build_alpha_kernel_matrix(cloud: PointCloud, graph: NeighborGraph,
     meta.update(alpha=alpha, degenerate_rows=degenerate)
     return LleMatrix(weights=_csr(wdata, graph), y=vals, y_sum=row_sum,
                      n_k=counts, c=c, meta=meta)
-
-
-def build_dm_matrix(cloud: PointCloud, eps: float, alpha: float) -> sp.csr_matrix:
-    """Row-stochastic diffusion-map matrix with Gaussian kernel exp(-(r/eps)^2).
-
-    The affinity is alpha-normalized by the empirical kernel density
-    p_i = sum_j H_ij (self term included) before row normalization. Support is
-    truncated at radius 4*eps, where the Gaussian tail is below 1.2e-7.
-    """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
-    n = cloud.n
-    graph = build_graph(cloud, EpsilonBall(4.0 * eps))
-    # self affinity H(0) = 1 on the diagonal
-    H = _csr(np.exp(-(graph.dist / eps) ** 2), graph) + sp.eye(n, format="csr")
-    p_eps = np.asarray(H.sum(axis=1)).ravel()
-    if alpha > 0:
-        scale = p_eps ** (-alpha)
-        H = sp.diags(scale) @ H @ sp.diags(scale)
-    row = np.asarray(H.sum(axis=1)).ravel()
-    return (sp.diags(1.0 / row) @ H).tocsr()

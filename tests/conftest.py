@@ -9,7 +9,7 @@ import pytest
 
 from lleboundary import AnalyticCoeffs, EpsilonBall, build_graph, build_lle_matrix
 from lleboundary.analytic import cap_coefficient, sphere_volume
-from lleboundary.samplers import PointCloud, sample_disk, sample_interval
+from lleboundary.samplers import GroundTruth, PointCloud, sample_disk, sample_interval
 
 DISK_SEEDS = (1, 2, 3)
 ROOT = Path(__file__).resolve().parents[1]
@@ -35,6 +35,14 @@ def s1_grid_eps(m: int) -> float:
     """Radius capturing exactly the two adjacent grid points."""
     n = 2 * m
     return 0.5 * (2.0 * np.sin(np.pi / n) + 2.0 * np.sin(2.0 * np.pi / n))
+
+
+def interval_grid(n: int) -> PointCloud:
+    """n evenly spaced points on [0, 1], with the interval's depth and outward normal."""
+    t = np.linspace(0.0, 1.0, n)
+    gt = GroundTruth(param_coords=t[:, None], boundary_dist=np.minimum(t, 1.0 - t),
+                     outward_normal_tangent=np.where(t < 0.5, -1.0, 1.0)[:, None])
+    return PointCloud(t[:, None], intrinsic_dim=1, seed=0, manifold_tag="grid", ground_truth=gt)
 
 
 def one_d_operator(t, eps: float, a: float):

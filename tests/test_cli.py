@@ -236,6 +236,29 @@ def test_k_eigs_below_one_is_refused_by_its_parser(tmp_path, capsys, monkeypatch
 
 
 @pytest.mark.parametrize("argv", [
+    ["build", "--n", "300", "--eps", "0.05", "--c", "x"],
+    ["spectrum", "--n", "300", "--eps", "0.05", "--k-eigs", "x"],
+    ["spectrum", "--n", "300", "--eps", "0.05", "--k-eigs", "2.5"],
+    ["sigma-table", "--grid", "x"],
+    ["sigma-table", "--grid", "0"],
+    ["convergence", "--ns", "3,x"],
+    ["convergence", "--eps-list", "0.1,y"],
+], ids=["build-c-x", "spectrum-k-eigs-x", "spectrum-k-eigs-2.5", "sigma-table-grid-x",
+        "sigma-table-grid-0", "convergence-ns", "convergence-eps-list"])
+def test_a_bad_number_is_refused_saying_what_is_expected(tmp_path, capsys, argv):
+    # argparse names a parser's function when it raises a bare ValueError
+    out = tmp_path / "D"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {argv[-2]}: expected" in err, err
+    for name in ("_regularizer", "_positive_int", "_grid", "_list_of", "parse"):
+        assert name not in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
     ["indicator", "--n", "300", "--eps", "0.05", "--tau", "nan"],
     ["sample", "--n", "0"],
     ["build", "--n", "300", "--eps", "-0.1"],

@@ -419,7 +419,7 @@ def test_convergence_csv_bytes_match_per_entry_writer(tmp_path):
             assert type(row[col])(cell) == row[col], (col, cell)
 
 
-@pytest.mark.parametrize("d, grid", [("2", "0,0.5,1"), ("5", "13"), ("1", "0")])
+@pytest.mark.parametrize("d, grid", [("2", "0,0.5,1"), ("5", "13"), ("1", "1")])
 def test_sigma_table_bytes_match_savetxt(tmp_path, d, grid):
     assert main(["sigma-table", "--d", d, "--eps", "0.4", "--grid", grid,
                  "--out", str(tmp_path)]) == 0

@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
-from conftest import s1_grid_cloud, s1_grid_eps, ten_point_cloud
+from conftest import interval_grid, s1_grid_cloud, s1_grid_eps, ten_point_cloud
+from lleboundary.analytic import AnalyticCoeffs
 from lleboundary.cli import main
 from lleboundary.io import SIDECAR_KEYS
 from lleboundary.lle import (_gram_eig, apply_shifted, augmented_vector_discrete,
-                             build_alpha_kernel_matrix, build_dm_matrix, build_lle_matrix,
-                             default_regularizer, resolve_c, solve_barycentric)
+                             build_alpha_kernel_matrix, build_lle_matrix, default_regularizer,
+                             resolve_c, solve_barycentric)
 from lleboundary.neighbors import (EpsilonBall, Knn, brute_force_neighbors, build_graph,
                                    local_data_matrix)
 from lleboundary.samplers import (PointCloud, sample_disk, sample_interval,
                                   sample_truncated_torus)
+from lleboundary.spectral import DENSE_CUTOFF, eig
 
 
 def test_symmetric_pair_gives_half_half():
@@ -189,24 +191,6 @@ def test_rigid_motion_invariance():
     assert np.max(np.abs((lle.weights - lle2.weights).toarray())) <= 1e-10
 
 
-def test_dm_matrix():
-    # two coincident points average each other
-    cloud = PointCloud(np.zeros((2, 2)), intrinsic_dim=2, seed=0, manifold_tag="raw")
-    M = build_dm_matrix(cloud, eps=0.5, alpha=0.7)
-    assert np.allclose(M.toarray(), 0.5)
-
-    # alpha = 0 equals the plain row-normalized (truncated) Gaussian kernel
-    pts = np.random.default_rng(6).normal(size=(40, 2))
-    cloud = PointCloud(pts, intrinsic_dim=2, seed=0, manifold_tag="raw")
-    eps = 0.8
-    M0 = build_dm_matrix(cloud, eps=eps, alpha=0.0).toarray()
-    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1)
-    H = np.exp(-d2 / eps ** 2) * (d2 < (4 * eps) ** 2)
-    ref = H / H.sum(axis=1, keepdims=True)
-    assert np.max(np.abs(M0 - ref)) <= 1e-12
-    assert np.allclose(M0.sum(axis=1), 1.0)
-
-
 # The batched kernel against the per-row oracle. w is compared absolutely;
 # y is of the size of 1/c (up to ~1e4 here), so it is compared relative to
 # the row's largest |y|, and y_sum relative to itself.
@@ -342,12 +326,10 @@ def test_kernel_sums_positive_on_standard_clouds(interval_runs):
 
 
 def test_dm_neumann_vs_clipped_dirichlet_on_interval():
-    # the diffusion-map modes stay large at the interval ends (Neumann-like
-    # cosines); the clipped LLE matrix modes vanish there (Dirichlet-like)
-    from lleboundary.analytic import AnalyticCoeffs
+    # the modes of the alpha = 1 ball average stay large at the interval ends
+    # (Neumann-like cosines); the clipped LLE matrix modes vanish there
+    # (Dirichlet-like). Both are built on one eps-ball graph
     from lleboundary.boundary import clip, partition_regions
-    from lleboundary.samplers import sample_interval
-    from lleboundary.spectral import eig
 
     cloud = sample_interval(2000, seed=1)
     eps = 0.02
@@ -358,16 +340,117 @@ def test_dm_neumann_vs_clipped_dirichlet_on_interval():
         v = np.abs(spec.eigenvectors.real[:, j])
         return max(v[np.argmin(pos)], v[np.argmax(pos)]) / v.max()
 
-    dm = build_dm_matrix(cloud, eps=eps, alpha=1.0)
-    assert end_ratio(dm, t, 1) > 0.5
-    assert end_ratio(dm, t, 2) > 0.5
-
     graph = build_graph(cloud, EpsilonBall(eps))
+    ball = build_alpha_kernel_matrix(cloud, graph, "auto", alpha=1.0).weights
+    assert end_ratio(ball, t, 1) > 0.5
+    assert end_ratio(ball, t, 2) > 0.5
+
     lle = build_lle_matrix(cloud, graph, "auto")
     regions = partition_regions(cloud, eps, AnalyticCoeffs(1, eps).tstar())
     Wr, kept = clip(lle, regions)
     assert end_ratio(Wr, t[kept], 2) < 0.1
     assert end_ratio(Wr, t[kept], 3) < 0.1
+
+
+# The alpha family on the [0, 1] grid at kappa = 1 (c = n eps^4, the auto
+# regularizer of the LLE member): every alpha has the interior generator f''/6,
+# so nu_j = (1 - mu_(j+1))/eps^2 is compared with the Neumann value (j pi)^2/6.
+GRID_N = {0.02: 4001, 0.01: 8001}
+
+
+def grid_neumann_ratios(eps, alpha, count=4):
+    """nu_1..nu_count of the alpha kernel on the grid, over (j pi)^2/6."""
+    n = GRID_N[eps]
+    cloud = interval_grid(n)
+    W = build_alpha_kernel_matrix(cloud, build_graph(cloud, EpsilonBall(eps)),
+                                  n * eps ** 4, alpha).weights
+    mu = eig(W, k=count + 1, ordering="real_desc").eigenvalues
+    j = np.arange(1, count + 1)
+    return (1.0 - mu[1:].real) / eps ** 2 / ((j * np.pi) ** 2 / 6.0)
+
+
+def test_ball_average_approaches_neumann_and_lle_does_not():
+    # alpha = 1 (the ball average) tends to Neumann as eps -> 0: measured
+    # nu_j/Neumann, j = 1..4, 1.0167-1.0207 at eps 0.02 and 1.0060-1.0083 at
+    # 0.01, so its gap (max |ratio - 1|) at 0.01 is 0.40 of that at 0.02; the
+    # bound is 0.6. LLE (alpha = 1/2) keeps its end mass: nu_1/Neumann measured
+    # 0.7914 and 0.7907, bound [0.76, 0.82] at both
+    gap = {eps: np.max(np.abs(grid_neumann_ratios(eps, 1.0) - 1.0)) for eps in GRID_N}
+    assert gap[0.01] < 0.6 * gap[0.02], gap
+    for eps in GRID_N:
+        nu1 = grid_neumann_ratios(eps, 0.5)[0]
+        assert 0.76 <= nu1 <= 0.82, (eps, nu1)
+
+
+def test_nu1_rises_with_alpha_above_one_half():
+    # measured mu_2 at alpha 0.5, 0.52, 0.55, 0.6, 0.65, 0.7: 0.999479, 0.999402,
+    # 0.999370, 0.999352, 0.999344, 0.999339 (nu_1/Neumann 0.791 to 1.004); the
+    # smallest step, 5e-6, is far above the Arnoldi tolerance 1e-10
+    nu1 = [grid_neumann_ratios(0.02, alpha, count=1)[0]
+           for alpha in (0.5, 0.52, 0.55, 0.6, 0.65, 0.7)]
+    assert np.all(np.diff(nu1) > 0.0), nu1
+
+
+def test_below_one_half_an_alpha_kernel_eigenvalue_exceeds_one():
+    # at alpha 0.45 the signed kernel outweighs the ball: measured leading
+    # eigenvalue 1.148; n is above the dense cutoff, so this is Arnoldi's value
+    n, eps = GRID_N[0.02], 0.02
+    assert n > DENSE_CUTOFF
+    cloud = interval_grid(n)
+    W = build_alpha_kernel_matrix(cloud, build_graph(cloud, EpsilonBall(eps)),
+                                  n * eps ** 4, alpha=0.45).weights
+    mu = eig(W, k=3, ordering="real_desc").eigenvalues
+    assert mu[0].real > 1.1, mu
+
+
+# Depth bands, in units of eps: three in the boundary layer and one interior band.
+DEPTH_BANDS = ((0.0, 0.25), (0.25, 0.5), (0.5, 1.0), (2.0, 10.0))
+
+
+def ball_average_band_means(cloud, graph, eps):
+    """Band means of (W - I) f / eps^2 for the alpha = 1 kernel W and f = |x|^2, measured
+    and as dm_coeffs predicts them: psi1 (Lap f - f_nn) + psi2 f_nn + (drift/eps) df/dn
+    with Lap f = 2d, f_nn = 2 and df/dn = 2 x.n at the ground-truth depth and normal."""
+    x, gt, d = cloud.points, cloud.ground_truth, cloud.intrinsic_dim
+    W = build_alpha_kernel_matrix(cloud, graph, "auto", alpha=1.0, eps=eps).weights
+    measured = apply_shifted(W, np.sum(x ** 2, axis=1)) / eps ** 2
+    cf = AnalyticCoeffs(d, eps).dm_coeffs(gt.boundary_dist)
+    predicted = (cf["psi1"] * 2.0 * (d - 1) + cf["psi2"] * 2.0
+                 + cf["drift"] / eps * 2.0 * np.sum(x * gt.outward_normal_tangent, axis=1))
+    depth = gt.boundary_dist / eps
+    bands = [(lo <= depth) & (depth < hi) for lo, hi in DEPTH_BANDS]
+    return (np.array([measured[b].mean() for b in bands]),
+            np.array([predicted[b].mean() for b in bands]))
+
+
+@pytest.mark.parametrize("eps", sorted(GRID_N))
+def test_dm_coeffs_predict_the_ball_average_on_the_grid(eps):
+    # measured / predicted at eps 0.02: -21.65/-21.63, -15.18/-15.30,
+    # -5.70/-5.96, 0.335/0.333; at eps 0.01: -44.34/-44.42, -29.73/-29.96,
+    # -11.89/-12.37, 0.335/0.333. The [eps/2, eps) band is off by 4.4% and 3.9%:
+    # eps is 80 grid spacings, and rounding decides whether the point at
+    # distance eps is a neighbour (interior rows hold 158-160), which moves
+    # the drift's mean (t - eps)/2 by up to a spacing, large beside eps - t as
+    # t -> eps; the ratio does not shrink with eps. Relative tolerances per
+    # band: 1%, 2%, 6%, 1%
+    cloud = interval_grid(GRID_N[eps])
+    graph = build_graph(cloud, EpsilonBall(eps))
+    measured, predicted = ball_average_band_means(cloud, graph, eps)
+    assert np.all(np.abs(measured / predicted - 1.0) <= [0.01, 0.02, 0.06, 0.01]), (
+        measured, predicted)
+
+
+def test_dm_coeffs_predict_the_ball_average_on_the_disk(disk_runs):
+    # eps 0.1: 740-830 points in each of the two outer bands, about 1470 in
+    # [eps/2, eps) and 10000 in [2 eps, 10 eps). Measured relative errors per
+    # band at seeds 1, 2, 3: 0.9%, 1.0%, 16%, 1.9%; 3.5%, 3.6%, 3.6%, 1.1%;
+    # 4.0%, 6.5%, 11%, 1.9%. In [eps/2, eps) the drift (about -1.4) and the
+    # second-order term (+0.5) nearly cancel, so sampling noise weighs more
+    # there. Relative tolerances per band: 8%, 8%, 25%, 5%
+    for run in disk_runs:
+        measured, predicted = ball_average_band_means(run["cloud"], run["graph"], 0.1)
+        assert np.all(np.abs(measured / predicted - 1.0) <= [0.08, 0.08, 0.25, 0.05]), (
+            run["seed"], measured, predicted)
 
 
 def test_disk_kernel_sign_structure_weak(disk_runs):
@@ -401,9 +484,7 @@ def test_kernel_row_storage(disk_runs):
     (lambda: resolve_c(sample_interval(50, seed=1), EpsilonBall(0.1), "fixed"), "c_rule"),
     (lambda: build_alpha_kernel_matrix(sample_interval(50, seed=1), None, 1e-3, alpha=1.5),
      "alpha"),
-    (lambda: build_dm_matrix(sample_interval(50, seed=1), eps=0.0, alpha=0.5), "eps"),
-    (lambda: build_dm_matrix(sample_interval(50, seed=1), eps=0.1, alpha=-0.1), "alpha"),
-], ids=["solve-path", "c-rule", "alpha-kernel-alpha", "dm-eps", "dm-alpha"])
+], ids=["solve-path", "c-rule", "alpha-kernel-alpha"])
 def test_builder_refusals(call, word):
     with pytest.raises(ValueError, match=word):
         call()
