@@ -14,19 +14,17 @@ import numpy as np
 
 from lleboundary import (AnalyticCoeffs, EpsilonBall, build_alpha_kernel_matrix, build_graph,
                          build_lle_matrix, clip, eig, partition_regions, sample_interval)
-from lleboundary.lle import default_regularizer
 
 cloud = sample_interval(2000, seed=1)
 eps = 0.02
 graph = build_graph(cloud, EpsilonBall(eps))
-c = default_regularizer(cloud.n, eps, 1)
 lle = build_lle_matrix(cloud, graph, "auto")
 
-half = build_alpha_kernel_matrix(cloud, graph, c, alpha=0.5)
+half = build_alpha_kernel_matrix(lle, alpha=0.5)
 print("alpha = 1/2 reproduces the LLE rows:",
       np.max(np.abs((half.weights - lle.weights).toarray())))
 
-uniform = build_alpha_kernel_matrix(cloud, graph, c, alpha=1.0)
+uniform = build_alpha_kernel_matrix(lle, alpha=1.0)
 row = uniform.weights.getrow(5)
 print(f"alpha = 1 row 5 is uniform: {row.data.min():.6f} .. {row.data.max():.6f} "
       f"over {row.nnz} neighbors")
@@ -35,9 +33,9 @@ bd = cloud.ground_truth.boundary_dist
 near = int(np.argmin(bd))
 interior = int(np.argmax(bd))
 print(f"kernel near the boundary (bdist {bd[near]:.4f}): "
-      f"min y entry = {lle.row_kernel(near).min() * c:.4f} (negative)")
+      f"min y entry = {lle.row_kernel(near).min() * lle.c:.4f} (negative)")
 print(f"kernel in the interior  (bdist {bd[interior]:.4f}): "
-      f"min y entry = {lle.row_kernel(interior).min() * c:.4f}")
+      f"min y entry = {lle.row_kernel(interior).min() * lle.c:.4f}")
 cf = AnalyticCoeffs(1, eps)
 print("analytic kernel infimum constant (d=1):", 1.0 + cf.sigma1d(0.0) / cf.sigma2d(0.0))
 

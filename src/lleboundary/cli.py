@@ -23,9 +23,9 @@ import numpy as np
 from . import io as lio
 from .analytic import coefficient_table
 from .boundary import clip as clip_matrix
-from .harness import (PRESETS, TEST_FUNCTIONS, ExperimentConfig, _sample_graph, _wave_eps,
-                      build_pipeline, run_convergence, run_eigenfunctions, run_indicator,
-                      run_null_case, sample, wave_partition)
+from .harness import (PRESETS, TEST_FUNCTIONS, ExperimentConfig, _wave_eps, build_pipeline,
+                      run_convergence, run_eigenfunctions, run_indicator, run_null_case, sample,
+                      wave_partition)
 from .lle import build_alpha_kernel_matrix
 from .spectral import eig
 
@@ -105,7 +105,9 @@ _FLAGS = {
                "regularizer: a positive finite number, or auto for c = n * eps^(d+3)"),
     "seed": _Flag("seed", int, "integer RNG seed"),
     "k_eigs": _Flag("k_eigs", _positive_int, "number of eigenpairs; n gives the full spectrum"),
-    "alpha": _Flag(None, float, "build the alpha-kernel matrix K^(alpha) instead of W"),
+    # the check is also false for nan
+    "alpha": _Flag(None, lambda v: _checked(float, v, "a number in [0, 1]", lambda a: 0 <= a <= 1),
+                   "build the alpha-kernel matrix K^(alpha), alpha in [0, 1], instead of W"),
     "out": _Flag("out", Path, "output directory"),
     "tstar_clip": _Flag("tstar_clip", _switch, "also clip the wave region at depth t*"),
     "f_test": _Flag("f_test", _one_of(TEST_FUNCTIONS),
@@ -221,16 +223,15 @@ def _run(command: str, values: dict, cfg: ExperimentConfig) -> None:
         path = lio.save_cloud(cloud, out / f"{cfg.manifold}_cloud.csv")
         print(f"wrote {path} ({cloud.n} points)")
     elif command == "build":
+        cloud, graph, lle = build_pipeline(cfg)
         alpha = values.get("alpha")
-        if alpha is not None:
-            cloud, graph, c = _sample_graph(cfg)
-            mat = build_alpha_kernel_matrix(cloud, graph, c, alpha, cfg.eps)
-            path = lio.save_matrix(mat, out / "alpha_kernel_matrix.csv")
-            print(f"wrote {path} (n={mat.n}, alpha={alpha}, c={mat.c:.6g})")
-        else:
-            cloud, graph, lle = build_pipeline(cfg)
+        if alpha is None:
             path = lio.save_matrix(lle, out / "lle_matrix.csv")
             print(f"wrote {path} (n={lle.n}, c={lle.c:.6g})")
+        else:
+            mat = build_alpha_kernel_matrix(lle, alpha)
+            path = lio.save_matrix(mat, out / "alpha_kernel_matrix.csv")
+            print(f"wrote {path} (n={mat.n}, alpha={alpha}, c={mat.c:.6g})")
     elif command == "spectrum":
         cloud, graph, lle = build_pipeline(cfg)
         spec = eig(lle.weights, k=cfg.k_eigs, ordering="real_desc")

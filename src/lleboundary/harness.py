@@ -237,6 +237,9 @@ def run_convergence(config: ExperimentConfig,
     if config.manifold not in _FLAT_DENSITY:
         raise ValueError("operator targets need a flat constant-density manifold "
                          f"(interval or disk), got {config.manifold!r}")
+    for name, values in (("ns", ns), ("eps_values", eps_values)):
+        if len(values) == 0:
+            raise ValueError(f"{name} is empty: the sweep needs at least one value")
     rows = []
     for n in ns:
         for eps in eps_values:

@@ -4,14 +4,16 @@ Per point, the regularized normal equations (G^T G + c I) y = 1 are solved
 either directly (N x N) or through the eigendecomposition of the small p x p
 Gram matrix G G^T; the two routes agree to rounding and the cheaper one is
 picked by default. Row-normalizing y gives the barycentric weights, hence the
-row-stochastic LLE matrix W. The module also builds the comparison kernels on
-W's own graph: the alpha family interpolating between the 0-1 ball kernel and
-the signed LLE kernel. Its alpha = 1 member, the ball average, is the
-diffusion-type operator that AnalyticCoeffs.dm_coeffs describes; every matrix
-here is built from a graph the caller gives.
+row-stochastic LLE matrix W, built from a graph the caller gives. The module
+also builds the comparison kernels on W's own graph: the alpha family
+interpolating between the 0-1 ball kernel and the signed LLE kernel. Its
+alpha = 1 member, the ball average, is the diffusion-type operator that
+AnalyticCoeffs.dm_coeffs describes.
 
-The matrix builders batch the gram route over the CSR neighbor graph;
-solve_barycentric is the per-row oracle they are tested against.
+build_lle_matrix batches the gram route over the CSR neighbor graph, and
+solve_barycentric is the per-row oracle it is tested against. The alpha
+family is a function of an LleMatrix: build_alpha_kernel_matrix reads W's
+solves and runs none of its own.
 """
 
 from __future__ import annotations
@@ -121,19 +123,6 @@ def default_regularizer(n: int, eps: float, d: int) -> float:
         return np.inf
 
 
-def _meta(cloud: PointCloud, scheme: Scheme, c: float, eps: Optional[float]) -> dict:
-    """The sidecar record of a built matrix: n, c, d, seed and the scheme, with
-    epsilon the ball radius or, beside KNN, the eps that resolved c."""
-    meta = {"n": cloud.n, "c": c, "d": cloud.intrinsic_dim, "seed": cloud.seed}
-    if isinstance(scheme, EpsilonBall):
-        meta.update(scheme="epsilon_ball", epsilon=scheme.eps, K=None)
-    else:
-        meta.update(scheme="knn", epsilon=None, K=scheme.k)
-    if eps is not None:
-        meta["epsilon"] = eps
-    return meta
-
-
 @dataclass(frozen=True)
 class LleMatrix:
     """Row-form LLE matrix with the per-row solve byproducts.
@@ -181,15 +170,6 @@ def resolve_c(cloud: PointCloud, scheme: Scheme,
     return c
 
 
-def _row_sums(values: np.ndarray, graph: NeighborGraph) -> np.ndarray:
-    """Per-row sums of an edge array; nan on rows without neighbors."""
-    # np.add.reduceat does not give 0 on an empty segment: skip those rows
-    nonempty = graph.counts > 0
-    out = np.full(graph.n, np.nan)
-    out[nonempty] = np.add.reduceat(values, graph.indptr[:-1][nonempty])
-    return out
-
-
 def _gram_dots(points: np.ndarray, graph: NeighborGraph, c: float,
                rows: np.ndarray) -> np.ndarray:
     """(x_j - x_k)^T T_n(x_k) on the edges of the rows in the mask (all with
@@ -218,52 +198,52 @@ def _gram_dots(points: np.ndarray, graph: NeighborGraph, c: float,
     return sum(D[a] * np.repeat(Tn[:, a], counts) for a in range(p))
 
 
-def _kernel_y(points: np.ndarray, graph: NeighborGraph, c: float) -> np.ndarray:
-    """Kernel y on every edge: rows with N_k > p take the batched gram route,
-    the others the direct solve, as solve_barycentric's "auto" route does."""
+def _lle_kernel(points: np.ndarray, graph: NeighborGraph, c: float):
+    """Kernel y on every edge and its row sums (nan on rows without neighbors);
+    y_sum <= 0 is reported. Rows with N_k > p take the batched gram route, the
+    others the direct solve, as solve_barycentric's "auto" route does."""
     p = points.shape[1]
     counts, indptr, indices = graph.counts, graph.indptr, graph.indices
-    gram = counts > p
+    gram, nonempty = counts > p, counts > 0
     y = np.empty(len(indices))
     if np.any(gram):
         y[np.repeat(gram, counts)] = (1.0 - _gram_dots(points, graph, c, gram)) / c
-    for k in np.flatnonzero((counts > 0) & ~gram):
+    for k in np.flatnonzero(nonempty & ~gram):
         lo, hi = indptr[k], indptr[k + 1]
         y[lo:hi] = _solve_direct((points[indices[lo:hi]] - points[k]).T, c)
-    return y
-
-
-def _lle_kernel(points: np.ndarray, graph: NeighborGraph, c: float):
-    """y and its row sums (nan on rows without neighbors); y_sum <= 0 is reported."""
-    y = _kernel_y(points, graph, c)
-    y_sum = _row_sums(y, graph)
+    # np.add.reduceat does not give 0 on an empty segment: skip those rows
+    y_sum = np.full(graph.n, np.nan)
+    y_sum[nonempty] = np.add.reduceat(y, indptr[:-1][nonempty])
     if np.any(y_sum <= 0):
         bad = np.nonzero(y_sum <= 0)[0]
         warnings.warn(f"rows with nonpositive kernel sum (weights flip sign): {bad.tolist()}")
     return y, y_sum
 
 
-def _isolated_check(graph: NeighborGraph) -> None:
-    counts = graph.counts
-    if np.any(counts == 0):
-        raise ValueError(f"isolated points (no neighbors): {np.nonzero(counts == 0)[0].tolist()}")
-
-
-def _csr(data: np.ndarray, graph: NeighborGraph) -> sp.csr_matrix:
-    # own column indices: sort_indices on a KNN matrix must not reorder the graph
-    return sp.csr_matrix((data, graph.indices.copy(), graph.indptr), shape=(graph.n, graph.n))
-
-
 def build_lle_matrix(cloud: PointCloud, graph: NeighborGraph,
                      c_rule: Union[float, str] = "auto",
                      eps: Optional[float] = None) -> LleMatrix:
-    """Assemble the n x n LLE matrix from the barycentric solves of every row."""
-    _isolated_check(graph)
-    c = resolve_c(cloud, graph.scheme, c_rule, eps)
+    """Assemble the n x n LLE matrix from the barycentric solves of every row.
+
+    meta, the sidecar record, holds n, c, d, seed and the scheme, with epsilon
+    the ball radius or, beside KNN, the eps that resolved c.
+    """
+    counts, scheme = graph.counts, graph.scheme
+    if np.any(counts == 0):
+        raise ValueError(f"isolated points (no neighbors): {np.nonzero(counts == 0)[0].tolist()}")
+    c = resolve_c(cloud, scheme, c_rule, eps)
     y, y_sum = _lle_kernel(cloud.points, graph, c)
-    counts = graph.counts
-    return LleMatrix(weights=_csr(y / np.repeat(y_sum, counts), graph), y=y,
-                     y_sum=y_sum, n_k=counts, c=c, meta=_meta(cloud, graph.scheme, c, eps))
+    meta = {"n": cloud.n, "c": c, "d": cloud.intrinsic_dim, "seed": cloud.seed}
+    if isinstance(scheme, EpsilonBall):
+        meta.update(scheme="epsilon_ball", epsilon=scheme.eps, K=None)
+    else:
+        meta.update(scheme="knn", epsilon=None, K=scheme.k)
+    if eps is not None:
+        meta["epsilon"] = eps
+    # own column indices: sort_indices on a KNN matrix must not reorder the graph
+    weights = sp.csr_matrix((y / np.repeat(y_sum, counts), graph.indices.copy(), graph.indptr),
+                            shape=(graph.n, graph.n))
+    return LleMatrix(weights=weights, y=y, y_sum=y_sum, n_k=counts, c=c, meta=meta)
 
 
 def apply_shifted(W: sp.spmatrix | np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -274,30 +254,28 @@ def apply_shifted(W: sp.spmatrix | np.ndarray, f: np.ndarray) -> np.ndarray:
     return W @ f - f
 
 
-def build_alpha_kernel_matrix(cloud: PointCloud, graph: NeighborGraph,
-                              c: Union[float, str], alpha: float,
-                              eps: Optional[float] = None) -> LleMatrix:
-    """Row-normalized alpha-kernel matrix.
+def build_alpha_kernel_matrix(lle: LleMatrix, alpha: float) -> LleMatrix:
+    """Row-normalized alpha-kernel matrix on the graph of the LLE matrix lle.
 
     Row k entries are alpha * 1 + (1 - alpha) * K2 with
     K2(x_k, x_j) = -(x_j - x_k)^T T_n(x_k), using the discrete augmented
     vector. alpha=1 gives uniform rows; alpha=1/2 reproduces the LLE weights.
-    Rows whose entry sum is <= 0 are reported and left unnormalized. c, a
-    number or "auto" (with eps), is resolved by resolve_c.
+    Rows whose entry sum is <= 0 are reported and left unnormalized. The
+    entries are read from lle's solves, so no solve runs here, and the meta
+    is lle's plus alpha and the degenerate rows.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    _isolated_check(graph)
-    c = resolve_c(cloud, graph.scheme, c, eps)
-    counts = graph.counts
-    # G^T T_n = 1 - c y (push-through identity), so the LLE solves serve here too
-    vals = alpha - (1.0 - alpha) * (1.0 - c * _kernel_y(cloud.points, graph, c))
-    row_sum = _row_sums(vals, graph)
+    if "alpha" in lle.meta:
+        raise ValueError("build_alpha_kernel_matrix reads the LLE matrix, not an alpha kernel")
+    W = lle.weights
+    # G^T T_n = 1 - c y (push-through identity), so W's solves serve here
+    vals = alpha - (1.0 - alpha) * (1.0 - lle.c * lle.y)
+    row_sum = np.add.reduceat(vals, W.indptr[:-1])  # W has no row without neighbors
     degenerate = np.nonzero(row_sum <= 0)[0].tolist()
     if degenerate:
         warnings.warn(f"alpha-kernel rows with nonpositive sum left unnormalized: {degenerate}")
-    wdata = vals / np.repeat(np.where(row_sum > 0, row_sum, 1.0), counts)
-    meta = _meta(cloud, graph.scheme, c, eps)
-    meta.update(alpha=alpha, degenerate_rows=degenerate)
-    return LleMatrix(weights=_csr(wdata, graph), y=vals, y_sum=row_sum,
-                     n_k=counts, c=c, meta=meta)
+    wdata = vals / np.repeat(np.where(row_sum > 0, row_sum, 1.0), lle.n_k)
+    weights = sp.csr_matrix((wdata, W.indices.copy(), W.indptr), shape=W.shape)
+    return LleMatrix(weights=weights, y=vals, y_sum=row_sum, n_k=lle.n_k, c=lle.c,
+                     meta={**lle.meta, "alpha": alpha, "degenerate_rows": degenerate})

@@ -316,6 +316,20 @@ def test_an_overflowed_auto_regularizer_is_refused_before_the_graph(tmp_path, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("alpha", ["2", "-0.1", "nan"])
+def test_an_alpha_outside_the_unit_interval_is_refused_before_sampling(tmp_path, capsys,
+                                                                       monkeypatch, alpha):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the cloud was sampled")
+    monkeypatch.setattr(harness, "sample", unreachable)
+    out = tmp_path / "D"
+    with pytest.raises(SystemExit) as exc:
+        main(["build", "--n", "300", "--eps", "0.05", "--alpha", alpha, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "expected" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_indicator_on_a_knn_preset_asks_for_eps(tmp_path, capsys):
     out = tmp_path / "D"
     assert main(["indicator", "--manifold", "gaussian_null", "--n", "120",

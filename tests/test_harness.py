@@ -101,6 +101,19 @@ def test_convergence_rejects_curved_manifolds():
         run_convergence(cfg, ns=[500], eps_values=[0.5])
 
 
+@pytest.mark.parametrize("ns, eps_values, name", [([], [0.05], "ns"), ([300], [], "eps_values")],
+                         ids=["ns", "eps_values"])
+def test_convergence_refuses_an_empty_sweep_before_sampling(tmp_path, monkeypatch, ns,
+                                                            eps_values, name):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the cloud was sampled")
+    monkeypatch.setattr(harness, "sample", unreachable)
+    out = tmp_path / "D"
+    with pytest.raises(ValueError, match=f"{name} is empty"):
+        run_convergence(replace(PRESETS["interval"], out=out), ns, eps_values)
+    assert not out.exists()
+
+
 def test_interval_near_boundary_operator_value(interval_runs):
     # mean of [(W-I)f]/eps^2 over a band around depth eps/2 matches
     # phi2 * f'' + V * (-f') for f = t^2

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import interval_grid, s1_grid_cloud, s1_grid_eps, ten_point_cloud
+from lleboundary import lle as lle_module
 from lleboundary.analytic import AnalyticCoeffs
 from lleboundary.cli import main
 from lleboundary.io import SIDECAR_KEYS
@@ -125,29 +126,55 @@ def test_affine_reproduction_by_barycentric_average():
     assert abs(sol.w @ values - lin @ recon) < 1e-12
 
 
+def s1_lle(m=7):
+    """The LLE matrix of the 2m-point circle grid (two neighbors a row), c = 1e-3."""
+    cloud = s1_grid_cloud(m)
+    return build_lle_matrix(cloud, build_graph(cloud, EpsilonBall(s1_grid_eps(m))), c_rule=1e-3)
+
+
 def test_alpha_family():
     m = 7
-    cloud = s1_grid_cloud(m)
-    graph = build_graph(cloud, EpsilonBall(s1_grid_eps(m)))
-    c = 1e-3
+    lle = s1_lle(m)
 
-    uniform = build_alpha_kernel_matrix(cloud, graph, c, alpha=1.0)
+    uniform = build_alpha_kernel_matrix(lle, alpha=1.0)
     W1 = uniform.weights.toarray()
     assert np.allclose(W1[W1 > 0], 0.5)
 
-    lle = build_lle_matrix(cloud, graph, c_rule=c)
-    half = build_alpha_kernel_matrix(cloud, graph, c, alpha=0.5)
+    half = build_alpha_kernel_matrix(lle, alpha=0.5)
     assert np.max(np.abs(half.weights.toarray() - lle.weights.toarray())) <= 1e-10
 
     # alpha = 0 is the pure signed kernel; on the circle the curvature makes
     # both entries of every row negative, so every row sum is nonpositive and
     # the rows are reported degenerate and left unnormalized.
     with pytest.warns(UserWarning, match="nonpositive"):
-        zero = build_alpha_kernel_matrix(cloud, graph, c, alpha=0.0)
+        zero = build_alpha_kernel_matrix(lle, alpha=0.0)
     W0 = zero.weights.toarray()
     assert np.all(np.isfinite(W0))
     assert zero.meta["degenerate_rows"] == list(range(2 * m))
     assert np.all(zero.y_sum < 0.0)
+
+
+def test_alpha_kernel_runs_no_solve(monkeypatch):
+    # the family reads W's solves: with both solve routes gone, every alpha still
+    # builds. The cloud has rows on the gram route and on the direct route
+    rng = np.random.default_rng(9)
+    cluster = rng.normal(scale=0.05, size=(12, 3))
+    chain = np.column_stack([np.arange(1, 7) * 0.3, np.zeros(6), np.zeros(6)])
+    cloud = PointCloud(np.vstack([cluster, chain]), intrinsic_dim=3, seed=0, manifold_tag="raw")
+    lle = build_lle_matrix(cloud, build_graph(cloud, EpsilonBall(0.35)), c_rule=1e-3)
+    assert np.any(lle.n_k <= 3) and np.any(lle.n_k > 3)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a barycentric solve ran")
+    monkeypatch.setattr(lle_module, "_gram_dots", unreachable)
+    monkeypatch.setattr(lle_module, "_solve_direct", unreachable)
+    # alpha = 0, the signed kernel alone, leaves rows of this cloud degenerate
+    with pytest.warns(UserWarning, match="nonpositive"):
+        build_alpha_kernel_matrix(lle, 0.0)
+    half = build_alpha_kernel_matrix(lle, 0.5)
+    assert np.max(np.abs((half.weights - lle.weights).toarray())) <= 1e-10
+    ball = build_alpha_kernel_matrix(lle, 1.0)
+    assert np.allclose(ball.weights.data, np.repeat(1.0 / lle.n_k, lle.n_k))
 
 
 def test_regularizer_must_be_positive_and_finite(tmp_path):
@@ -156,7 +183,7 @@ def test_regularizer_must_be_positive_and_finite(tmp_path):
     graph = build_graph(cloud, EpsilonBall(s1_grid_eps(m)))
     for c in (0.0, -1.0, np.inf):
         with pytest.raises(ValueError, match="positive and finite"):
-            build_alpha_kernel_matrix(cloud, graph, c, alpha=0.5)
+            build_lle_matrix(cloud, graph, c_rule=c)
     out = tmp_path / "D"
     with pytest.raises(SystemExit) as exc:
         main(["build", "--n", "300", "--eps", "0.05", "--c", "inf", "--out", str(out)])
@@ -171,7 +198,7 @@ def test_alpha_half_on_random_cloud(disk_runs):
     graph = build_graph(cloud, EpsilonBall(0.25))
     c = 1e-3
     lle = build_lle_matrix(cloud, graph, c_rule=c)
-    half = build_alpha_kernel_matrix(cloud, graph, c, alpha=0.5)
+    half = build_alpha_kernel_matrix(lle, alpha=0.5)
     assert np.max(np.abs((half.weights - lle.weights).toarray())) <= 1e-10
 
 
@@ -207,11 +234,11 @@ def assert_rows_match_oracle(cloud, graph, lle):
         assert abs(lle.y_sum[k] - sol.y_sum) <= ORACLE_TOL * abs(sol.y_sum)
 
 
-def assert_alpha_rows_match_oracle(cloud, graph, c, alpha):
-    K = build_alpha_kernel_matrix(cloud, graph, c, alpha)
+def assert_alpha_rows_match_oracle(cloud, graph, lle, alpha):
+    K = build_alpha_kernel_matrix(lle, alpha)
     for k in range(cloud.n):
         G = local_data_matrix(cloud, graph, k)
-        vals = alpha - (1.0 - alpha) * (G.T @ augmented_vector_discrete(G, c))
+        vals = alpha - (1.0 - alpha) * (G.T @ augmented_vector_discrete(G, lle.c))
         row = K.row_kernel(k)
         assert np.max(np.abs(row - vals)) <= ORACLE_TOL * max(1.0, np.max(np.abs(vals)))
 
@@ -233,7 +260,7 @@ def test_batched_build_matches_per_row_oracle(kind):
     lle = build_lle_matrix(cloud, graph, c_rule)
     assert np.all(lle.n_k > cloud.ambient_dim)  # every row on the gram route
     assert_rows_match_oracle(cloud, graph, lle)
-    assert_alpha_rows_match_oracle(cloud, graph, lle.c, alpha=0.75)
+    assert_alpha_rows_match_oracle(cloud, graph, lle, alpha=0.75)
 
 
 @pytest.mark.parametrize("direction", [[0.6, 0.8], [2.0 / 7.0, 3.0 / 7.0, 6.0 / 7.0]])
@@ -249,8 +276,9 @@ def test_batched_rank_deficient_gram(direction):
     # at c = 1e-40 a rounding-level eigenvalue that escaped the threshold
     # would be amplified to O(1) in T_n
     for c in (1e-3, 1e-6, 1e-40):
-        assert_rows_match_oracle(cloud, graph, build_lle_matrix(cloud, graph, c_rule=c))
-        assert_alpha_rows_match_oracle(cloud, graph, c, alpha=0.75)
+        lle = build_lle_matrix(cloud, graph, c_rule=c)
+        assert_rows_match_oracle(cloud, graph, lle)
+        assert_alpha_rows_match_oracle(cloud, graph, lle, alpha=0.75)
 
 
 def test_batched_direct_route_rows():
@@ -340,12 +368,11 @@ def test_dm_neumann_vs_clipped_dirichlet_on_interval():
         v = np.abs(spec.eigenvectors.real[:, j])
         return max(v[np.argmin(pos)], v[np.argmax(pos)]) / v.max()
 
-    graph = build_graph(cloud, EpsilonBall(eps))
-    ball = build_alpha_kernel_matrix(cloud, graph, "auto", alpha=1.0).weights
+    lle = build_lle_matrix(cloud, build_graph(cloud, EpsilonBall(eps)), "auto")
+    ball = build_alpha_kernel_matrix(lle, alpha=1.0).weights
     assert end_ratio(ball, t, 1) > 0.5
     assert end_ratio(ball, t, 2) > 0.5
 
-    lle = build_lle_matrix(cloud, graph, "auto")
     regions = partition_regions(cloud, eps, AnalyticCoeffs(1, eps).tstar())
     Wr, kept = clip(lle, regions)
     assert end_ratio(Wr, t[kept], 2) < 0.1
@@ -355,15 +382,21 @@ def test_dm_neumann_vs_clipped_dirichlet_on_interval():
 # The alpha family on the [0, 1] grid at kappa = 1 (c = n eps^4, the auto
 # regularizer of the LLE member): every alpha has the interior generator f''/6,
 # so nu_j = (1 - mu_(j+1))/eps^2 is compared with the Neumann value (j pi)^2/6.
+# Each sweep over alpha reads the solves of one LLE matrix per eps.
 GRID_N = {0.02: 4001, 0.01: 8001}
 
 
-def grid_neumann_ratios(eps, alpha, count=4):
-    """nu_1..nu_count of the alpha kernel on the grid, over (j pi)^2/6."""
+def grid_lle(eps):
+    """The LLE matrix on the grid of GRID_N[eps] points, at c = n eps^4."""
     n = GRID_N[eps]
     cloud = interval_grid(n)
-    W = build_alpha_kernel_matrix(cloud, build_graph(cloud, EpsilonBall(eps)),
-                                  n * eps ** 4, alpha).weights
+    return build_lle_matrix(cloud, build_graph(cloud, EpsilonBall(eps)), n * eps ** 4)
+
+
+def grid_neumann_ratios(lle, alpha, count=4):
+    """nu_1..nu_count of the alpha kernel of a grid_lle matrix, over (j pi)^2/6."""
+    eps = lle.meta["epsilon"]
+    W = build_alpha_kernel_matrix(lle, alpha).weights
     mu = eig(W, k=count + 1, ordering="real_desc").eigenvalues
     j = np.arange(1, count + 1)
     return (1.0 - mu[1:].real) / eps ** 2 / ((j * np.pi) ** 2 / 6.0)
@@ -375,18 +408,21 @@ def test_ball_average_approaches_neumann_and_lle_does_not():
     # 0.01, so its gap (max |ratio - 1|) at 0.01 is 0.40 of that at 0.02; the
     # bound is 0.6. LLE (alpha = 1/2) keeps its end mass: nu_1/Neumann measured
     # 0.7914 and 0.7907, bound [0.76, 0.82] at both
-    gap = {eps: np.max(np.abs(grid_neumann_ratios(eps, 1.0) - 1.0)) for eps in GRID_N}
-    assert gap[0.01] < 0.6 * gap[0.02], gap
+    gap = {}
     for eps in GRID_N:
-        nu1 = grid_neumann_ratios(eps, 0.5)[0]
+        lle = grid_lle(eps)
+        gap[eps] = np.max(np.abs(grid_neumann_ratios(lle, 1.0) - 1.0))
+        nu1 = grid_neumann_ratios(lle, 0.5)[0]
         assert 0.76 <= nu1 <= 0.82, (eps, nu1)
+    assert gap[0.01] < 0.6 * gap[0.02], gap
 
 
 def test_nu1_rises_with_alpha_above_one_half():
     # measured mu_2 at alpha 0.5, 0.52, 0.55, 0.6, 0.65, 0.7: 0.999479, 0.999402,
     # 0.999370, 0.999352, 0.999344, 0.999339 (nu_1/Neumann 0.791 to 1.004); the
     # smallest step, 5e-6, is far above the Arnoldi tolerance 1e-10
-    nu1 = [grid_neumann_ratios(0.02, alpha, count=1)[0]
+    lle = grid_lle(0.02)
+    nu1 = [grid_neumann_ratios(lle, alpha, count=1)[0]
            for alpha in (0.5, 0.52, 0.55, 0.6, 0.65, 0.7)]
     assert np.all(np.diff(nu1) > 0.0), nu1
 
@@ -394,11 +430,8 @@ def test_nu1_rises_with_alpha_above_one_half():
 def test_below_one_half_an_alpha_kernel_eigenvalue_exceeds_one():
     # at alpha 0.45 the signed kernel outweighs the ball: measured leading
     # eigenvalue 1.148; n is above the dense cutoff, so this is Arnoldi's value
-    n, eps = GRID_N[0.02], 0.02
-    assert n > DENSE_CUTOFF
-    cloud = interval_grid(n)
-    W = build_alpha_kernel_matrix(cloud, build_graph(cloud, EpsilonBall(eps)),
-                                  n * eps ** 4, alpha=0.45).weights
+    assert GRID_N[0.02] > DENSE_CUTOFF
+    W = build_alpha_kernel_matrix(grid_lle(0.02), alpha=0.45).weights
     mu = eig(W, k=3, ordering="real_desc").eigenvalues
     assert mu[0].real > 1.1, mu
 
@@ -407,12 +440,13 @@ def test_below_one_half_an_alpha_kernel_eigenvalue_exceeds_one():
 DEPTH_BANDS = ((0.0, 0.25), (0.25, 0.5), (0.5, 1.0), (2.0, 10.0))
 
 
-def ball_average_band_means(cloud, graph, eps):
-    """Band means of (W - I) f / eps^2 for the alpha = 1 kernel W and f = |x|^2, measured
+def ball_average_band_means(cloud, lle, eps):
+    """Band means of (W - I) f / eps^2 for the alpha = 1 kernel W of the LLE matrix lle
+    and f = |x|^2, measured
     and as dm_coeffs predicts them: psi1 (Lap f - f_nn) + psi2 f_nn + (drift/eps) df/dn
     with Lap f = 2d, f_nn = 2 and df/dn = 2 x.n at the ground-truth depth and normal."""
     x, gt, d = cloud.points, cloud.ground_truth, cloud.intrinsic_dim
-    W = build_alpha_kernel_matrix(cloud, graph, "auto", alpha=1.0, eps=eps).weights
+    W = build_alpha_kernel_matrix(lle, alpha=1.0).weights
     measured = apply_shifted(W, np.sum(x ** 2, axis=1)) / eps ** 2
     cf = AnalyticCoeffs(d, eps).dm_coeffs(gt.boundary_dist)
     predicted = (cf["psi1"] * 2.0 * (d - 1) + cf["psi2"] * 2.0
@@ -434,8 +468,8 @@ def test_dm_coeffs_predict_the_ball_average_on_the_grid(eps):
     # t -> eps; the ratio does not shrink with eps. Relative tolerances per
     # band: 1%, 2%, 6%, 1%
     cloud = interval_grid(GRID_N[eps])
-    graph = build_graph(cloud, EpsilonBall(eps))
-    measured, predicted = ball_average_band_means(cloud, graph, eps)
+    lle = build_lle_matrix(cloud, build_graph(cloud, EpsilonBall(eps)), "auto")
+    measured, predicted = ball_average_band_means(cloud, lle, eps)
     assert np.all(np.abs(measured / predicted - 1.0) <= [0.01, 0.02, 0.06, 0.01]), (
         measured, predicted)
 
@@ -448,7 +482,7 @@ def test_dm_coeffs_predict_the_ball_average_on_the_disk(disk_runs):
     # second-order term (+0.5) nearly cancel, so sampling noise weighs more
     # there. Relative tolerances per band: 8%, 8%, 25%, 5%
     for run in disk_runs:
-        measured, predicted = ball_average_band_means(run["cloud"], run["graph"], 0.1)
+        measured, predicted = ball_average_band_means(run["cloud"], run["lle"], 0.1)
         assert np.all(np.abs(measured / predicted - 1.0) <= [0.08, 0.08, 0.25, 0.05]), (
             run["seed"], measured, predicted)
 
@@ -482,9 +516,10 @@ def test_kernel_row_storage(disk_runs):
 @pytest.mark.parametrize("call, word", [
     (lambda: solve_barycentric(np.ones((1, 2)), 1e-3, path="x"), "unknown path"),
     (lambda: resolve_c(sample_interval(50, seed=1), EpsilonBall(0.1), "fixed"), "c_rule"),
-    (lambda: build_alpha_kernel_matrix(sample_interval(50, seed=1), None, 1e-3, alpha=1.5),
-     "alpha"),
-], ids=["solve-path", "c-rule", "alpha-kernel-alpha"])
+    (lambda: build_alpha_kernel_matrix(s1_lle(), alpha=1.5), "alpha"),
+    (lambda: build_alpha_kernel_matrix(build_alpha_kernel_matrix(s1_lle(), 1.0), 0.5),
+     "not an alpha kernel"),
+], ids=["solve-path", "c-rule", "alpha-kernel-alpha", "alpha-kernel-of-alpha-kernel"])
 def test_builder_refusals(call, word):
     with pytest.raises(ValueError, match=word):
         call()
@@ -496,7 +531,7 @@ def test_alpha_kernel_sidecar_matches_the_lle_one(knn):
     cloud = sample_interval(400, seed=1)
     graph = build_graph(cloud, EpsilonBall(0.1) if knn is None else Knn(knn))
     lle = build_lle_matrix(cloud, graph, "auto", eps=0.1)
-    alpha = build_alpha_kernel_matrix(cloud, graph, "auto", alpha=0.5, eps=0.1)
+    alpha = build_alpha_kernel_matrix(lle, alpha=0.5)
     assert {key: alpha.meta[key] for key in SIDECAR_KEYS} == {
         key: lle.meta[key] for key in SIDECAR_KEYS}
     assert alpha.meta["epsilon"] == 0.1 and alpha.meta["alpha"] == 0.5
