@@ -2,11 +2,12 @@
 
 Subcommands: sample, build, spectrum, eigenfunctions, indicator, clip,
 convergence, nullcase, sigma-table. Every setting is one row of ``_FLAGS``:
-its flag, its config-file key, its parser and the ExperimentConfig field it
-sets (or none, for a value the subcommand reads itself). ``_COMMANDS`` names
-the settings each subcommand reads, and it takes only those: any other flag,
-or config-file key, stops the run. A plain-text config file of key=value
-lines (keys are the flag names) can seed those settings; explicit flags win.
+its flag, its parser and the ExperimentConfig field it sets (or none, for a
+value the subcommand reads itself). ``_COMMANDS`` names the settings each
+subcommand reads, and it takes only those: any other flag stops the run.
+Arguments can also be read from a file, one per line (``lleboundary build
+@run.args``, argparse's ``fromfile_prefix_chars``); they are parsed as if
+given inline, so a later argument wins.
 """
 
 from __future__ import annotations
@@ -61,15 +62,6 @@ def _regularizer(value: str):
     return _checked(float, value, "a finite c > 0 or auto", lambda c: 0 < c < np.inf)
 
 
-def _switch(value: str) -> bool:
-    """Config-file value of an on/off flag."""
-    if value.lower() in ("1", "true", "yes"):
-        return True
-    if value.lower() in ("0", "false", "no"):
-        return False
-    raise argparse.ArgumentTypeError(f"expected yes or no, got {value!r}")
-
-
 def _positive_int(value: str) -> int:
     return _checked(int, value, "an integer >= 1", lambda k: k >= 1)
 
@@ -90,7 +82,7 @@ def _grid(value: str) -> list:
 
 class _Flag(NamedTuple):
     field: Optional[str]  # ExperimentConfig field; None: the subcommand reads the value
-    parse: Callable
+    parse: Optional[Callable]  # None: an on/off flag, which takes no value
     help: str
 
 
@@ -109,7 +101,7 @@ _FLAGS = {
     "alpha": _Flag(None, lambda v: _checked(float, v, "a number in [0, 1]", lambda a: 0 <= a <= 1),
                    "build the alpha-kernel matrix K^(alpha), alpha in [0, 1], instead of W"),
     "out": _Flag("out", Path, "output directory"),
-    "tstar_clip": _Flag("tstar_clip", _switch, "also clip the wave region at depth t*"),
+    "tstar_clip": _Flag("tstar_clip", None, "also clip the wave region at depth t*"),
     "f_test": _Flag("f_test", _one_of(TEST_FUNCTIONS),
                     f"test function: {', '.join(sorted(TEST_FUNCTIONS))}"),
     "tau": _Flag(None, float, "indicator threshold override"),
@@ -144,59 +136,35 @@ _COMMANDS = {
 
 
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="lleboundary",
-                                     description="boundary-aware LLE toolkit")
+    parser = argparse.ArgumentParser(
+        prog="lleboundary", fromfile_prefix_chars="@",
+        description="boundary-aware LLE toolkit; an argument @FILE is replaced by the "
+                    "arguments in FILE, one per line (a later argument wins)")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (helptext, keys) in _COMMANDS.items():
-        # unset flags stay out of the namespace (config-file values show through); no
+        # unset flags stay out of the namespace (the preset's values show through); no
         # abbreviations, or --n would still reach --ns
         p = sub.add_parser(name, help=helptext, argument_default=argparse.SUPPRESS,
                            allow_abbrev=False)
-        p.add_argument("--config", help="key=value config file, keys named as the flags; "
-                                        "flags override it")
         for key in keys:
             flag = _FLAGS[key]
             option = "--" + key.replace("_", "-")
-            if flag.parse is _switch:
+            if flag.parse is None:
                 p.add_argument(option, action="store_const", const=True, help=flag.help)
             else:
                 p.add_argument(option, type=flag.parse, help=flag.help)
     return parser
 
 
-def _read_config(path: str, command: str) -> dict:
-    _, takes = _COMMANDS[command]
-    values: dict = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise SystemExit(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        key = key.replace("-", "_")
-        if key not in _FLAGS:
-            raise SystemExit(f"{path}:{lineno}: unknown key {key!r}")
-        if key not in takes:
-            raise SystemExit(f"{path}:{lineno}: {command} does not take {key!r}")
-        try:
-            values[key] = _FLAGS[key].parse(value)
-        except (ValueError, argparse.ArgumentTypeError) as exc:
-            raise SystemExit(f"{path}:{lineno}: {key}: {exc}") from None
-    return values
-
-
 def _settings(argv) -> tuple:
     """(subcommand, its parsed settings, the ExperimentConfig they make).
 
-    Flags win over config-file values, which win over the subcommand's
-    default manifold; the rest comes from that manifold's preset.
+    Flags win over the subcommand's default manifold; the rest comes from
+    that manifold's preset.
     """
     given = vars(_parser().parse_args(argv))
     command = given.pop("command")
-    config_file = given.pop("config", None)
-    values = {"manifold": "gaussian_null" if command == "nullcase" else "interval",
-              **(_read_config(config_file, command) if config_file else {}), **given}
+    values = {"manifold": "gaussian_null" if command == "nullcase" else "interval", **given}
     fields = {_FLAGS[key].field: v for key, v in values.items() if _FLAGS[key].field}
     if "eps" in fields:
         fields.setdefault("knn", None)  # an eps-ball graph unless K is given too
@@ -216,7 +184,7 @@ def main(argv=None) -> int:
 def _run(command: str, values: dict, cfg: ExperimentConfig) -> None:
     out = cfg.out
     if out is None and command != "nullcase":  # nullcase writes only with --out
-        raise SystemExit("this subcommand writes files; pass --out DIR")
+        raise ValueError("this subcommand writes files; pass --out DIR")
 
     if command == "sample":
         cloud = sample(cfg)

@@ -150,16 +150,21 @@ class LleMatrix:
 
 def resolve_c(cloud: PointCloud, scheme: Scheme,
               c_rule: Union[float, str], eps: Optional[float] = None) -> float:
-    """Resolve the regularizer (a float or the "auto" rule); reads no graph, only its scheme."""
+    """Resolve the regularizer (a float or the "auto" rule); reads no graph, only its scheme.
+
+    On an eps-ball graph eps is the ball's radius, so another eps is refused;
+    beside KNN it is the bandwidth of the auto rule.
+    """
+    if isinstance(scheme, EpsilonBall):
+        if eps is not None and eps != scheme.eps:
+            raise ValueError(f"eps {eps!r} is not the graph's ball radius {scheme.eps!r}")
+        eps = scheme.eps
     if isinstance(c_rule, str):
         if c_rule != "auto":
             raise ValueError(f"unknown c_rule {c_rule!r}")
         if eps is None:
-            if isinstance(scheme, EpsilonBall):
-                eps = scheme.eps
-            else:
-                raise ValueError(
-                    "c_rule='auto' needs a bandwidth: the graph is KNN, so pass eps explicitly")
+            raise ValueError(
+                "c_rule='auto' needs a bandwidth: the graph is KNN, so pass eps explicitly")
         c = default_regularizer(cloud.n, eps, cloud.intrinsic_dim)
         if not 0 < c < np.inf:  # also false for nan
             raise ValueError(f"auto regularizer c must be positive and finite, got c = n eps^(d+3)"

@@ -1,4 +1,4 @@
-"""The CLI's flag table: one parse per setting, for flags and config files alike."""
+"""The CLI's flag table: one parse per setting, for flags given inline or from an @FILE."""
 
 import argparse
 import json
@@ -25,7 +25,7 @@ SETTINGS = [
     ("spectrum", "k_eigs", "4", {"k_eigs": 4}),
     ("build", "alpha", "0.5", 0.5),
     ("build", "out", "runs/a", {"out": Path("runs/a")}),
-    ("eigenfunctions", "tstar_clip", "yes", {"tstar_clip": True}),
+    ("eigenfunctions", "tstar_clip", "yes", {"tstar_clip": True}),  # on/off: takes no value
     ("convergence", "f_test", "trig", {"f_test": "trig"}),
     ("indicator", "tau", "0.4", 0.4),
     ("sigma-table", "d", "2", 2),
@@ -34,6 +34,12 @@ SETTINGS = [
     ("convergence", "ns", "400,800", [400, 800]),
     ("convergence", "eps_list", "0.05,0.1", [0.05, 0.1]),
 ]
+
+
+def args_file(path: Path, *args: str) -> str:
+    """Write args one per line to path; return the @FILE argument naming it."""
+    path.write_text("".join(f"{arg}\n" for arg in args))
+    return f"@{path}"
 
 
 def test_settings_cover_the_table():
@@ -45,11 +51,10 @@ def test_settings_cover_the_table():
 def test_flag_and_config_line_agree(tmp_path, command, key, value, expect):
     option = "--" + key.replace("_", "-")
     flag = [option] if key == "tstar_clip" else [option, value]  # an on/off flag
-    cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text(f"{key} = {value}\n")
     from_flag = _settings([command] + flag)
-    from_file = _settings([command, "--config", str(cfgfile)])
-    assert from_flag == from_file
+    assert _settings([command, args_file(tmp_path / "run.args", *flag)]) == from_flag
+    if key != "tstar_clip":  # the --flag=value spelling, one line
+        assert _settings([command, args_file(tmp_path / "eq.args", "=".join(flag))]) == from_flag
     _, values, cfg = from_flag
     if _FLAGS[key].field is None:
         assert values[key] == pytest.approx(expect)
@@ -60,18 +65,25 @@ def test_flag_and_config_line_agree(tmp_path, command, key, value, expect):
 @pytest.mark.parametrize("line", ["manifold = sphere", "f_test = cubic", "c = fixed",
                                   "c = -1", "n = many", "tstar_clip = maybe", "c_rule = auto",
                                   "k_eigs = 0"])
-def test_config_file_values_are_validated(tmp_path, line):
-    cfgfile = tmp_path / "bad.cfg"
-    cfgfile.write_text(f"# header\n{line}\n")
+def test_config_file_values_are_validated(tmp_path, capsys, line):
+    # an @FILE's values go through the flags' own parsers: exit 2, naming what was refused
+    key, value = line.split(" = ")
+    option = "--" + key.replace("_", "-")
     # a subcommand that takes the key, so that its value is what gets refused
     command = {"f_test": "convergence", "tstar_clip": "eigenfunctions",
-               "k_eigs": "spectrum"}.get(line.split(" = ")[0], "build")
-    with pytest.raises(SystemExit, match=r"bad\.cfg:2: ") as exc:
-        _settings([command, "--config", str(cfgfile)])
-    assert "does not take" not in str(exc.value)
+               "k_eigs": "spectrum"}.get(key, "build")
+    out = tmp_path / "D"
+    with pytest.raises(SystemExit) as exc:
+        main([command, args_file(tmp_path / "bad.args", option, value), "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert value in err, err
+    if key != "tstar_clip":  # the on/off flag takes no value, so its stray value is named
+        assert option in err, err
+    assert not out.exists()
 
 
-# the flags each subcommand takes besides --config and --help: the settings it reads
+# the flags each subcommand takes besides --help: the settings it reads
 TAKES = {
     "sample": {"manifold", "n", "seed", "out"},
     "build": {"manifold", "n", "eps", "knn", "c", "seed", "out", "alpha"},
@@ -95,7 +107,7 @@ def _subparsers() -> dict:
 @pytest.mark.parametrize("command", SUBCOMMANDS)
 def test_each_subcommand_takes_only_what_it_reads(command):
     dests = {a.dest for a in _subparsers()[command]._actions}
-    assert dests - {"help", "config"} == TAKES[command]
+    assert dests - {"help"} == TAKES[command]
 
 
 @pytest.mark.parametrize("argv", [
@@ -126,10 +138,11 @@ def test_a_setting_has_one_spelling(tmp_path, capsys, command, key, value):
     assert exc.value.code == 2
     assert f"unrecognized arguments: --{key} {value}" in capsys.readouterr().err
     assert not out.exists()
-    cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text(f"{key} = {value}\n")
-    with pytest.raises(SystemExit, match=rf"run\.cfg:1: {command} does not take '{key}'"):
-        _settings([command, "--config", str(cfgfile)])
+    with pytest.raises(SystemExit) as exc:
+        main([command, args_file(tmp_path / "run.args", f"--{key}", value), "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --{key} {value}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("manifold, n, eps", [("interval", 8000, 0.01), ("disk", 20000, 0.1)])
@@ -141,12 +154,31 @@ def test_the_convergence_sweep_defaults_to_the_preset(monkeypatch, manifold, n, 
     assert swept == [([n], [eps])]
 
 
-def test_a_config_key_the_subcommand_does_not_read_is_refused(tmp_path):
-    cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("n = 40\ntau = 0.3\n")
-    with pytest.raises(SystemExit, match=r"run\.cfg:2: sample does not take 'tau'"):
-        _settings(["sample", "--config", str(cfgfile)])
-    assert _settings(["indicator", "--config", str(cfgfile)])[1]["tau"] == 0.3
+def test_a_config_key_the_subcommand_does_not_read_is_refused(tmp_path, capsys):
+    argsfile = args_file(tmp_path / "run.args", "--n", "40", "--tau", "0.3")
+    out = tmp_path / "D"
+    with pytest.raises(SystemExit) as exc:
+        main(["sample", argsfile, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tau 0.3" in capsys.readouterr().err
+    assert not out.exists()
+    assert _settings(["indicator", argsfile])[1]["tau"] == 0.3
+
+
+def test_a_missing_args_file_is_refused(tmp_path, capsys):
+    out = tmp_path / "D"
+    with pytest.raises(SystemExit) as exc:
+        main(["sample", f"@{tmp_path / 'none.args'}", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "No such file or directory" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_the_top_level_help_names_args_files(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "@FILE" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", SUBCOMMANDS)
@@ -154,14 +186,15 @@ def test_every_subcommand_has_help(command, capsys):
     with pytest.raises(SystemExit) as exc:
         main([command, "--help"])
     assert exc.value.code == 0
-    assert "--config" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert all("--" + key.replace("_", "-") in out for key in TAKES[command])
 
 
 def test_config_keys_are_the_parser_dests():
     subparsers = _subparsers()
     assert sorted(subparsers) == sorted(SUBCOMMANDS)
     dests = {a.dest for p in subparsers.values() for a in p._actions}
-    assert dests - {"help", "config"} == set(_FLAGS)
+    assert dests - {"help"} == set(_FLAGS)
 
 
 def test_nullcase_defaults_to_the_null_preset(tmp_path):
@@ -338,14 +371,6 @@ def test_indicator_on_a_knn_preset_asks_for_eps(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("value", ["no", "0", "False"])
-def test_config_switch_can_be_turned_off(tmp_path, value):
-    # the flag form only turns a switch on; a config line can also say no
-    cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text(f"tstar_clip = {value}\n")
-    assert _settings(["eigenfunctions", "--config", str(cfgfile)])[2].tstar_clip is False
-
-
-def test_a_writing_subcommand_without_out_names_it():
-    with pytest.raises(SystemExit, match="--out"):
-        main(["sample"])
+def test_a_writing_subcommand_without_out_names_it(capsys):
+    assert main(["sample"]) == 2
+    assert "--out" in capsys.readouterr().err

@@ -337,22 +337,25 @@ def test_cli_eigenfunctions(tmp_path, capsys):
 
 
 def test_cli_config_file_with_override(tmp_path, capsys):
-    cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("manifold = interval\nn = 40\nseed = 5\n# comment\n")
-    assert main(["sample", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
+    argsfile = tmp_path / "run.args"
+    argsfile.write_text("--manifold\ninterval\n--n=40\n--seed\n5\n")
+    assert main(["sample", f"@{argsfile}", "--out", str(tmp_path)]) == 0
     lines = (tmp_path / "interval_cloud.csv").read_text().splitlines()
     assert len(lines) == 41
 
-    # CLI flag overrides the config value
-    assert main(["sample", "--config", str(cfgfile), "--n", "12",
-                 "--out", str(tmp_path)]) == 0
+    # a later argument wins, whether it is a flag or comes from the @FILE
+    assert main(["sample", f"@{argsfile}", "--n", "12", "--out", str(tmp_path)]) == 0
     lines = (tmp_path / "interval_cloud.csv").read_text().splitlines()
     assert len(lines) == 13
+    assert main(["sample", "--n", "12", f"@{argsfile}", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "interval_cloud.csv").read_text().splitlines()
+    assert len(lines) == 41
 
-    bad = tmp_path / "bad.cfg"
+    bad = tmp_path / "bad.args"
     bad.write_text("nonsense\n")
-    with pytest.raises(SystemExit):
-        main(["sample", "--config", str(bad), "--out", str(tmp_path)])
+    with pytest.raises(SystemExit) as exc:
+        main(["sample", f"@{bad}", "--out", str(tmp_path)])
+    assert exc.value.code == 2
 
 
 # --- text files: the harness and CLI writers go through io._write_table ---------

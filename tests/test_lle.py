@@ -516,10 +516,13 @@ def test_kernel_row_storage(disk_runs):
 @pytest.mark.parametrize("call, word", [
     (lambda: solve_barycentric(np.ones((1, 2)), 1e-3, path="x"), "unknown path"),
     (lambda: resolve_c(sample_interval(50, seed=1), EpsilonBall(0.1), "fixed"), "c_rule"),
+    (lambda: resolve_c(sample_interval(50, seed=1), EpsilonBall(0.1), "auto", eps=0.2),
+     r"eps 0\.2 is not the graph's ball radius 0\.1"),
     (lambda: build_alpha_kernel_matrix(s1_lle(), alpha=1.5), "alpha"),
     (lambda: build_alpha_kernel_matrix(build_alpha_kernel_matrix(s1_lle(), 1.0), 0.5),
      "not an alpha kernel"),
-], ids=["solve-path", "c-rule", "alpha-kernel-alpha", "alpha-kernel-of-alpha-kernel"])
+], ids=["solve-path", "c-rule", "eps-not-the-ball-radius", "alpha-kernel-alpha",
+        "alpha-kernel-of-alpha-kernel"])
 def test_builder_refusals(call, word):
     with pytest.raises(ValueError, match=word):
         call()

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.optimize import brentq
 
-from conftest import s1_grid_cloud, s1_grid_eps, ten_point_cloud
+from conftest import interval_grid, s1_grid_cloud, s1_grid_eps, ten_point_cloud
 from lleboundary import spectral
 from lleboundary.analytic import AnalyticCoeffs
 from lleboundary.boundary import clip, partition_regions
@@ -613,3 +613,32 @@ def test_unclipped_interval_spectrum_obeys_the_end_mass_condition():
             assert np.all(np.abs(ratios - 1.0) <= 0.06), (kappa, j, ratios)
     assert max(m_kappa) / min(m_kappa) - 1.0 <= 0.03, m_kappa
     assert all(0.058 <= x <= 0.067 for x in m_kappa), m_kappa
+
+
+def test_unclipped_interval_spectrum_tends_to_dirichlet_as_kappa_falls():
+    # the paper's second route to the Dirichlet operator, as a candidate: as
+    # kappa -> 0 the end mass m ~ 1/(16 kappa) grows, and the unclipped W gives
+    # one "mass mode" (nu ~ 5.3 kappa, weight at the ends) plus nu_j -> (j pi)^2/6.
+    # The mass mode is found by its endpoint ratio max(|v(0)|, |v(1)|)/max|v|,
+    # not by its index. Measured nu/Dirichlet for j = 1..5: 1.579 ... 1.043 at
+    # kappa 0.1, 1.087 ... 1.020 at 0.01, 1.042 ... 1.018 at 0.003; endpoint
+    # ratios at most 0.091 at kappa 0.003, and 1.00 for the mass mode throughout
+    n, eps = 4001, 0.02
+    cloud = interval_grid(n)
+    graph = build_graph(cloud, EpsilonBall(eps))
+    dirichlet = (np.arange(1, 6) * np.pi) ** 2 / 6.0
+    gaps, ends = [], []
+    for kappa in (0.1, 0.01, 0.003):
+        W = build_lle_matrix(cloud, graph, c_rule=kappa * n * eps ** 4).weights
+        spec = eig(W, k=7, ordering="real_desc")
+        v = np.abs(spec.eigenvectors[:, 1:].real)  # the constant mode dropped
+        ratio = np.maximum(v[0], v[-1]) / v.max(axis=0)
+        mass = np.argmax(ratio)
+        assert ratio[mass] > 0.9, (kappa, ratio)
+        rest = np.delete(np.arange(6), mass)
+        nu = (1.0 - spec.eigenvalues[1:][rest].real) / eps ** 2
+        gaps.append(nu / dirichlet - 1.0)
+        ends.append(ratio[rest])
+    assert np.all(np.abs(gaps[-1]) <= 0.05), gaps[-1]  # within 5% at kappa 0.003
+    assert np.all(np.diff(np.abs(gaps), axis=0) < 0.0), gaps  # every gap shrinks
+    assert np.all(ends[-1] < 0.1), ends[-1]  # criterion 12's bound on the endpoint ratio
