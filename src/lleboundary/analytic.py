@@ -8,11 +8,12 @@ formula in m gives in closed form for every d; the other three are closed
 forms outright. From them come the second-order coefficients phi1/phi2, the
 drift V, the degeneracy depth t* where phi2 changes sign, the boundary
 indicator limit B(t), and the ball average's coefficients psi1/psi2. Each
-call computes the six sigmas once, as one table at one scaled depth, and
-reads its coefficients from that table. The boundary values are the same
-table at t = 0: B(0) is b_function(0) and the (negative) kernel infimum is
-1 + sigma1d(0)/sigma2d(0). A tensor-grid quadrature over the cap region
-serves as the independent oracle for the closed forms (moments_oracle).
+call computes one table (AnalyticCoeffs._table) holding every coefficient as a
+named column, each formula written there once, and reads its columns;
+coefficient_table stacks the columns TABLE_COLUMNS. The boundary values are
+the same table at t = 0: B(0) is b_function(0) and the (negative) kernel
+infimum is 1 + sigma1d(0)/sigma2d(0). A tensor-grid quadrature over the cap
+region serves as the independent oracle for the closed forms (moments_oracle).
 On a curve of length a the one-dimensional operator is the d = 1 table read
 at the depth r = min(t, a - t), with the drift pointing along the side of the
 nearer end; its Sturm-Liouville data (g, h, p, w), which bring it to
@@ -79,7 +80,9 @@ def _cap_integral(s, m: int):
     return out
 
 
-_KINDS = ("s0", "s1d", "s2", "s2d", "s3", "s3d")
+# The columns of one coefficient table, in coefficient_table's (and the CLI's
+# sigma-table's) order; _table adds psi1, psi2 and the ball average's drift.
+TABLE_COLUMNS = ("t_over_eps", "s0", "s1d", "s2", "s2d", "s3", "s3d", "phi1", "phi2", "V", "B")
 
 
 @dataclass(frozen=True)
@@ -90,8 +93,8 @@ class AnalyticCoeffs:
     boundary distance t >= 0 as a scalar or an array (scalars give numpy
     scalars with the bits of the same depth inside an array), are continuous,
     and are constant for t >= eps (interior values). Evaluation exactly at
-    t = eps returns that interior constant. Each call evaluates one sigma
-    table (:meth:`_table`) and reads every coefficient from it.
+    t = eps returns that interior constant. Each call evaluates one table
+    (:meth:`_table`) and reads its coefficients from it.
     """
 
     d: int
@@ -103,27 +106,24 @@ class AnalyticCoeffs:
         if not 0 < self.eps < math.inf:  # also false for nan
             raise ValueError(f"eps must be positive and finite, got {self.eps}")
 
-    @property
-    def sphere(self) -> float:
-        return sphere_volume(self.d - 1)
-
-    @property
-    def cap(self) -> float:
-        return cap_coefficient(self.d)
-
-    def _table(self, t):
-        """The layer mask s < 1 and the six sigmas at the scaled depth s = min(t/eps, 1).
+    def _table(self, t, p_val: float = 1.0) -> dict:
+        """Every coefficient at the depths t, one named column each: t_over_eps,
+        the six sigmas at the scaled depth s = min(t/eps, 1), phi1, phi2, the
+        drift V at density p_val, B, and the ball average's psi1, psi2 and drift.
 
         t is a scalar or an array with every entry >= 0; both are evaluated at
         least 1-d, so a scalar takes the same numpy loops as an array entry.
         I_(d+1) is the last reduction step from I_(d-1); where s >= 1 the
-        sigmas are the exact interior constants.
+        sigmas are the exact interior constants, and so are phi and psi.
         """
+        if not p_val > 0:  # also refuses nan
+            raise ValueError("density value must be positive")
         t = np.atleast_1d(np.asarray(t, dtype=float))
         if not np.all(t >= 0):  # also refuses nan
             raise ValueError("t must be >= 0 (and not nan)")
-        d, sphere, cap = self.d, self.sphere, self.cap
-        s = np.minimum(t / self.eps, 1.0)
+        d, sphere, cap = self.d, sphere_volume(self.d - 1), cap_coefficient(self.d)
+        t_over_eps = t / self.eps
+        s = np.minimum(t_over_eps, 1.0)
         layer = s < 1
         i_lo = _cap_integral(s, d - 1)
         i_hi = (s * np.sqrt(1.0 - s * s) ** (d + 1) + (d + 1) * i_lo) / (d + 2)
@@ -138,81 +138,64 @@ class AnalyticCoeffs:
             "s3": (c3 * (1.0 - s * s) ** ((d + 3) / 2.0), 0.0),
             "s3d": (c3 * (2.0 + (d + 1) * s * s) * w, 0.0),
         }
-        return layer, {k: np.where(layer, v, inner) for k, (v, inner) in values.items()}
+        g = {k: np.where(layer, v, inner) for k, (v, inner) in values.items()}
+        s0, s1d, s2, s2d = g["s0"], g["s1d"], g["s2"], g["s2d"]
+        det = s2d * s0 - s1d ** 2  # the (positive) denominator of phi and V
+        interior = 1.0 / (2.0 * (d + 2))
+        return {"t_over_eps": t_over_eps, **g,
+                "phi1": np.where(layer, (s2d * s2 - g["s3"] * s1d) / (2.0 * det), interior),
+                "phi2": np.where(layer, (s2d ** 2 - g["s3d"] * s1d) / (2.0 * det), interior),
+                "V": s1d / (p_val * det), "B": s1d ** 2 / (s0 * s2d),
+                "psi1": np.where(layer, 0.5 * s2 / s0, interior),
+                "psi2": np.where(layer, 0.5 * s2d / s0, interior), "drift": s1d / s0}
 
     def sigma0(self, t):
-        return _shaped(self._table(t)[1]["s0"], t)
+        return _shaped(self._table(t)["s0"], t)
 
     def sigma1d(self, t):
-        return _shaped(self._table(t)[1]["s1d"], t)
+        return _shaped(self._table(t)["s1d"], t)
 
     def sigma2(self, t):
-        return _shaped(self._table(t)[1]["s2"], t)
+        return _shaped(self._table(t)["s2"], t)
 
     def sigma2d(self, t):
-        return _shaped(self._table(t)[1]["s2d"], t)
+        return _shaped(self._table(t)["s2d"], t)
 
     def sigma3(self, t):
-        return _shaped(self._table(t)[1]["s3"], t)
+        return _shaped(self._table(t)["s3"], t)
 
     def sigma3d(self, t):
-        return _shaped(self._table(t)[1]["s3d"], t)
-
-    # --- operator coefficients, each read from one table -------------------
-
-    @staticmethod
-    def _det(g):
-        """sigma2d sigma0 - sigma1d^2, the denominator of phi and V (positive)."""
-        return g["s2d"] * g["s0"] - g["s1d"] ** 2
-
-    def _phi(self, layer, g) -> Tuple:
-        interior = 1.0 / (2.0 * (self.d + 2))
-        den = 2.0 * self._det(g)
-        phi1 = (g["s2d"] * g["s2"] - g["s3"] * g["s1d"]) / den
-        phi2 = (g["s2d"] ** 2 - g["s3d"] * g["s1d"]) / den
-        return np.where(layer, phi1, interior), np.where(layer, phi2, interior)
-
-    def _potential_v(self, g, p_val: float):
-        return g["s1d"] / (p_val * self._det(g))
-
-    @staticmethod
-    def _b(g):
-        return g["s1d"] ** 2 / (g["s0"] * g["s2d"])
+        return _shaped(self._table(t)["s3d"], t)
 
     def phi(self, t) -> Tuple:
         """Second-order coefficients (phi1, phi2); both equal 1/(2(d+2)) for t >= eps."""
-        phi1, phi2 = self._phi(*self._table(t))
-        return _shaped(phi1, t), _shaped(phi2, t)
+        table = self._table(t)
+        return _shaped(table["phi1"], t), _shaped(table["phi2"], t)
 
     def potential_v(self, t, p_val: float):
         """First-order (drift) coefficient V <= 0; zero for t >= eps."""
-        if not p_val > 0:
-            raise ValueError("density value must be positive")
-        return _shaped(self._potential_v(self._table(t)[1], p_val), t)
+        return _shaped(self._table(t, p_val)["V"], t)
 
     def b_function(self, t):
         """Boundary-indicator limit sigma1d^2/(sigma0 sigma2d); 0 for t >= eps, where
         sigma1d is exactly 0."""
-        return _shaped(self._b(self._table(t)[1]), t)
+        return _shaped(self._table(t)["B"], t)
 
     def dm_coeffs(self, t) -> dict:
         """Coefficients of the 0-1 ball average (the alpha = 1 kernel on the eps ball):
         (W - I) f / eps^2 = psi1 (Laplacian f - f_nn) + psi2 f_nn + (drift/eps) df/dn
         at depth t, with psi1 = sigma2/(2 sigma0), psi2 = sigma2d/(2 sigma0), the drift
         sigma1d/sigma0 and n the outward normal (curvature term excluded)."""
-        layer, g = self._table(t)
-        interior = 1.0 / (2.0 * (self.d + 2))
-        s0 = g["s0"]
-        return {"psi1": _shaped(np.where(layer, 0.5 * g["s2"] / s0, interior), t),
-                "psi2": _shaped(np.where(layer, 0.5 * g["s2d"] / s0, interior), t),
-                "drift": _shaped(g["s1d"] / s0, t)}
+        table = self._table(t)
+        return {k: _shaped(table[k], t) for k in ("psi1", "psi2", "drift")}
 
     # --- degeneracy locus --------------------------------------------------
 
     def deltas(self) -> Tuple[float, float]:
         """Bracket constants (delta1, delta2) with delta1*eps < t* < delta2*eps."""
         d = self.d
-        q = (d + 1) * self.sphere / self.cap  # (d^2-1)|S^(d-1)|/|S^(d-2)| with the d=1 convention
+        # (d^2-1)|S^(d-1)|/|S^(d-2)|, with the d = 1 convention
+        q = (d + 1) * sphere_volume(d - 1) / cap_coefficient(d)
         delta1 = math.sqrt(1.0 - ((1.0 + q / (2 * d * (d + 2)))
                                   / (1.0 + math.sqrt(2.0 / (d + 3)))) ** (2.0 / (d + 1)))
         delta2 = math.sqrt(1.0 - (q / (4 * d * (d + 2)) + 1.0 / (d + 3)) ** (2.0 / (d + 1)))
@@ -352,9 +335,6 @@ def sl_functions(t, eps: float, a: float) -> dict:
 
 
 def coefficient_table(d: int, eps: float, ts, p_val: float = 1.0) -> np.ndarray:
-    """Rows (t/eps, s0, s1d, s2, s2d, s3, s3d, phi1, phi2, V, B) on a t grid."""
-    cf = AnalyticCoeffs(d, eps)
-    t = np.asarray(ts, dtype=float)
-    layer, g = cf._table(t)
-    return np.column_stack([t / eps, *(g[k] for k in _KINDS), *cf._phi(layer, g),
-                            cf._potential_v(g, p_val), cf._b(g)])
+    """Rows of TABLE_COLUMNS (t/eps, s0, s1d, s2, s2d, s3, s3d, phi1, phi2, V, B) on a t grid."""
+    table = AnalyticCoeffs(d, eps)._table(ts, p_val)
+    return np.column_stack([table[k] for k in TABLE_COLUMNS])

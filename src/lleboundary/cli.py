@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import io as lio
-from .analytic import coefficient_table
+from .analytic import TABLE_COLUMNS, coefficient_table
 from .boundary import clip as clip_matrix
 from .harness import (PRESETS, TEST_FUNCTIONS, ExperimentConfig, _wave_eps, build_pipeline,
                       run_convergence, run_eigenfunctions, run_indicator, run_null_case, sample,
@@ -235,8 +235,7 @@ def _run(command: str, values: dict, cfg: ExperimentConfig) -> None:
         d, eps = values.get("d", 1), cfg.eps
         ts = [s * eps for s in values.get("grid", _grid("101"))]
         path = out / "sigma_table.csv"
-        lio._write_table(path, "t_over_eps,s0,s1d,s2,s2d,s3,s3d,phi1,phi2,V,B",
-                         list(coefficient_table(d, eps, ts).T))
+        lio._write_table(path, ",".join(TABLE_COLUMNS), list(coefficient_table(d, eps, ts).T))
         print(f"wrote {path} ({len(ts)} rows, d={d}, eps={eps})")
 
 

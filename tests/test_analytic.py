@@ -174,7 +174,11 @@ def test_moments_validation():
     lambda: AnalyticCoeffs(2, 0.1).b_function(np.array([0.0, np.nan])),
     lambda: coefficient_table(1, np.inf, [0.0, 0.1]),
     lambda: moments_oracle(2, 0.1, np.nan, [0, 0]),
-], ids=["eps-inf", "eps-nan", "sigma0-nan", "b-function-nan", "table-eps-inf", "oracle-nan"])
+    lambda: coefficient_table(1, 0.1, [0.0, 0.05, 0.2], p_val=0.0),
+    lambda: coefficient_table(1, 0.1, [0.0, 0.05, 0.2], p_val=-1.0),
+    lambda: coefficient_table(1, 0.1, [0.0, 0.05, 0.2], p_val=np.nan),
+], ids=["eps-inf", "eps-nan", "sigma0-nan", "b-function-nan", "table-eps-inf", "oracle-nan",
+        "table-density-zero", "table-density-negative", "table-density-nan"])
 def test_non_finite_eps_and_nan_depth_are_refused(call):
     with pytest.raises(ValueError):
         call()

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.optimize import brentq
 
 from conftest import interval_grid, s1_grid_cloud, s1_grid_eps, ten_point_cloud
@@ -597,8 +596,8 @@ def test_unclipped_interval_spectrum_obeys_the_end_mass_condition():
         W = build_lle_matrix(cloud, graph, c_rule=kappa * n * eps ** 4).weights
         spec = eig(W, k=8, ordering="real_desc")
         nu = (1.0 - spec.eigenvalues[1:7].real) / eps ** 2
-        _, vec = spla.eigs(W.T.tocsr(), k=1, which="LR", v0=np.ones(n))
-        pi = vec[:, 0].real / np.median(vec[interior, 0].real)
+        vec = eig(W.T.tocsr(), k=1, ordering="real_desc").eigenvectors[:, 0].real
+        pi = vec / np.median(vec[interior])
         m = 0.5 * (np.sum(pi[t < 0.5] - 1.0) + np.sum(pi[t >= 0.5] - 1.0)) / n
         err = np.max(np.abs(nu / end_mass_modes(m, 6) - 1.0))
         assert err <= tol, (kappa, m, err)
@@ -642,3 +641,31 @@ def test_unclipped_interval_spectrum_tends_to_dirichlet_as_kappa_falls():
     assert np.all(np.abs(gaps[-1]) <= 0.05), gaps[-1]  # within 5% at kappa 0.003
     assert np.all(np.diff(np.abs(gaps), axis=0) < 0.0), gaps  # every gap shrinks
     assert np.all(ends[-1] < 0.1), ends[-1]  # criterion 12's bound on the endpoint ratio
+
+
+def test_small_kappa_unclipped_interval_spectrum_is_dirichlet_at_tstar():
+    # the t* conjecture: at small kappa the unclipped W looks Dirichlet on the
+    # interval shortened by t* at each end, nu_j = (j pi)^2/(6 (1 - 2 t*)^2), with
+    # t* = AnalyticCoeffs(1, eps).tstar(). Measured nu_j over that form for
+    # j = 1..5 at kappa 0.0003: 1.0025, 1.0012, 1.0001, 0.9976, 0.9955 at eps 0.02
+    # and 0.9993, 0.9985, 0.9985, 0.9979, 0.9975 at eps 0.01; over plain
+    # (j pi)^2/6: 1.0244 ... 1.0172 and 1.0101 ... 1.0083. The mass mode is
+    # found by its endpoint ratio, as in the test above
+    kappa = 0.0003
+    j = np.arange(1, 6)
+    for n, eps in ((4001, 0.02), (8001, 0.01)):
+        cloud = interval_grid(n)
+        W = build_lle_matrix(cloud, build_graph(cloud, EpsilonBall(eps)),
+                             c_rule=kappa * n * eps ** 4).weights
+        spec = eig(W, k=7, ordering="real_desc")
+        v = np.abs(spec.eigenvectors[:, 1:].real)  # the constant mode dropped
+        ratio = np.maximum(v[0], v[-1]) / v.max(axis=0)
+        mass = np.argmax(ratio)
+        assert ratio[mass] > 0.9, (eps, ratio)
+        nu = (1.0 - np.delete(spec.eigenvalues[1:], mass).real) / eps ** 2
+        tstar = AnalyticCoeffs(1, eps).tstar()
+        at_tstar = nu / ((j * np.pi) ** 2 / (6.0 * (1.0 - 2.0 * tstar) ** 2)) - 1.0
+        plain = nu / ((j * np.pi) ** 2 / 6.0) - 1.0
+        assert np.all(np.abs(at_tstar) <= 0.006), (eps, at_tstar)  # measured <= 0.45%
+        assert abs(at_tstar[0]) <= 0.005, (eps, at_tstar)  # nu_2, the README's claim
+        assert np.all(np.abs(at_tstar) < np.abs(plain)), (eps, at_tstar, plain)
