@@ -5,17 +5,24 @@ a clipped ``Wr``, any square ndarray): the module is linear algebra on W and
 does not import the LLE module.
 
 The solver follows what is asked, not the matrix size: a partial spectrum
-(k < n - 1 eigenpairs) comes from implicitly restarted Arnoldi with a
-subspace of min(n, 2k + 10) vectors, at every n; the full spectrum
-(k=None, n <= DENSE_CUTOFF) and k >= n - 1, which ARPACK cannot give, come
-from one dense Hessenberg-based solve. Every returned eigenpair carries a
-verified residual ||W v - lambda v|| / ||v||, computed by blocks of 64
-eigenvectors in real arithmetic (W is real, so W (x + iy) = W x + i W y),
-and eigenvector phases are fixed by making the largest-modulus component
-real and positive. Keys of the ordering that tie within a few ulps are
-ordered by value, so the two solvers order equal-modulus pairs alike. Arnoldi
-starts from a fixed vector, so repeated calls on the same matrix give the
-same bits and output files are reproducible.
+(k < n - 1 eigenpairs) comes from restarted Arnoldi with a subspace of
+min(n, 2k + 10) vectors, at every n; the full spectrum (k=None,
+n <= DENSE_CUTOFF) and k >= n - 1 come from one dense Hessenberg-based
+solve. Arnoldi is this module's own, in real arithmetic: classical
+Gram-Schmidt with ARPACK's refinement, ARPACK's convergence test, and a
+Krylov-Schur thick restart (Stewart, SIMAX 23, 2001) that keeps the leading
+k + (ncv - k + c) // 2 Ritz values of a reordered Schur form, c of the k
+wanted having converged: half the subspace or more, where ARPACK's implicit
+restart keeps about k. On the interval's clustered top eigenvalues it needs
+about a third fewer products. Every returned
+eigenpair carries a verified residual ||W v - lambda v|| / ||v||, computed
+by blocks of 64 eigenvectors in real arithmetic (W is real, so
+W (x + iy) = W x + i W y), and eigenvector phases are fixed by making the
+largest-modulus component real and positive. Keys of the ordering that tie
+within a few ulps are ordered by value, so the two solvers order
+equal-modulus pairs alike. Arnoldi starts from a fixed vector, and goes on
+past an invariant subspace from fixed directions, so repeated calls on the
+same matrix give the same bits and output files are reproducible.
 
 ``eig`` is the only code that computes a spectrum: ``imaginary_diagnostics``
 and ``spectral_radius_report`` read W's eigenvalues through it. It refuses a
@@ -31,8 +38,8 @@ call order. The solve drops its overwritten input before it forms complex
 eigenvectors from geev's packed real ones, and the eigenvectors are sorted
 and phase-fixed in place, in blocks: at n x n a dense ``eig`` holds at most
 the packed vectors and the complex ones (24 n^2 bytes), and its bits are
-those of ``la.eig``. ARPACK (``scipy.sparse.linalg``) is imported on the
-first Arnoldi solve, so a dense-only run never loads it.
+those of ``la.eig``. No solve loads ``scipy.sparse.linalg``: ARPACK is the
+tests' oracle for the restart, not a dependency of the package.
 """
 
 from __future__ import annotations
@@ -61,7 +68,7 @@ __all__ = [
 DENSE_CUTOFF = 2000
 RESIDUAL_TOL = 1e-8
 ARNOLDI_TOL = 1e-10  # ARPACK's relative accuracy for Ritz values
-ARNOLDI_MAXITER = 50000  # implicit restarts before Arnoldi gives up
+ARNOLDI_MAXITER = 50000  # Arnoldi iterations (restart, expand, test) before giving up
 CLUSTER_RTOL = 1e-7  # relative width of a cluster in cluster_eigenvalues
 
 
@@ -256,19 +263,144 @@ def _finish(A, vals, vecs, ordering: str, k: Optional[int], method: str) -> Spec
     return Spectrum(vals, vecs, ordering, method, _residuals(A, vals, vecs))
 
 
+_REORTH = 0.717  # ARPACK's dnaitr: orthogonalise again while ||w|| keeps dropping below this share
+_EPS23 = np.finfo(float).eps ** (2.0 / 3.0)  # ARPACK's floor on |theta| in the convergence test
+
+
+def _unit_direction(V: np.ndarray, seed: int) -> np.ndarray:
+    """A deterministic uniform direction orthogonalised twice against V's
+    columns and normalised; zero when the second pass still cancels, which
+    means V spans the space."""
+    u = 2.0 * rng.uniform(seed, V.shape[0]) - 1.0
+    u -= V @ (V.T @ u)
+    before = np.linalg.norm(u)
+    u -= V @ (V.T @ u)
+    norm = np.linalg.norm(u)
+    return u / norm if norm > _REORTH * before else np.zeros_like(u)
+
+
+def _arnoldi(A, V: np.ndarray, H: np.ndarray, start: int, seed: int) -> int:
+    """Extend A V[:, :j] = V[:, :j + 1] H[:j + 1, :j] from j = start to the last
+    column of H by classical Gram-Schmidt, with ARPACK's refinement: up to two
+    more passes while ||w|| falls below 0.717 of its norm before the pass, and
+    a residual still falling after them lies in span(V), so H[j + 1, j] = 0
+    and the basis goes on from a fresh direction. Returns the next seed."""
+    for j in range(start, H.shape[1]):
+        Vj = V[:, :j + 1]
+        w = A @ V[:, j]
+        before = np.sqrt(w @ w)
+        for _ in range(3):
+            c = Vj.T @ w
+            w -= Vj @ c
+            H[:j + 1, j] += c
+            norm = np.sqrt(w @ w)
+            if norm > _REORTH * before:
+                H[j + 1, j] = norm
+                np.divide(w, norm, out=V[:, j + 1])
+                break
+            before = norm
+        else:  # invariant subspace
+            V[:, j + 1] = _unit_direction(Vj, seed)
+            seed += 1
+    return seed
+
+
+def _schur_values(T: np.ndarray) -> np.ndarray:
+    """The eigenvalues of a real Schur form in the order of its diagonal: a
+    2 x 2 block [[a, b], [c, a]] holds a +- i sqrt(|b c|)."""
+    vals = np.diag(T).astype(complex)
+    for i in np.flatnonzero(np.diag(T, -1)):
+        im = np.sqrt(abs(T[i, i + 1] * T[i + 1, i]))
+        vals.imag[i:i + 2] = im, -im
+    return vals
+
+
+def _schur_reorder(H: np.ndarray, ordering: str, keep: int):
+    """(T, Z, p): the real Schur form H = Z T Z^T of the square part of H,
+    reordered by ``dtrsen`` (Stewart, SIMAX 23, 2001) so that its p leading
+    diagonal entries hold the keep leading Ritz values by the ordering's key,
+    a conjugate pair split at keep taken whole: p is keep or keep + 1."""
+    m = H.shape[1]
+    T, Z = la.schur(H[:m], output="real")
+    rank = np.empty(m, dtype=int)
+    rank[_sort_key(_schur_values(T), ordering)] = np.arange(m)
+    T, Z, _, _, p, _, _, info = la.lapack.dtrsen(rank < keep, T, Z, job="N")
+    if info != 0:
+        raise la.LinAlgError(f"Schur reordering (trsen) failed with info={info}")
+    return T, Z, p
+
+
+def _krylov_schur(W, k: int, ordering: str, want_vectors: bool):
+    """(values, vectors or None) of the k eigenpairs leading by the ordering.
+
+    A Krylov decomposition A V = V H + v b^T on ncv = min(n, 2k + 10) vectors
+    from the fixed start is expanded by Arnoldi, and its Schur form reordered
+    so that the leading k + (ncv - k + c) // 2 Ritz values come first, c of
+    the k wanted having converged at the last test: keeping more as more
+    converge, as ARPACK raises its kept count, took 195 and 160 products
+    instead of 210 and 170 on a disk W and its clipped Wr (n 8000, eps 0.1,
+    seed 1, k 10) against a fixed k + (ncv - k) // 2. The leading block T_p
+    holds the k wanted Ritz pairs (theta, V Z x), tested by ARPACK's
+    bound ||A V Z x - theta V Z x|| = |b^T Z x| <= ARNOLDI_TOL |theta|; until
+    all pass, the decomposition restarts as A (V Z_p) = (V Z_p) T_p + v
+    (b^T Z_p), at most ARNOLDI_MAXITER expansions. Past that,
+    EigenConvergenceError carries the converged ones among the k wanted."""
+    A = W.astype(float, copy=False)
+    n = A.shape[0]
+    ncv = min(n, 2 * k + 10)
+    V = np.zeros((n, ncv + 1), order="F")
+    H = np.zeros((ncv + 1, ncv))
+    # uniform on [-1, 1): the ones vector would not do, W 1 = 1 makes it invariant
+    v0 = 2.0 * rng.uniform(0, n) - 1.0
+    V[:, 0] = v0 / np.linalg.norm(v0)
+    p, seed, nconv = 0, 1, 0
+    for it in range(ARNOLDI_MAXITER):
+        if it:  # thick restart on the kept block
+            V[:, :p] = la.blas.dgemm(1.0, V[:, :ncv], Z[:, :p])
+            V[:, p] = V[:, ncv]
+            H[:] = 0.0
+            H[:p, :p] = T[:p, :p]
+            H[p, :p] = b
+        seed = _arnoldi(A, V, H, p, seed)
+        # the k wanted, half the rest, and half as many more as have converged;
+        # at most ncv - 2, so that p <= ncv - 1 and every restart expands
+        T, Z, p = _schur_reorder(H, ordering, min(ncv - 2, k + (ncv - k + nconv) // 2))
+        b = H[ncv] @ Z[:, :p]
+        vals, X = la.eig(T[:p, :p])
+        wanted = _sort_key(vals, ordering)[:k]
+        bound = ARNOLDI_TOL * np.maximum(_EPS23, np.abs(vals[wanted]))
+        converged = np.abs(b @ X[:, wanted]) <= bound
+        nconv = int(converged.sum())
+        if converged.all():
+            break
+    done = converged.all()
+    wanted = wanted[converged]
+    vals = vals[wanted]
+    # complex, as ARPACK gave them: la.eig returns real vectors when all of
+    # T_p's eigenvalues are real, which would follow values not returned
+    vecs = ((V[:, :ncv] @ (Z[:, :p] @ X[:, wanted])).astype(complex, copy=False)
+            if want_vectors else None)
+    if not done:
+        partial = (_finish(A, vals, vecs, ordering, None, "arnoldi-partial")
+                   if len(vals) else None)
+        raise EigenConvergenceError(f"No convergence ({ARNOLDI_MAXITER} iterations, "
+                                    f"{len(vals)}/{k} eigenvectors converged)", partial)
+    return vals, vecs
+
+
 def eig(W: sp.spmatrix | np.ndarray, k: Optional[int] = None, ordering: str = "real_desc",
         want_vectors: bool = True) -> Spectrum:
     """Spectrum of a square real matrix.
 
-    With k < n - 1, restarted Arnoldi (subspace min(n, 2k + 10)) targets the
-    k eigenvalues largest by the requested ordering, at every n. The full
-    spectrum (k=None) and k >= n - 1 come from a dense solve, only for
-    n <= DENSE_CUTOFF. Arnoldi from one start vector may miss a copy of an
-    exactly repeated eigenvalue (the symmetric circle grid's pairs); k=None
-    finds it.
+    With k < n - 1, Arnoldi with a Krylov-Schur restart (subspace
+    min(n, 2k + 10)) targets the k eigenvalues largest by the requested
+    ordering, at every n. The full spectrum (k=None) and k >= n - 1 come
+    from a dense solve, only for n <= DENSE_CUTOFF. Arnoldi from one start
+    vector may miss a copy of an exactly repeated eigenvalue (the symmetric
+    circle grid's pairs); k=None finds it.
     Residuals are checked against the 1e-8 contract when vectors are
     computed; with want_vectors=False both solvers return eigenvalues only.
-    If Arnoldi stops after ARNOLDI_MAXITER restarts, EigenConvergenceError
+    If Arnoldi stops after ARNOLDI_MAXITER iterations, EigenConvergenceError
     carries the converged eigenpairs, sorted by the ordering, as method
     "arnoldi-partial" (or None when none converged).
     """
@@ -282,21 +414,7 @@ def eig(W: sp.spmatrix | np.ndarray, k: Optional[int] = None, ordering: str = "r
         vals, vecs = _dense_eig(W, want_vectors)
         method = "dense"
     else:
-        which = "LR" if ordering == "real_desc" else "LM"
-        ncv = min(n, 2 * k + 10)
-        import scipy.sparse.linalg as spla  # ARPACK loads on the first Arnoldi solve
-
-        # uniform on [-1, 1): the ones vector would not do, W 1 = 1 makes it invariant
-        v0 = 2.0 * rng.uniform(0, n) - 1.0
-        try:
-            out = spla.eigs(W.astype(float, copy=False), k=k, which=which, tol=ARNOLDI_TOL,
-                            maxiter=ARNOLDI_MAXITER, ncv=ncv, v0=v0,
-                            return_eigenvectors=want_vectors)
-        except spla.ArpackNoConvergence as exc:
-            partial = _finish(W, exc.eigenvalues, exc.eigenvectors, ordering, None,
-                              "arnoldi-partial") if len(exc.eigenvalues) else None
-            raise EigenConvergenceError(str(exc), partial) from exc
-        vals, vecs = out if want_vectors else (out, None)
+        vals, vecs = _krylov_schur(W, k, ordering, want_vectors)
         method = "arnoldi"
     spectrum = _finish(W, vals, vecs, ordering, k, method)
     vals, res = spectrum.eigenvalues, spectrum.residuals
