@@ -13,7 +13,7 @@ from .harness import (PRESETS, ExperimentConfig, build_pipeline, run_convergence
                       run_eigenfunctions, run_indicator, run_null_case)
 from .lle import (BarycentricSolution, LleMatrix, apply_shifted, augmented_vector_discrete,
                   build_alpha_kernel_matrix, build_lle_matrix, default_regularizer,
-                  solve_barycentric)
+                  row_moments, solve_barycentric)
 from .neighbors import EpsilonBall, Knn, NeighborGraph, build_graph, local_data_matrix
 from .samplers import (GroundTruth, PointCloud, sample_curve_m3, sample_disk,
                        sample_gaussian_null, sample_interval, sample_surface,

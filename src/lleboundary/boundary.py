@@ -10,6 +10,7 @@ out of the matrix, which empirically restores Dirichlet-like eigenvectors.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
@@ -93,7 +94,6 @@ def classify(report: BoundaryReport, tau: Optional[float] = None) -> BoundaryRep
     if not np.isfinite(tau):
         raise ValueError(f"tau must be a finite number, got {tau!r}")
     if tau <= 0:
-        import warnings
         warnings.warn("nonpositive threshold labels every point as boundary")
     labels = np.where(report.b_values > tau, "boundary", "interior").astype("U8")
     labels[report.missing] = "missing"

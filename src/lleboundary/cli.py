@@ -24,9 +24,8 @@ import numpy as np
 from . import io as lio
 from .analytic import TABLE_COLUMNS, coefficient_table
 from .boundary import clip as clip_matrix
-from .harness import (PRESETS, TEST_FUNCTIONS, ExperimentConfig, _wave_eps, build_pipeline,
-                      run_convergence, run_eigenfunctions, run_indicator, run_null_case, sample,
-                      wave_partition)
+from .harness import (PRESETS, ExperimentConfig, _wave_eps, build_pipeline, run_convergence,
+                      run_eigenfunctions, run_indicator, run_null_case, sample, wave_partition)
 from .lle import build_alpha_kernel_matrix
 from .spectral import eig
 
@@ -102,8 +101,6 @@ _FLAGS = {
                    "build the alpha-kernel matrix K^(alpha), alpha in [0, 1], instead of W"),
     "out": _Flag("out", Path, "output directory"),
     "tstar_clip": _Flag("tstar_clip", None, "also clip the wave region at depth t*"),
-    "f_test": _Flag("f_test", _one_of(TEST_FUNCTIONS),
-                    f"test function: {', '.join(sorted(TEST_FUNCTIONS))}"),
     "tau": _Flag(None, float, "indicator threshold override"),
     "d": _Flag(None, int, "intrinsic dimension (default 1)"),
     "grid": _Flag(None, _grid, "comma list of t/eps values, or their COUNT on [0, 1.2] "
@@ -128,8 +125,8 @@ _COMMANDS = {
     "indicator": ("boundary indicator, classification, profile",
                   ("manifold", "n", "eps", "c", "seed", "out", "tau")),
     "clip": ("clip the wave region and persist the reduced matrix", _GRAPH),
-    "convergence": ("operator-error sweep over n and eps",
-                    ("manifold", "c", "seed", "out", "f_test", "ns", "eps_list")),
+    "convergence": ("operator coefficients read off W over n and eps",
+                    ("manifold", "c", "seed", "out", "ns", "eps_list")),
     "nullcase": ("high-dimensional Gaussian spectrum diagnostics", _GRAPH),
     "sigma-table": ("dump the analytic coefficient table", ("eps", "out", "d", "grid")),
 }

@@ -2,10 +2,12 @@
 
 Wires samplers, graph construction, matrix assembly, spectra, the boundary
 indicator and clipping into reproducible runs that emit plot-ready CSV plus a
-JSON summary. Presets mirror the standard test manifolds: the unit interval
-(eps 0.01), the unit disk (eps 0.1), a logarithm/cosine space curve
-(eps 0.01), the graph surface x^2 - y^3 over the disk, and a truncated torus
-(eps 0.3).
+JSON summary. The convergence sweep reads the operator's coefficients phi1,
+phi2 and V off W's rows (lle.row_moments) and checks them against the
+closed-form table, with no test function. Presets mirror the standard test
+manifolds: the unit interval (eps 0.01), the unit disk (eps 0.1), a
+logarithm/cosine space curve (eps 0.01), the graph surface x^2 - y^3 over the
+disk, and a truncated torus (eps 0.3).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from . import io as lio
 from .analytic import AnalyticCoeffs
 from .boundary import classify, clip, indicator, partition_regions
-from .lle import LleMatrix, apply_shifted, build_lle_matrix, resolve_c
+from .lle import LleMatrix, build_lle_matrix, resolve_c, row_moments
 from .neighbors import EpsilonBall, Knn, NeighborGraph, build_graph
 from .samplers import (PointCloud, sample_curve_m3, sample_disk, sample_gaussian_null,
                        sample_interval, sample_surface, sample_truncated_torus)
@@ -30,7 +32,6 @@ from .spectral import (Spectrum, check_dense_cutoff, eig, imaginary_diagnostics,
 __all__ = [
     "ExperimentConfig",
     "PRESETS",
-    "TEST_FUNCTIONS",
     "sample",
     "build_pipeline",
     "run_eigenfunctions",
@@ -49,7 +50,6 @@ class ExperimentConfig:
     c_rule: Union[float, str] = "auto"
     seed: int = 1
     k_eigs: int = 10
-    f_test: str = "squared_radius"
     tstar_clip: bool = False
     out: Optional[Path] = None
     ambient: int = 200  # gaussian_null only
@@ -102,60 +102,7 @@ def build_pipeline(config: ExperimentConfig):
     return cloud, graph, build_lle_matrix(cloud, graph, c, eps=config.eps)
 
 
-# --- built-in test functions with ambient derivatives -------------------------
-
-def _const(pts):
-    return np.ones(pts.shape[0]), np.zeros_like(pts), np.zeros((pts.shape[0],
-                                                                pts.shape[1], pts.shape[1]))
-
-
-def _coordinate(pts):
-    n, p = pts.shape
-    grad = np.zeros_like(pts)
-    grad[:, 0] = 1.0
-    return pts[:, 0].copy(), grad, np.zeros((n, p, p))
-
-
-def _squared_radius(pts):
-    n, p = pts.shape
-    hess = np.tile(2.0 * np.eye(p), (n, 1, 1))
-    return (pts ** 2).sum(axis=1), 2.0 * pts, hess
-
-
-def _trig(pts):
-    n, p = pts.shape
-    f = np.cos(np.pi * pts[:, 0])
-    grad = np.zeros_like(pts)
-    grad[:, 0] = -np.pi * np.sin(np.pi * pts[:, 0])
-    hess = np.zeros((n, p, p))
-    hess[:, 0, 0] = -np.pi ** 2 * np.cos(np.pi * pts[:, 0])
-    return f, grad, hess
-
-
-TEST_FUNCTIONS: dict = {
-    "constant": _const,
-    "coordinate": _coordinate,
-    "squared_radius": _squared_radius,
-    "trig": _trig,
-}
-
 _FLAT_DENSITY = {"interval": 1.0, "disk": 1.0 / math.pi}
-
-
-def _operator_targets(cloud: PointCloud, eps: float, f_test: str) -> np.ndarray:
-    """Pointwise limit values phi1 (tangential Laplacian) + phi2 (normal second
-    derivative) + V (outward drift) for a manifold in _FLAT_DENSITY."""
-    p_val = _FLAT_DENSITY[cloud.manifold_tag]
-    _, grad, hess = TEST_FUNCTIONS[f_test](cloud.points)
-    gt = cloud.ground_truth
-    bdist = gt.boundary_dist
-    normal = gt.outward_normal_tangent
-    cf = AnalyticCoeffs(cloud.intrinsic_dim, eps)
-    h_nn = np.einsum("ki,kij,kj->k", normal, hess, normal)
-    trace = np.einsum("kii->k", hess)
-    dn = np.einsum("ki,ki->k", grad, normal)
-    phi1, phi2 = cf.phi(bdist)
-    return phi1 * (trace - h_nn) + phi2 * h_nn + cf.potential_v(bdist, p_val) * dn
 
 
 def _wave_eps(config: ExperimentConfig) -> float:
@@ -228,14 +175,16 @@ def _band_mean(x: np.ndarray, band: np.ndarray) -> float:
 
 def run_convergence(config: ExperimentConfig,
                     ns: Sequence[int], eps_values: Sequence[float]) -> list:
-    """Mean interior/boundary-layer operator error over an (n, eps) sweep.
+    """The operator's coefficients read off W's rows over an (n, eps) sweep.
 
-    For each grid point: error_k = |[(W - I) f]_k / eps^2 - target_k| with the
-    target from the closed-form coefficients, averaged separately over the
-    partition_regions bands "interior" and "wave" plus "near_boundary".
+    For each grid point, W's row moments along the ground-truth outward normal
+    give V = m1/eps^2, phi2 = m2n/(2 eps^2) and phi1 = m2t/(2 (d-1) eps^2)
+    (nan at d = 1). Their means and mean errors against the reg-0 table
+    (phi and potential_v) are taken over the partition_regions bands
+    "interior" and "layer" (wave plus near_boundary); an empty band gives nan.
     """
     if config.manifold not in _FLAT_DENSITY:
-        raise ValueError("operator targets need a flat constant-density manifold "
+        raise ValueError("the coefficient table needs a flat constant-density manifold "
                          f"(interval or disk), got {config.manifold!r}")
     for name, values in (("ns", ns), ("eps_values", eps_values)):
         if len(values) == 0:
@@ -245,21 +194,26 @@ def run_convergence(config: ExperimentConfig,
         for eps in eps_values:
             cfg = replace(config, n=int(n), eps=float(eps), knn=None)
             cloud, graph, lle = build_pipeline(cfg)
-            f_vals, _, _ = TEST_FUNCTIONS[cfg.f_test](cloud.points)
-            vals = apply_shifted(lle.weights, f_vals) / eps ** 2
-            targets = _operator_targets(cloud, eps, cfg.f_test)
-            tstar = AnalyticCoeffs(cloud.intrinsic_dim, eps).tstar()
-            regions = partition_regions(cloud, eps, tstar)
-            interior = regions == "interior"
-            layer = np.isin(regions, ("wave", "near_boundary"))
-            err = np.abs(vals - targets)
-            rows.append({
-                "n": cloud.n, "eps": eps, "f_test": cfg.f_test, "seed": cfg.seed,
-                "interior_mean_value": _band_mean(vals, interior),
-                "interior_mean_err": _band_mean(err, interior),
-                "layer_mean_err": _band_mean(err, layer),
-                "interior_count": int(interior.sum()),
-            })
+            d, gt = cloud.intrinsic_dim, cloud.ground_truth
+            m1, m2n, m2t = row_moments(lle.weights, cloud.points, gt.outward_normal_tangent)
+            cf = AnalyticCoeffs(d, eps)
+            bdist = gt.boundary_dist
+            phi1, phi2 = cf.phi(bdist)
+            measured = {
+                "phi1": (m2t / (2 * (d - 1) * eps ** 2) if d > 1 else np.full(cloud.n, np.nan),
+                         phi1),
+                "phi2": (m2n / (2 * eps ** 2), phi2),
+                "V": (m1 / eps ** 2, cf.potential_v(bdist, _FLAT_DENSITY[config.manifold])),
+            }
+            regions = partition_regions(cloud, eps, cf.tstar())
+            row = {"n": cloud.n, "eps": eps, "seed": cfg.seed}
+            for band_name, band in (("interior", regions == "interior"),
+                                    ("layer", np.isin(regions, ("wave", "near_boundary")))):
+                row[f"{band_name}_count"] = int(band.sum())
+                for coef, (value, table) in measured.items():
+                    row[f"{band_name}_{coef}"] = _band_mean(value, band)
+                    row[f"{band_name}_{coef}_err"] = _band_mean(np.abs(value - table), band)
+            rows.append(row)
     out = config.out
     if out is not None:
         cols = list(rows[0].keys())

@@ -36,6 +36,7 @@ __all__ = [
     "default_regularizer",
     "build_lle_matrix",
     "apply_shifted",
+    "row_moments",
     "build_alpha_kernel_matrix",
 ]
 
@@ -257,6 +258,28 @@ def apply_shifted(W: sp.spmatrix | np.ndarray, f: np.ndarray) -> np.ndarray:
     if W.shape[1] != f.shape[0]:
         raise ValueError(f"dimension mismatch: W is {W.shape}, f has length {f.shape[0]}")
     return W @ f - f
+
+
+def row_moments(W: sp.csr_matrix, points: np.ndarray, normal: np.ndarray):
+    """W's row moments about each point, along the unit normal n_k of its row.
+
+    With D = x_j - x_k, returns per row k the first normal moment
+    sum_j w_kj D.n_k, the normal second moment sum_j w_kj (D.n_k)^2 and the
+    tangential second moment sum_j w_kj (|D|^2 - (D.n_k)^2). For a quadratic f,
+    (W - I) f is these contracted with grad f and Hess f, plus the tangential
+    first moment and the mixed second moments, which the three leave out.
+    W is CSR with no empty row.
+    """
+    counts = np.diff(W.indptr)
+    if np.any(counts == 0):
+        raise ValueError(f"W has rows without entries: {np.nonzero(counts == 0)[0].tolist()}")
+    rows = np.repeat(np.arange(W.shape[0]), counts)
+    D = points[W.indices] - points[rows]
+    dn = np.einsum("ei,ei->e", D, normal[rows])
+    starts = W.indptr[:-1]
+    return (np.add.reduceat(W.data * dn, starts),
+            np.add.reduceat(W.data * dn * dn, starts),
+            np.add.reduceat(W.data * (np.einsum("ei,ei->e", D, D) - dn * dn), starts))
 
 
 def build_alpha_kernel_matrix(lle: LleMatrix, alpha: float) -> LleMatrix:

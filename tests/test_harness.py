@@ -10,10 +10,9 @@ from lleboundary import harness
 from lleboundary.analytic import AnalyticCoeffs, coefficient_table
 from lleboundary.boundary import clip
 from lleboundary.cli import main
-from lleboundary.harness import (PRESETS, ExperimentConfig, TEST_FUNCTIONS, _eigfun_csv,
-                                 _operator_targets, build_pipeline, run_convergence,
-                                 run_eigenfunctions, run_indicator, run_null_case, sample,
-                                 wave_partition)
+from lleboundary.harness import (PRESETS, ExperimentConfig, _eigfun_csv, build_pipeline,
+                                 run_convergence, run_eigenfunctions, run_indicator,
+                                 run_null_case, sample, wave_partition)
 from lleboundary.lle import apply_shifted
 from lleboundary.samplers import PointCloud
 from lleboundary.spectral import Spectrum
@@ -64,27 +63,24 @@ def test_knn_eigenfunctions_clip_by_ground_truth():
 
 
 def test_convergence_interior_targets(tmp_path):
-    cfg = replace(PRESETS["disk"], f_test="squared_radius", seed=2, out=tmp_path)
+    # interior phi1 = phi2 = 1/8 on the disk; measured 0.1228 and 0.1253
+    cfg = replace(PRESETS["disk"], seed=2, out=tmp_path)
     rows = run_convergence(cfg, ns=[4000], eps_values=[0.15])
-    assert 0.4 <= rows[0]["interior_mean_value"] <= 0.6  # Laplacian/8 of x^2+y^2
+    assert 0.1 <= rows[0]["interior_phi1"] <= 0.15
+    assert 0.1 <= rows[0]["interior_phi2"] <= 0.15
     header = (tmp_path / "convergence.csv").read_text().splitlines()[0]
-    assert header.startswith("n,eps,f_test,seed,interior_mean_value")
+    assert header == ",".join(["n", "eps", "seed"] + [
+        f"{band}_{col}" for band in ("interior", "layer")
+        for col in ("count", "phi1", "phi1_err", "phi2", "phi2_err", "V", "V_err")])
 
-    rows = run_convergence(replace(PRESETS["interval"], f_test="constant"),
-                           ns=[500], eps_values=[0.05])
-    assert rows[0]["interior_mean_err"] <= 1e-12
-    assert rows[0]["layer_mean_err"] <= 1e-12
-
-    rows = run_convergence(replace(PRESETS["interval"], f_test="trig"),
-                           ns=[2000], eps_values=[0.02])
-    assert rows[0]["interior_mean_err"] <= 0.5  # |f''| reaches pi^2, ~10% observed
-
-    # f = x has Hessian 0, so its target is the drift alone, which is 0 in the
-    # interior; measured -7.1e-4, 2.9e-4 and -1.06e-3 at seeds 1-3
+    # on the interval the interior drift is 0 and phi2 is 1/6; measured V
+    # -3.2e-3, 3.6e-3, -2.4e-3 and phi2 0.1661, 0.1652, 0.1656 at seeds 1-3
     for seed in (1, 2, 3):
-        rows = run_convergence(replace(PRESETS["interval"], f_test="coordinate", seed=seed),
+        rows = run_convergence(replace(PRESETS["interval"], seed=seed),
                                ns=[2000], eps_values=[0.02])
-        assert abs(rows[0]["interior_mean_value"]) <= 5e-3, (seed, rows[0])
+        assert abs(rows[0]["interior_V"]) <= 5e-3, (seed, rows[0])
+        assert abs(rows[0]["interior_phi2"] - 1.0 / 6.0) <= 0.01, (seed, rows[0])
+        assert np.isnan(rows[0]["interior_phi1"])  # d = 1 has no tangent
 
 
 def test_convergence_empty_interior_band_is_nan_without_warning(tmp_path):
@@ -95,15 +91,16 @@ def test_convergence_empty_interior_band_is_nan_without_warning(tmp_path):
         warnings.simplefilter("error")
         rows = run_convergence(cfg, ns=[300], eps_values=[0.3])
     assert rows[0]["interior_count"] == 0
-    assert np.isnan(rows[0]["interior_mean_value"]) and np.isnan(rows[0]["interior_mean_err"])
-    assert np.isfinite(rows[0]["layer_mean_err"])
+    empty = ("interior_phi2", "interior_phi2_err", "interior_V", "interior_V_err")
+    assert all(np.isnan(rows[0][col]) for col in empty)
+    assert np.isfinite(rows[0]["layer_phi2"]) and np.isfinite(rows[0]["layer_V_err"])
     header, line = (tmp_path / "convergence.csv").read_text().splitlines()
     cells = dict(zip(header.split(","), line.split(",")))
-    assert cells["interior_mean_value"] == cells["interior_mean_err"] == "nan"
+    assert all(cells[col] == "nan" for col in empty)
 
 
 def test_convergence_rejects_curved_manifolds():
-    cfg = replace(PRESETS["torus"], f_test="constant")
+    cfg = PRESETS["torus"]
     with pytest.raises(ValueError, match="flat"):
         run_convergence(cfg, ns=[500], eps_values=[0.5])
 
@@ -136,25 +133,6 @@ def test_interval_near_boundary_operator_value(interval_runs):
                        for ti in t[band]])
     assert abs(cf.potential_v(eps / 2, 1.0) + 8.0 / 9.0) < 1e-12
     assert abs(vals[band].mean() - target.mean()) <= 0.06
-
-
-@pytest.mark.parametrize("manifold,eps", [("interval", 0.02), ("disk", 0.15)])
-def test_operator_targets_match_per_point_loop(manifold, eps):
-    cloud = sample(ExperimentConfig(manifold, n=1000, eps=eps, seed=3))
-    gt = cloud.ground_truth
-    p_val = 1.0 if manifold == "interval" else 1.0 / np.pi
-    cf = AnalyticCoeffs(cloud.intrinsic_dim, eps)
-    for f_test in ("squared_radius", "trig", "coordinate"):  # coordinate: the drift alone
-        _, grad, hess = TEST_FUNCTIONS[f_test](cloud.points)
-        ref = np.empty(cloud.n)
-        for k in range(cloud.n):
-            nvec, t = gt.outward_normal_tangent[k], gt.boundary_dist[k]
-            h_nn = nvec @ hess[k] @ nvec
-            phi1, phi2 = cf.phi(t)
-            ref[k] = (phi1 * (np.trace(hess[k]) - h_nn) + phi2 * h_nn
-                      + cf.potential_v(t, p_val) * (grad[k] @ nvec))
-        got = _operator_targets(cloud, eps, f_test)
-        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_run_null_case_scaled():
@@ -251,18 +229,6 @@ def test_sample_dispatch_and_scale():
         sample(replace(cfg, manifold="nope"))
 
 
-def test_test_function_derivatives():
-    pts = np.random.default_rng(0).normal(size=(50, 3))
-    h = 1e-6
-    for name, fn in TEST_FUNCTIONS.items():
-        f, grad, hess = fn(pts)
-        bump = pts.copy()
-        bump[:, 0] += h
-        f2, _, _ = fn(bump)
-        fd = (f2 - f) / h
-        assert np.max(np.abs(fd - grad[:, 0])) < 1e-4, name
-
-
 # --- CLI ------------------------------------------------------------------
 
 def test_cli_sample_and_sigma_table(tmp_path, capsys):
@@ -301,7 +267,7 @@ def test_cli_build_spectrum_indicator_clip(tmp_path):
 
 def test_cli_convergence_and_nullcase(tmp_path, capsys):
     assert main(["convergence", "--manifold", "interval", "--out", str(tmp_path),
-                 "--ns", "400", "--eps-list", "0.05", "--f-test", "squared_radius"]) == 0
+                 "--ns", "400", "--eps-list", "0.05"]) == 0
     out = capsys.readouterr().out
     row = json.loads(out.strip().splitlines()[-1])
     assert row["n"] == 400
@@ -431,8 +397,8 @@ def test_profile_csv_bytes_match_per_entry_writer(tmp_path, manifold, n):
 
 def test_convergence_csv_bytes_match_per_entry_writer(tmp_path):
     # float cells are %.17g like every other CSV and read back to the same
-    # double; int cells are %d and f_test stays text
-    cfg = replace(PRESETS["interval"], f_test="trig", out=tmp_path)
+    # double, nan included; int cells are %d
+    cfg = replace(PRESETS["interval"], out=tmp_path)
     rows = run_convergence(cfg, ns=[300, 500], eps_values=[0.05, 0.1])
     assert len(rows) == 4
     text = (tmp_path / "convergence.csv").read_bytes()
@@ -440,7 +406,8 @@ def test_convergence_csv_bytes_match_per_entry_writer(tmp_path):
     lines = text.decode().splitlines()
     for row, line in zip(rows, lines[1:]):
         for col, cell in zip(lines[0].split(","), line.split(",")):
-            assert type(row[col])(cell) == row[col], (col, cell)
+            value = type(row[col])(cell)  # d = 1 writes phi1 as nan
+            assert value == row[col] or np.isnan(value) and np.isnan(row[col]), (col, cell)
 
 
 @pytest.mark.parametrize("d, grid", [("2", "0,0.5,1"), ("5", "13"), ("1", "1")])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import interval_grid, s1_grid_cloud, s1_grid_eps, ten_point_cloud
 from lleboundary import lle as lle_module
@@ -8,7 +9,7 @@ from lleboundary.cli import main
 from lleboundary.io import SIDECAR_KEYS
 from lleboundary.lle import (_gram_eig, apply_shifted, augmented_vector_discrete,
                              build_alpha_kernel_matrix, build_lle_matrix, default_regularizer,
-                             resolve_c, solve_barycentric)
+                             resolve_c, row_moments, solve_barycentric)
 from lleboundary.neighbors import (EpsilonBall, Knn, brute_force_neighbors, build_graph,
                                    local_data_matrix)
 from lleboundary.samplers import (PointCloud, sample_disk, sample_interval,
@@ -87,6 +88,56 @@ def test_row_sums_one(disk_runs):
     lle = disk_runs[0]["lle"]
     err = np.max(np.abs(lle.weights @ np.ones(lle.n) - 1.0))
     assert err <= 1e-12
+
+
+# (cloud, eps): the convergence sweep's disk and interval runs
+MOMENT_CLOUDS = {"disk-0.15": (lambda: sample_disk(4000, 2), 0.15),
+                 "interval-0.02": (lambda: sample_interval(2000, 1), 0.02)}
+
+
+@pytest.mark.parametrize("name", sorted(MOMENT_CLOUDS))
+def test_row_moments_decompose_the_shifted_operator(name):
+    # for a quadratic f whose gradient lies along n_k and whose Hessian is
+    # a I + b n n^T, (W - I) f is exactly grad f.n m1 + (f_nn m2n + f_tt m2t)/2;
+    # measured to 5e-15 (disk) and 1.5e-13 (interval) relative. f = x1 is
+    # checked in d = 1 only: on the disk its gradient has a tangential part,
+    # and the tangential first moment, which row_moments leaves out, enters
+    make, eps = MOMENT_CLOUDS[name]
+    cloud = make()
+    x, normal = cloud.points, cloud.ground_truth.outward_normal_tangent
+    lle = build_lle_matrix(cloud, build_graph(cloud, EpsilonBall(eps)), "auto")
+    m1, m2n, m2t = row_moments(lle.weights, x, normal)
+    # (f, df/dn, f_nn, f_tt) at every point
+    cases = [((x ** 2).sum(axis=1), 2.0 * (x * normal).sum(axis=1), 2.0, 2.0)]
+    if cloud.intrinsic_dim == 1:
+        cases.append((x[:, 0], normal[:, 0], 0.0, 0.0))
+    for f, f_n, f_nn, f_tt in cases:
+        shifted = apply_shifted(lle.weights, f) / eps ** 2
+        moments = (f_n * m1 + 0.5 * (f_nn * m2n + f_tt * m2t)) / eps ** 2
+        assert np.max(np.abs(moments - shifted)) <= 1e-12 * np.max(np.abs(shifted))
+
+
+@pytest.mark.parametrize("per_eps", [40, 80, 160])
+def test_normal_moment_changes_sign_at_tstar_on_the_grid(per_eps):
+    # the degeneracy read off W: phi2 = m2n/(2 eps^2) turns nonnegative at t*.
+    # kappa 0.01 puts reg = kappa eps = 2e-4, where the reg-0 t* applies;
+    # measured 0.2750, 0.2625, 0.2687 eps against 0.2679 eps
+    eps, kappa = 0.02, 0.01
+    n = int(round(per_eps / eps)) + 1
+    cloud = interval_grid(n)
+    lle = build_lle_matrix(cloud, build_graph(cloud, EpsilonBall(eps)), kappa * n * eps ** 4)
+    gt = cloud.ground_truth
+    _, m2n, _ = row_moments(lle.weights, cloud.points, gt.outward_normal_tangent)
+    order = np.argsort(gt.boundary_dist, kind="stable")
+    first = gt.boundary_dist[order][np.argmax(m2n[order] >= 0.0)]
+    assert abs(first - AnalyticCoeffs(1, eps).tstar()) <= 2.0 / (n - 1), first / eps
+
+
+def test_row_moments_refuse_an_empty_row():
+    W = sp.csr_matrix(np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+    pts = np.arange(3.0)[:, None]
+    with pytest.raises(ValueError, match=r"\[1\]"):
+        row_moments(W, pts, np.ones((3, 1)))
 
 
 def test_build_errors():
