@@ -220,8 +220,9 @@ def _run(command: str, values: dict, cfg: ExperimentConfig) -> None:
         print(f"clipped {cloud.n - len(kept)} wave points; kept {len(kept)}")
     elif command == "convergence":
         rows = run_convergence(cfg, values.get("ns", [cfg.n]), values.get("eps_list", [cfg.eps]))
-        for row in rows:
-            print(json.dumps(row))
+        for row in rows:  # strict JSON: a nan band mean prints as null
+            print(json.dumps({k: v if np.isfinite(v) else None for k, v in row.items()},
+                             allow_nan=False))
     elif command == "nullcase":
         result = run_null_case(cfg)
         top = result["spectrum"].eigenvalues[0]

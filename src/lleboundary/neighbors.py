@@ -4,14 +4,14 @@ Two schemes are supported: the open epsilon-radius ball (membership is the
 strict inequality ||x_j - x_k|| < eps) and K nearest neighbors with ties
 broken toward the smaller index. The epsilon scheme is accelerated by a
 k-d tree (``scipy.spatial.cKDTree``, imported on the first epsilon-ball graph,
-so a KNN run never loads it); results are exactly those of the brute force
-scan because candidates are always checked against the true distance. KNN
-takes squared distances by blocks of rows and selects each row's k nearest
-with ``np.argpartition``; a row tied at its k-th distance, where the
-selection may keep a larger index, falls back to the stable full sort.
+so a KNN run never loads it); results equal the brute force scan's because
+every candidate is checked against the true distance, and scipy.sparse's
+COO -> CSR conversion orders the mirrored pairs by (row, col). KNN takes
+squared distances by blocks of rows and selects each row's k nearest with
+``np.argpartition``; a row tied at its k-th distance, where the selection may
+keep a larger index, falls back to the stable full sort.
 ``brute_force_neighbors``, the oracle, sorts every row in full. The graph is
-stored in CSR layout (indptr, indices, dist), the layout the LLE assembly
-reads.
+stored in CSR layout (indptr, indices, dist), the layout the LLE assembly reads.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from functools import cached_property
 from typing import List, Union
 
 import numpy as np
+import scipy.sparse as sp
 
 from .samplers import PointCloud
 
@@ -94,21 +95,19 @@ def _sq_dists(points: np.ndarray, cand: np.ndarray, k) -> np.ndarray:
 def _eps_csr(points: np.ndarray, eps: float):
     """Epsilon-ball graph: a k-d tree finds the pairs i < j within a slightly
     inflated radius, the exact d^2 < eps^2 test (the brute force scan's own
-    arithmetic) filters them, and the mirrored pairs are sorted by (row, col)."""
+    arithmetic) filters them, and a COO -> CSR conversion orders the mirrored
+    pairs by (row, col)."""
     from scipy.spatial import cKDTree  # loads on the first epsilon-ball graph
 
     n = points.shape[0]
     pairs = cKDTree(points).query_pairs(eps * (1.0 + 1e-9), output_type="ndarray")
-    d2 = _sq_dists(points, pairs[:, 1], pairs[:, 0])
-    keep = d2 < eps * eps
-    pairs, dist = pairs[keep], np.sqrt(d2[keep])
-    rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
-    cols = np.concatenate([pairs[:, 1], pairs[:, 0]]).astype(np.int32)
-    # one sort on the unique key row * n + col orders by (row, col)
-    order = np.argsort(rows * n + cols)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return indptr, cols[order], np.concatenate([dist, dist])[order]
+    d = _sq_dists(points, pairs[:, 1], pairs[:, 0])
+    keep = d < eps * eps
+    pairs, d = pairs[keep].astype(np.int32), np.sqrt(d[keep])  # frees the unfiltered arrays
+    i, j = pairs.T
+    csr = sp.coo_array((np.concatenate([d, d]), (np.concatenate([i, j]), np.concatenate([j, i]))),
+                       shape=(n, n)).tocsr()
+    return csr.indptr.astype(np.int64), csr.indices, csr.data
 
 
 def _brute_eps_csr(points: np.ndarray, eps: float):

@@ -154,6 +154,20 @@ def test_the_convergence_sweep_defaults_to_the_preset(monkeypatch, manifold, n, 
     assert swept == [([n], [eps])]
 
 
+def test_convergence_prints_strict_json(tmp_path, capsys):
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    # phi1 has no tangent at d = 1, so the interval's interior phi1 is nan
+    assert main(["convergence", "--manifold", "interval", "--ns", "300", "--eps-list", "0.05",
+                 "--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    row = json.loads(lines[0], parse_constant=refuse)
+    assert row["interior_phi1"] is None and row["n"] == 300
+    assert "nan" in (tmp_path / "convergence.csv").read_text()
+
+
 def test_a_config_key_the_subcommand_does_not_read_is_refused(tmp_path, capsys):
     argsfile = args_file(tmp_path / "run.args", "--n", "40", "--tau", "0.3")
     out = tmp_path / "D"

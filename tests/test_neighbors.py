@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from lleboundary.neighbors import (EpsilonBall, Knn, _knn_csr, brute_force_neighbors,
                                    build_graph, local_data_matrix)
@@ -82,6 +85,40 @@ def test_grid_equals_brute_force_on_disk():
         assert np.array_equal(a, b)
     for a, b in zip(fast.distances, ref.distances):
         assert np.array_equal(a, b)
+
+
+def test_eps_filter_is_exact_at_the_edge():
+    eps = 0.1
+    below = np.nextafter(eps, 0.0)  # the largest double below eps
+    beyond = 0.6
+    while beyond - 0.5 <= eps:  # 0.5 and beyond: a few ulps past eps
+        beyond = np.nextafter(beyond, 1.0)
+    points = np.array([[-below], [0.0], [eps], [0.5], [beyond]])
+    assert (beyond - 0.5) ** 2 > eps * eps and beyond - 0.5 < eps * (1.0 + 1e-9)
+    # the k-d tree's inflated radius finds all three pairs; the exact d^2 < eps^2
+    # test drops (0, eps), exactly eps apart, and (0.5, beyond)
+    assert cKDTree(points).query_pairs(eps * (1.0 + 1e-9)) == {(0, 1), (1, 2), (3, 4)}
+    cloud = cloud_from(points)
+    g = build_graph(cloud, EpsilonBall(eps))
+    ref = brute_force_neighbors(cloud, EpsilonBall(eps))
+    for name, dtype in (("indptr", np.int64), ("indices", np.int32), ("dist", np.float64)):
+        assert getattr(g, name).dtype == dtype
+        assert np.array_equal(getattr(g, name), getattr(ref, name))
+    assert [list(ix) for ix in g.neighbors] == [[1], [0], [], [], []]
+    assert g.dist.tolist() == [below, below]
+
+
+def test_eps_graph_build_memory():
+    # scipy.spatial is imported above, so the peak counts the build alone: the
+    # filtered pairs, their COO mirror and the CSR arrays, about 3x the output
+    cloud = sample_disk(8000, seed=1)
+    tracemalloc.start()
+    try:
+        g = build_graph(cloud, EpsilonBall(0.1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * (g.indptr.nbytes + g.indices.nbytes + g.dist.nbytes)
 
 
 def test_knn_against_plain_oracle():
