@@ -34,7 +34,7 @@ for name in ("interval", "disk"):
             continue
         mid = min(0.5 * (lo + (hi if np.isfinite(hi) else 3.0)), 3.0) * eps
         print(f"  [{lo:4.2f},{hi:4.2f}) | {rep.b_values[sel].mean():17.4f} "
-              f"| {cf.b_function(mid):12.4f}")
+              f"| {cf.table(mid)['B']:12.4f}")
 
     truth_near = bd < eps / 2
     flagged = rep.labels == "boundary"

@@ -3,11 +3,12 @@
 The signed LLE kernel is the alpha = 1/2 member of
 K^(alpha) = alpha K1 + (1 - alpha) K2, where K1 is the 0-1 ball kernel and
 K2 the signed augmented-vector kernel. alpha = 1 gives the ball average (the
-diffusion-type operator of AnalyticCoeffs.dm_coeffs), alpha = 0 the pure
-signed kernel. The script verifies the alpha = 1/2 identity numerically, shows
-the kernel's negative values near the boundary, and contrasts boundary behavior
-of alpha = 1 eigenvectors (Neumann-like, large at the ends) with clipped-LLE
-ones (Dirichlet-like), all on one graph.
+diffusion-type operator whose coefficients are the psi1, psi2 and drift columns
+of AnalyticCoeffs.table), alpha = 0 the pure signed kernel. The script verifies
+the alpha = 1/2 identity numerically, shows the kernel's negative values near
+the boundary, and contrasts boundary behavior of alpha = 1 eigenvectors
+(Neumann-like, large at the ends) with clipped-LLE ones (Dirichlet-like), all on
+one graph.
 """
 
 import numpy as np
@@ -37,7 +38,8 @@ print(f"kernel near the boundary (bdist {bd[near]:.4f}): "
 print(f"kernel in the interior  (bdist {bd[interior]:.4f}): "
       f"min y entry = {lle.row_kernel(interior).min() * lle.c:.4f}")
 cf = AnalyticCoeffs(1, eps)
-print("analytic kernel infimum constant (d=1):", 1.0 + cf.sigma1d(0.0) / cf.sigma2d(0.0))
+at_zero = cf.table(0.0)
+print("analytic kernel infimum constant (d=1):", 1.0 + at_zero["s1d"] / at_zero["s2d"])
 
 # boundary behavior: the alpha = 1 ball average vs clipped LLE
 t = cloud.points[:, 0]

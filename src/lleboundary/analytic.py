@@ -7,19 +7,19 @@ Three of them reduce to int_0^s (1 - x^2)^(m/2) dx, which one reduction
 formula in m gives in closed form for every d; the other three are closed
 forms outright. From them come the second-order coefficients phi1/phi2, the
 drift V, the degeneracy depth t* where phi2 changes sign, the boundary
-indicator limit B(t), and the ball average's coefficients psi1/psi2. Each
-call computes one table (AnalyticCoeffs._table) holding every coefficient as a
-named column, each formula written there once, and reads its columns;
+indicator limit B(t), and the ball average's coefficients psi1/psi2. One
+table (AnalyticCoeffs.table) holds every coefficient as a named column, each
+formula written there once; its callers read the columns they need, and
 coefficient_table stacks the columns TABLE_COLUMNS. The boundary values are
-the same table at t = 0: B(0) is b_function(0) and the (negative) kernel
-infimum is 1 + sigma1d(0)/sigma2d(0). A tensor-grid quadrature over the cap
+the same table at t = 0: B(0) is its B column and the (negative) kernel
+infimum is 1 + s1d/s2d there. A tensor-grid quadrature over the cap
 region serves as the independent oracle for the closed forms (moments_oracle).
 On a curve of length a the one-dimensional operator is the d = 1 table read
 at the depth r = min(t, a - t), with the drift pointing along the side of the
 nearer end; its Sturm-Liouville data (g, h, p, w), which bring it to
 divergence form, follow from the same depth map and are the closed forms the
 table is checked against at d = 1. Every function here takes t as a scalar or
-an array; a scalar gives a numpy scalar with the bits of the same t inside an
+an array; a scalar gives numpy scalars with the bits of the same t inside an
 array.
 
 Convention: the ratio |S^(d-2)|/(d-1) is defined to be 1 when d = 1; it is
@@ -81,7 +81,7 @@ def _cap_integral(s, m: int):
 
 
 # The columns of one coefficient table, in coefficient_table's (and the CLI's
-# sigma-table's) order; _table adds psi1, psi2 and the ball average's drift.
+# sigma-table's) order; table() adds psi1, psi2 and the ball average's drift.
 TABLE_COLUMNS = ("t_over_eps", "s0", "s1d", "s2", "s2d", "s3", "s3d", "phi1", "phi2", "V", "B")
 
 
@@ -89,12 +89,10 @@ TABLE_COLUMNS = ("t_over_eps", "s0", "s1d", "s2", "s2d", "s3", "s3d", "phi1", "p
 class AnalyticCoeffs:
     """Evaluator for the sigma functions and derived coefficients at fixed (d, eps).
 
-    All sigma functions and the coefficients built from them take the
-    boundary distance t >= 0 as a scalar or an array (scalars give numpy
-    scalars with the bits of the same depth inside an array), are continuous,
-    and are constant for t >= eps (interior values). Evaluation exactly at
-    t = eps returns that interior constant. Each call evaluates one table
-    (:meth:`_table`) and reads its coefficients from it.
+    :meth:`table` gives every coefficient at the boundary distances t >= 0 (a
+    scalar or an array) as one named column. Each column is continuous in t
+    and constant for t >= eps (interior values); evaluation exactly at
+    t = eps returns that interior constant.
     """
 
     d: int
@@ -106,23 +104,28 @@ class AnalyticCoeffs:
         if not 0 < self.eps < math.inf:  # also false for nan
             raise ValueError(f"eps must be positive and finite, got {self.eps}")
 
-    def _table(self, t, p_val: float = 1.0) -> dict:
-        """Every coefficient at the depths t, one named column each: t_over_eps,
-        the six sigmas at the scaled depth s = min(t/eps, 1), phi1, phi2, the
-        drift V at density p_val, B, and the ball average's psi1, psi2 and drift.
+    def table(self, t, p_val: float = 1.0) -> dict:
+        """Every coefficient at the depths t, one named column each, in the shape
+        of t: t_over_eps, the six sigmas s0, s1d, s2, s2d, s3, s3d at the scaled
+        depth s = min(t/eps, 1); phi1 and phi2 (both 1/(2(d+2)) for t >= eps);
+        the drift V <= 0 at density p_val; B = s1d^2/(s0 s2d), the indicator
+        limit; and the 0-1 ball average's psi1, psi2 and drift, with
+        (W - I) f / eps^2 = psi1 (Laplacian f - f_nn) + psi2 f_nn + (drift/eps) df/dn
+        (n the outward normal, curvature term excluded).
 
         t is a scalar or an array with every entry >= 0; both are evaluated at
-        least 1-d, so a scalar takes the same numpy loops as an array entry.
-        I_(d+1) is the last reduction step from I_(d-1); where s >= 1 the
-        sigmas are the exact interior constants, and so are phi and psi.
+        least 1-d, so a scalar takes the same numpy loops as an array entry and
+        gives numpy scalars with the same bits. I_(d+1) is the last reduction
+        step from I_(d-1); where s >= 1 the sigmas are the exact interior
+        constants, and so are phi and psi.
         """
         if not p_val > 0:  # also refuses nan
             raise ValueError("density value must be positive")
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        if not np.all(t >= 0):  # also refuses nan
+        depth = np.atleast_1d(np.asarray(t, dtype=float))
+        if not np.all(depth >= 0):  # also refuses nan
             raise ValueError("t must be >= 0 (and not nan)")
         d, sphere, cap = self.d, sphere_volume(self.d - 1), cap_coefficient(self.d)
-        t_over_eps = t / self.eps
+        t_over_eps = depth / self.eps
         s = np.minimum(t_over_eps, 1.0)
         layer = s < 1
         i_lo = _cap_integral(s, d - 1)
@@ -142,52 +145,14 @@ class AnalyticCoeffs:
         s0, s1d, s2, s2d = g["s0"], g["s1d"], g["s2"], g["s2d"]
         det = s2d * s0 - s1d ** 2  # the (positive) denominator of phi and V
         interior = 1.0 / (2.0 * (d + 2))
-        return {"t_over_eps": t_over_eps, **g,
-                "phi1": np.where(layer, (s2d * s2 - g["s3"] * s1d) / (2.0 * det), interior),
-                "phi2": np.where(layer, (s2d ** 2 - g["s3d"] * s1d) / (2.0 * det), interior),
-                "V": s1d / (p_val * det), "B": s1d ** 2 / (s0 * s2d),
-                "psi1": np.where(layer, 0.5 * s2 / s0, interior),
-                "psi2": np.where(layer, 0.5 * s2d / s0, interior), "drift": s1d / s0}
-
-    def sigma0(self, t):
-        return _shaped(self._table(t)["s0"], t)
-
-    def sigma1d(self, t):
-        return _shaped(self._table(t)["s1d"], t)
-
-    def sigma2(self, t):
-        return _shaped(self._table(t)["s2"], t)
-
-    def sigma2d(self, t):
-        return _shaped(self._table(t)["s2d"], t)
-
-    def sigma3(self, t):
-        return _shaped(self._table(t)["s3"], t)
-
-    def sigma3d(self, t):
-        return _shaped(self._table(t)["s3d"], t)
-
-    def phi(self, t) -> Tuple:
-        """Second-order coefficients (phi1, phi2); both equal 1/(2(d+2)) for t >= eps."""
-        table = self._table(t)
-        return _shaped(table["phi1"], t), _shaped(table["phi2"], t)
-
-    def potential_v(self, t, p_val: float):
-        """First-order (drift) coefficient V <= 0; zero for t >= eps."""
-        return _shaped(self._table(t, p_val)["V"], t)
-
-    def b_function(self, t):
-        """Boundary-indicator limit sigma1d^2/(sigma0 sigma2d); 0 for t >= eps, where
-        sigma1d is exactly 0."""
-        return _shaped(self._table(t)["B"], t)
-
-    def dm_coeffs(self, t) -> dict:
-        """Coefficients of the 0-1 ball average (the alpha = 1 kernel on the eps ball):
-        (W - I) f / eps^2 = psi1 (Laplacian f - f_nn) + psi2 f_nn + (drift/eps) df/dn
-        at depth t, with psi1 = sigma2/(2 sigma0), psi2 = sigma2d/(2 sigma0), the drift
-        sigma1d/sigma0 and n the outward normal (curvature term excluded)."""
-        table = self._table(t)
-        return {k: _shaped(table[k], t) for k in ("psi1", "psi2", "drift")}
+        columns = {"t_over_eps": t_over_eps, **g,
+                   "phi1": np.where(layer, (s2d * s2 - g["s3"] * s1d) / (2.0 * det), interior),
+                   "phi2": np.where(layer, (s2d ** 2 - g["s3d"] * s1d) / (2.0 * det), interior),
+                   "V": s1d / (p_val * det), "B": s1d ** 2 / (s0 * s2d),
+                   "psi1": np.where(layer, 0.5 * s2 / s0, interior),
+                   "psi2": np.where(layer, 0.5 * s2d / s0, interior), "drift": s1d / s0}
+        shape = np.shape(t)
+        return {k: _shaped(v, shape) for k, v in columns.items()}
 
     # --- degeneracy locus --------------------------------------------------
 
@@ -209,7 +174,7 @@ class AnalyticCoeffs:
         derivatives; the sign change is verified first).
         """
         def fun(t: float) -> float:
-            return float(self.phi(t)[1])
+            return float(self.table(t)["phi2"])
 
         d1, d2 = self.deltas()
         a = 0.99 * d1 * self.eps
@@ -301,9 +266,10 @@ def _depth_1d(t, a: float, eps: float):
     return np.minimum(t, a - t)
 
 
-def _shaped(x: np.ndarray, t):
-    """x in the shape of t: a scalar t gives a numpy scalar."""
-    return x.reshape(np.shape(t))[()]
+def _shaped(x: np.ndarray, shape: tuple):
+    """x in the shape of the depths t given as np.shape(t): a scalar t gives a
+    numpy scalar."""
+    return x.reshape(shape)[()]
 
 
 def sl_functions(t, eps: float, a: float) -> dict:
@@ -329,12 +295,13 @@ def sl_functions(t, eps: float, a: float) -> dict:
          * np.exp(12.0 * a * eps ** 3 / (eps + u) ** 2 + 12.0 * a * eps ** 2 / (eps + u)))
     with np.errstate(divide="ignore", invalid="ignore"):
         h = np.where(u == t0, np.inf, 12.0 * eps * eps * g / (np.abs(u - t0) * np.abs(u - t1)))
-    h = _shaped(h, t)
-    return {"g": _shaped(g, t), "h": h, "p": _shaped(np.where(r < t0, -g, g), t), "w": h,
-            "degeneracy": (t0, a - t0)}
+    shape = np.shape(t)
+    h = _shaped(h, shape)
+    return {"g": _shaped(g, shape), "h": h, "p": _shaped(np.where(r < t0, -g, g), shape),
+            "w": h, "degeneracy": (t0, a - t0)}
 
 
 def coefficient_table(d: int, eps: float, ts, p_val: float = 1.0) -> np.ndarray:
     """Rows of TABLE_COLUMNS (t/eps, s0, s1d, s2, s2d, s3, s3d, phi1, phi2, V, B) on a t grid."""
-    table = AnalyticCoeffs(d, eps)._table(ts, p_val)
+    table = AnalyticCoeffs(d, eps).table(ts, p_val)
     return np.column_stack([table[k] for k in TABLE_COLUMNS])

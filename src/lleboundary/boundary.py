@@ -2,8 +2,8 @@
 
 The indicator of point k is B_k = (N_k - c y_k^T 1) / N_k, computed from the
 same regularized solves that build the LLE matrix. Near the boundary it
-concentrates on a dimension-dependent constant (b_function of the analytic
-module); in the interior it is O(eps). Thresholding B_k labels boundary
+concentrates on a dimension-dependent constant (the B column of the analytic
+table); in the interior it is O(eps). Thresholding B_k labels boundary
 points; the wave strip (within depth t* of the boundary) can then be clipped
 out of the matrix, which empirically restores Dirichlet-like eigenvectors.
 """
@@ -77,13 +77,13 @@ def indicator(cloud: PointCloud, graph: NeighborGraph,
 
 
 def default_threshold(d: int, eps: float) -> float:
-    """Threshold b(0) * (3/4)^(d+1) / 2, with b(0) = b_function(0.0) read from
-    the sigma table.
+    """Threshold b(0) * (3/4)^(d+1) / 2, with b(0) the B column of the
+    coefficient table at t = 0.
 
     It is not b(eps/2)/2, which is smaller: at d = 1, 2, 3 the threshold is
     0.211, 0.152, 0.111 and b(eps/2)/2 is 0.125, 0.079, 0.052.
     """
-    return float(AnalyticCoeffs(d, eps).b_function(0.0)) * 0.75 ** (d + 1) / 2.0
+    return float(AnalyticCoeffs(d, eps).table(0.0)["B"]) * 0.75 ** (d + 1) / 2.0
 
 
 def classify(report: BoundaryReport, tau: Optional[float] = None) -> BoundaryReport:
@@ -107,7 +107,7 @@ def partition_regions(cloud: PointCloud, eps: float, tstar_val: float,
     Cut points: wave for dist < t*, near_boundary for t* <= dist < eps,
     transition for eps <= dist <= 2 eps, interior beyond. Uses ground-truth
     boundary distance when the cloud has one; otherwise falls back to the
-    indicator B as a depth proxy (a documented heuristic). b_function falls
+    indicator B as a depth proxy (a documented heuristic). The table's B falls
     from b(0) to 0 on [0, eps], so B > b(t*) is wave, 0 < B <= b(t*)
     near_boundary and the rest, a non-finite B included, interior: the proxy
     cannot see past depth eps, so the transition band collapses into interior.
@@ -125,7 +125,8 @@ def partition_regions(cloud: PointCloud, eps: float, tstar_val: float,
         finite = np.isfinite(b)
         out[:] = "interior"
         out[finite & (b > 0.0)] = "near_boundary"
-        out[finite & (b > AnalyticCoeffs(cloud.intrinsic_dim, eps).b_function(tstar_val))] = "wave"
+        b_tstar = AnalyticCoeffs(cloud.intrinsic_dim, eps).table(tstar_val)["B"]
+        out[finite & (b > b_tstar)] = "wave"
     else:
         raise ValueError("no ground-truth boundary distance and no indicator report")
     return out

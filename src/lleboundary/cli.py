@@ -182,6 +182,10 @@ def _run(command: str, values: dict, cfg: ExperimentConfig) -> None:
     out = cfg.out
     if out is None and command != "nullcase":  # nullcase writes only with --out
         raise ValueError("this subcommand writes files; pass --out DIR")
+    if out is not None:  # refused before any work, so nothing is written
+        blocked = next((p for p in (out, *out.parents) if p.exists() and not p.is_dir()), None)
+        if blocked is not None:
+            raise ValueError(f"--out {out}: {blocked} is a file, not a directory")
 
     if command == "sample":
         cloud = sample(cfg)

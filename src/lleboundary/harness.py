@@ -180,7 +180,7 @@ def run_convergence(config: ExperimentConfig,
     For each grid point, W's row moments along the ground-truth outward normal
     give V = m1/eps^2, phi2 = m2n/(2 eps^2) and phi1 = m2t/(2 (d-1) eps^2)
     (nan at d = 1). Their means and mean errors against the reg-0 table
-    (phi and potential_v) are taken over the partition_regions bands
+    (its phi1, phi2 and V columns) are taken over the partition_regions bands
     "interior" and "layer" (wave plus near_boundary); an empty band gives nan.
     """
     if config.manifold not in _FLAT_DENSITY:
@@ -197,13 +197,12 @@ def run_convergence(config: ExperimentConfig,
             d, gt = cloud.intrinsic_dim, cloud.ground_truth
             m1, m2n, m2t = row_moments(lle.weights, cloud.points, gt.outward_normal_tangent)
             cf = AnalyticCoeffs(d, eps)
-            bdist = gt.boundary_dist
-            phi1, phi2 = cf.phi(bdist)
+            table = cf.table(gt.boundary_dist, _FLAT_DENSITY[config.manifold])
             measured = {
                 "phi1": (m2t / (2 * (d - 1) * eps ** 2) if d > 1 else np.full(cloud.n, np.nan),
-                         phi1),
-                "phi2": (m2n / (2 * eps ** 2), phi2),
-                "V": (m1 / eps ** 2, cf.potential_v(bdist, _FLAT_DENSITY[config.manifold])),
+                         table["phi1"]),
+                "phi2": (m2n / (2 * eps ** 2), table["phi2"]),
+                "V": (m1 / eps ** 2, table["V"]),
             }
             regions = partition_regions(cloud, eps, cf.tstar())
             row = {"n": cloud.n, "eps": eps, "seed": cfg.seed}

@@ -510,18 +510,17 @@ def save_spectrum(spec: Spectrum, path) -> Path:
 
 
 def save_eigenvectors(spec: Spectrum, path, meta: Optional[dict] = None) -> Path:
-    """Eigenvector matrix CSV, one column per line (column-major), plus sidecar."""
+    """Eigenvector matrix CSV, one column per line (column-major), plus sidecar.
+    The sidecar's n, k, ordering, method and layout describe the file written;
+    a key of meta by one of those names does not replace it."""
     path = Path(path)
     if spec.eigenvectors is None:
         raise ValueError("spectrum carries no eigenvectors")
     vecs = spec.eigenvectors
     flat = vecs.ravel(order="F")
     _write_table(path, None, [np.real(flat), np.imag(flat)])
-    sidecar = {"n": int(vecs.shape[0]), "k": int(vecs.shape[1]),
-               "ordering": spec.ordering, "method": spec.method,
-               "layout": "column-major"}
-    if meta:
-        sidecar.update(meta)
+    sidecar = {**(meta or {}), "n": int(vecs.shape[0]), "k": int(vecs.shape[1]),
+               "ordering": spec.ordering, "method": spec.method, "layout": "column-major"}
     _write_json(_sidecar(path), sidecar)
     return path
 

@@ -8,7 +8,7 @@ row-stochastic LLE matrix W, built from a graph the caller gives. The module
 also builds the comparison kernels on W's own graph: the alpha family
 interpolating between the 0-1 ball kernel and the signed LLE kernel. Its
 alpha = 1 member, the ball average, is the diffusion-type operator that
-AnalyticCoeffs.dm_coeffs describes.
+AnalyticCoeffs.table's psi1, psi2 and drift describe.
 
 build_lle_matrix batches the gram route over the CSR neighbor graph, and
 solve_barycentric is the per-row oracle it is tested against. The alpha
@@ -204,6 +204,12 @@ def _gram_dots(points: np.ndarray, graph: NeighborGraph, c: float,
     return sum(D[a] * np.repeat(Tn[:, a], counts) for a in range(p))
 
 
+def _row_list(rows) -> str:
+    """The count of rows, then at most the first 10 of their indices in brackets."""
+    shown = [str(k) for k in rows[:10]] + (["..."] if len(rows) > 10 else [])
+    return f"{len(rows)} [{', '.join(shown)}]"
+
+
 def _lle_kernel(points: np.ndarray, graph: NeighborGraph, c: float):
     """Kernel y on every edge and its row sums (nan on rows without neighbors);
     y_sum <= 0 is reported. Rows with N_k > p take the batched gram route, the
@@ -222,7 +228,7 @@ def _lle_kernel(points: np.ndarray, graph: NeighborGraph, c: float):
     y_sum[nonempty] = np.add.reduceat(y, indptr[:-1][nonempty])
     if np.any(y_sum <= 0):
         bad = np.nonzero(y_sum <= 0)[0]
-        warnings.warn(f"rows with nonpositive kernel sum (weights flip sign): {bad.tolist()}")
+        warnings.warn(f"rows with nonpositive kernel sum (weights flip sign): {_row_list(bad)}")
     return y, y_sum
 
 
@@ -236,7 +242,7 @@ def build_lle_matrix(cloud: PointCloud, graph: NeighborGraph,
     """
     counts, scheme = graph.counts, graph.scheme
     if np.any(counts == 0):
-        raise ValueError(f"isolated points (no neighbors): {np.nonzero(counts == 0)[0].tolist()}")
+        raise ValueError(f"isolated points (no neighbors): {_row_list(np.nonzero(counts == 0)[0])}")
     c = resolve_c(cloud, scheme, c_rule, eps)
     y, y_sum = _lle_kernel(cloud.points, graph, c)
     meta = {"n": cloud.n, "c": c, "d": cloud.intrinsic_dim, "seed": cloud.seed}
@@ -272,7 +278,7 @@ def row_moments(W: sp.csr_matrix, points: np.ndarray, normal: np.ndarray):
     """
     counts = np.diff(W.indptr)
     if np.any(counts == 0):
-        raise ValueError(f"W has rows without entries: {np.nonzero(counts == 0)[0].tolist()}")
+        raise ValueError(f"W has rows without entries: {_row_list(np.nonzero(counts == 0)[0])}")
     rows = np.repeat(np.arange(W.shape[0]), counts)
     D = points[W.indices] - points[rows]
     dn = np.einsum("ei,ei->e", D, normal[rows])
@@ -302,7 +308,8 @@ def build_alpha_kernel_matrix(lle: LleMatrix, alpha: float) -> LleMatrix:
     row_sum = np.add.reduceat(vals, W.indptr[:-1])  # W has no row without neighbors
     degenerate = np.nonzero(row_sum <= 0)[0].tolist()
     if degenerate:
-        warnings.warn(f"alpha-kernel rows with nonpositive sum left unnormalized: {degenerate}")
+        warnings.warn("alpha-kernel rows with nonpositive sum left unnormalized: "
+                      f"{_row_list(degenerate)}")
     wdata = vals / np.repeat(np.where(row_sum > 0, row_sum, 1.0), lle.n_k)
     weights = sp.csr_matrix((wdata, W.indices.copy(), W.indptr), shape=W.shape)
     return LleMatrix(weights=weights, y=vals, y_sum=row_sum, n_k=lle.n_k, c=lle.c,

@@ -17,8 +17,8 @@ _TWO_M53 = 2.0 ** -53
 
 
 def _raw(seed: int, n: int) -> np.ndarray:
-    if seed < 0:
-        raise ValueError("seed must be a nonnegative integer")
+    if not 0 <= seed < 2 ** 128:  # Philox's key is 128 bits
+        raise ValueError(f"seed must be a nonnegative integer below 2**128, got {seed}")
     return np.random.Philox(key=int(seed)).random_raw(int(n))
 
 

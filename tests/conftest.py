@@ -37,6 +37,12 @@ def s1_grid_eps(m: int) -> float:
     return 0.5 * (2.0 * np.sin(np.pi / n) + 2.0 * np.sin(2.0 * np.pi / n))
 
 
+def s1_lle(m: int = 7):
+    """The LLE matrix of the 2m-point circle grid (two neighbors a row), c = 1e-3."""
+    cloud = s1_grid_cloud(m)
+    return build_lle_matrix(cloud, build_graph(cloud, EpsilonBall(s1_grid_eps(m))), c_rule=1e-3)
+
+
 def interval_grid(n: int) -> PointCloud:
     """n evenly spaced points on [0, 1], with the interval's depth and outward normal."""
     t = np.linspace(0.0, 1.0, n)
@@ -51,14 +57,14 @@ def one_d_operator(t, eps: float, a: float):
     side being the outward direction (-1 toward 0, +1 toward a)."""
     t = np.asarray(t, dtype=float)
     r = np.minimum(t, a - t)
-    cf = AnalyticCoeffs(1, eps)
-    return cf.phi(r)[1], np.where(t <= a - t, -1.0, 1.0) * cf.potential_v(r, 1.0 / a)
+    table = AnalyticCoeffs(1, eps).table(r, 1.0 / a)
+    return table["phi2"], np.where(t <= a - t, -1.0, 1.0) * table["V"]
 
 
 # Closed forms of the two boundary values the sigma table gives at t = 0, from
 # |S^(d-2)|/(d-1) (cap_coefficient) and |S^(d-1)| (sphere_volume) alone.
 def b_zero_closed_form(d: int) -> float:
-    """B(0) = 4 d^2 (d+2) cap^2 / ((d+1)^2 sphere^2), the oracle of b_function(0)."""
+    """B(0) = 4 d^2 (d+2) cap^2 / ((d+1)^2 sphere^2), the oracle of the table's B at t = 0."""
     cap, sphere = cap_coefficient(d), sphere_volume(d - 1)
     return 4.0 * d * d * (d + 2) * cap ** 2 / ((d + 1) ** 2 * sphere ** 2)
 
@@ -69,8 +75,9 @@ def kernel_inf_closed_form(d: int) -> float:
 
 
 def kernel_inf(cf: AnalyticCoeffs) -> float:
-    """The limit kernel's infimum read from the sigma table: 1 + sigma1d(0)/sigma2d(0)."""
-    return 1.0 + cf.sigma1d(0.0) / cf.sigma2d(0.0)
+    """The limit kernel's infimum read from the sigma table: 1 + s1d/s2d at t = 0."""
+    at_zero = cf.table(0.0)
+    return 1.0 + at_zero["s1d"] / at_zero["s2d"]
 
 
 # ten-point cloud whose 5-NN LLE matrix at c = 1e-3 has an eigenvalue -2.4233

@@ -13,7 +13,7 @@ size of sigma2d(0) = pi/8. At depth t the closed forms are
 min_j c y_kj = 1 - |sigma1d(t)| / (sigma2d(t) + reg) and
 B_k = sigma1d(t)^2 / (sigma0(t) (sigma2d(t) + reg)); at reg = 0 they reduce
 to the kernel infimum 1 + sigma1d(0)/sigma2d(0) (at t = 0, checked against its
-closed form) and b_function(t), which both tests also assert. Measured
+closed form) and the table's B(t), which both tests also assert. Measured
 against predicted on seeds 1-3:
 
 * disk: mean row minimum of c y 0.110-0.122 against 0.089 (reg = 0
@@ -67,13 +67,15 @@ def regularizer_weight(cloud, lle, eps: float) -> float:
 
 
 def predicted_kernel_min(cf: AnalyticCoeffs, t: float, reg: float) -> float:
-    """min_j c y_kj at depth t: 1 - |sigma1d(t)| / (sigma2d(t) + reg)."""
-    return 1.0 - abs(cf.sigma1d(t)) / (cf.sigma2d(t) + reg)
+    """min_j c y_kj at depth t: 1 - |s1d(t)| / (s2d(t) + reg)."""
+    table = cf.table(t)
+    return 1.0 - abs(table["s1d"]) / (table["s2d"] + reg)
 
 
 def predicted_indicator(cf: AnalyticCoeffs, t: float, reg: float) -> float:
-    """B_k at depth t: sigma1d(t)^2 / (sigma0(t) (sigma2d(t) + reg))."""
-    return cf.sigma1d(t) ** 2 / (cf.sigma0(t) * (cf.sigma2d(t) + reg))
+    """B_k at depth t: s1d(t)^2 / (s0(t) (s2d(t) + reg))."""
+    table = cf.table(t)
+    return table["s1d"] ** 2 / (table["s0"] * (table["s2d"] + reg))
 
 
 def reg_zero_failures() -> list:
@@ -88,8 +90,8 @@ def reg_zero_failures() -> list:
                 failures.append(f"d={d}: {name} {got:.6f} != closed-form kernel_inf {closed:.6f}")
         for s in (0.0, 0.125, 0.25, 0.5):
             t = s * eps
-            if abs(predicted_indicator(cf, t, 0.0) - cf.b_function(t)) > 1e-12:
-                failures.append(f"d={d}: indicator at reg=0, t/eps={s} != b_function")
+            if abs(predicted_indicator(cf, t, 0.0) - cf.table(t)["B"]) > 1e-12:
+                failures.append(f"d={d}: indicator at reg=0, t/eps={s} != the table's B")
     return failures
 
 
@@ -189,16 +191,17 @@ def test_criterion_04_sigma_mu_oracle():
         cf = AnalyticCoeffs(d, eps)
         for s in (0.0, 0.25, 0.5, 0.75, 1.0):
             t = s * eps
+            table = cf.table(t)
             pairs = [
-                ("mu0/sigma0", [0] * d, d, cf.sigma0(t)),
-                ("mu_ed/sigma1d", [0] * (d - 1) + [1], d + 1, cf.sigma1d(t)),
-                ("mu_2ed/sigma2d", [0] * (d - 1) + [2], d + 2, cf.sigma2d(t)),
-                ("mu_3ed/sigma3d", [0] * (d - 1) + [3], d + 3, cf.sigma3d(t)),
+                ("mu0/sigma0", [0] * d, d, table["s0"]),
+                ("mu_ed/sigma1d", [0] * (d - 1) + [1], d + 1, table["s1d"]),
+                ("mu_2ed/sigma2d", [0] * (d - 1) + [2], d + 2, table["s2d"]),
+                ("mu_3ed/sigma3d", [0] * (d - 1) + [3], d + 3, table["s3d"]),
             ]
             if d > 1:
                 pairs += [
-                    ("mu_2e1/sigma2", [2] + [0] * (d - 1), d + 2, cf.sigma2(t)),
-                    ("mu_2e1_ed/sigma3", [2] + [0] * (d - 2) + [1], d + 3, cf.sigma3(t)),
+                    ("mu_2e1/sigma2", [2] + [0] * (d - 1), d + 2, table["s2"]),
+                    ("mu_2e1_ed/sigma3", [2] + [0] * (d - 2) + [1], d + 3, table["s3"]),
                 ]
             for name, v, power, sigma in pairs:
                 mu = moments_oracle(d, eps, t, v) / eps ** power
@@ -225,16 +228,19 @@ def test_criterion_05_coefficient_ledger():
         cf = AnalyticCoeffs(d, 0.4)
         interior = 1.0 / (2.0 * (d + 2))
         for t in (0.4, 0.7):
-            if cf.phi(t) != (interior, interior):
-                failures.append(f"d={d}: interior phi {cf.phi(t)} != {interior} exactly")
-        if not cf.phi(0.0)[1] < 0.0:
-            failures.append(f"d={d}: phi2(0) = {cf.phi(0.0)[1]} not < 0")
+            at_t = cf.table(t)
+            phi = (at_t["phi1"], at_t["phi2"])
+            if phi != (interior, interior):
+                failures.append(f"d={d}: interior phi {phi} != {interior} exactly")
+        if not cf.table(0.0)["phi2"] < 0.0:
+            failures.append(f"d={d}: phi2(0) = {cf.table(0.0)['phi2']} not < 0")
     cf1 = AnalyticCoeffs(1, 1.0)
+    at_zero = cf1.table(0.0, 1.0)
     checks = [
-        ("phi2(0) = -1/12", cf1.phi(0.0)[1], -1.0 / 12.0),
-        ("V(0, P=1) = -6", cf1.potential_v(0.0, 1.0), -6.0),
-        ("V(eps/2, P=1) = -8/9", cf1.potential_v(0.5, 1.0), -8.0 / 9.0),
-        ("B(0) = 3/4", cf1.b_function(0.0), 0.75),
+        ("phi2(0) = -1/12", at_zero["phi2"], -1.0 / 12.0),
+        ("V(0, P=1) = -6", at_zero["V"], -6.0),
+        ("V(eps/2, P=1) = -8/9", cf1.table(0.5, 1.0)["V"], -8.0 / 9.0),
+        ("B(0) = 3/4", at_zero["B"], 0.75),
         ("kernel_inf = -1/2", kernel_inf(cf1), -0.5),
     ]
     for name, got, expect in checks:
@@ -244,8 +250,8 @@ def test_criterion_05_coefficient_ledger():
     if abs(b_zero_closed_form(1) - 0.75) > 1e-10:
         failures.append("closed-form B(0) at d=1 != 3/4")
     cf2 = AnalyticCoeffs(2, 1.0)
-    if abs(cf2.b_function(0.0) - b_zero_closed_form(2)) > 1e-10:
-        failures.append("d=2 b_function(0) != closed form")
+    if abs(cf2.table(0.0)["B"] - b_zero_closed_form(2)) > 1e-10:
+        failures.append("d=2 B(0) != closed form")
     report(5, "coefficient ledger (interior constants, d=1 values)", failures,
            time.perf_counter() - t0)
 

@@ -43,11 +43,12 @@ def test_sphere_ratio_bounds(d):
 
 def test_sigma_values_d1():
     cf = AnalyticCoeffs(1, 1.0)
-    assert abs(cf.sigma0(0.0) - 1.0) < 1e-15
-    assert abs(cf.sigma0(1.0) - 2.0) < 1e-15
-    assert abs(cf.sigma1d(0.0) + 0.5) < 1e-15
-    assert abs(cf.sigma2d(0.0) - 1.0 / 3.0) < 1e-15
-    assert abs(cf.sigma3d(0.0) + 0.25) < 1e-15
+    at_zero = cf.table(0.0)
+    assert abs(at_zero["s0"] - 1.0) < 1e-15
+    assert abs(cf.table(1.0)["s0"] - 2.0) < 1e-15
+    assert abs(at_zero["s1d"] + 0.5) < 1e-15
+    assert abs(at_zero["s2d"] - 1.0 / 3.0) < 1e-15
+    assert abs(at_zero["s3d"] + 0.25) < 1e-15
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
@@ -57,26 +58,27 @@ def test_sigma_interior_constants(d):
     S = sphere_volume(d - 1)
     # scalars and one array of depths both give the interior constants exactly
     for t in (eps, 1.3 * eps, 10.0, np.array([eps, 1.3 * eps, 10.0])):
-        assert np.all(cf.sigma1d(t) == 0.0)
-        assert np.all(cf.sigma3(t) == 0.0)
-        assert np.all(cf.sigma3d(t) == 0.0)
-        assert np.all(cf.sigma0(t) == S / d)
-        assert np.all(cf.sigma2(t) == S / (d * (d + 2)))
-        assert np.all(cf.sigma2d(t) == S / (d * (d + 2)))
-        assert np.all(cf.b_function(t) == 0.0)
-        assert np.all(cf.potential_v(t, 1.0) == 0.0)
-        assert all(np.all(v == 1.0 / (2.0 * (d + 2))) for v in cf.phi(t))
-    assert np.shape(cf.sigma0(np.array([eps, 0.0]))) == (2,)
-    assert np.ndim(cf.sigma0(eps / 2)) == 0
+        table = cf.table(t, 1.0)
+        assert np.all(table["s1d"] == 0.0)
+        assert np.all(table["s3"] == 0.0)
+        assert np.all(table["s3d"] == 0.0)
+        assert np.all(table["s0"] == S / d)
+        assert np.all(table["s2"] == S / (d * (d + 2)))
+        assert np.all(table["s2d"] == S / (d * (d + 2)))
+        assert np.all(table["B"] == 0.0)
+        assert np.all(table["V"] == 0.0)
+        assert all(np.all(table[k] == 1.0 / (2.0 * (d + 2))) for k in ("phi1", "phi2"))
+    assert np.shape(cf.table(np.array([eps, 0.0]))["s0"]) == (2,)
+    assert np.ndim(cf.table(eps / 2)["s0"]) == 0
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 7])
 def test_sigma_continuity_at_eps(d):
     eps = 0.2
     cf = AnalyticCoeffs(d, eps)
-    for fn in (cf.sigma0, cf.sigma1d, cf.sigma2, cf.sigma2d, cf.sigma3, cf.sigma3d):
-        below = fn(eps * (1.0 - 1e-9))
-        assert abs(below - fn(eps)) < 1e-7
+    below_eps, at_eps = cf.table(eps * (1.0 - 1e-9)), cf.table(eps)
+    for key in ("s0", "s1d", "s2", "s2d", "s3", "s3d"):
+        assert abs(below_eps[key] - at_eps[key]) < 1e-7
 
 
 @pytest.mark.parametrize("m", range(-1, 10))
@@ -145,17 +147,16 @@ def test_moments_match_sigma_at_half_depth():
     eps = 0.3
     s = np.array([0.0, 0.25, 0.5, 0.75, 1.0, 1.5])
     for d in range(1, 6):
-        cf = AnalyticCoeffs(d, eps)
-        kinds = {cf.sigma0: (0, False), cf.sigma1d: (1, False), cf.sigma2d: (2, False),
-                 cf.sigma3d: (3, False)}
+        table = AnalyticCoeffs(d, eps).table(s * eps)
+        kinds = {"s0": (0, False), "s1d": (1, False), "s2d": (2, False), "s3d": (3, False)}
         if d > 1:  # x_1 is tangential only for d >= 2
-            kinds.update({cf.sigma2: (0, True), cf.sigma3: (1, True)})
+            kinds.update({"s2": (0, True), "s3": (1, True)})
         for sigma, (m, tangential) in kinds.items():
-            sig = sigma(s * eps)
+            sig = table[sigma]
             assert sig.shape == s.shape
             v = [2 if tangential else 0] + [0] * (d - 2) + [m] if d > 1 else [m]
             mu = [moments_oracle(d, eps, si * eps, v) / eps ** (d + sum(v)) for si in s]
-            assert np.max(np.abs(sig - mu)) <= 1e-10, (d, sigma.__name__)
+            assert np.max(np.abs(sig - mu)) <= 1e-10, (d, sigma)
 
 
 def test_moments_validation():
@@ -170,8 +171,8 @@ def test_moments_validation():
 @pytest.mark.parametrize("call", [
     lambda: AnalyticCoeffs(2, np.inf),
     lambda: AnalyticCoeffs(2, np.nan),
-    lambda: AnalyticCoeffs(2, 0.1).sigma0(np.nan),
-    lambda: AnalyticCoeffs(2, 0.1).b_function(np.array([0.0, np.nan])),
+    lambda: AnalyticCoeffs(2, 0.1).table(np.nan),
+    lambda: AnalyticCoeffs(2, 0.1).table(np.array([0.0, np.nan])),
     lambda: coefficient_table(1, np.inf, [0.0, 0.1]),
     lambda: moments_oracle(2, 0.1, np.nan, [0, 0]),
     lambda: coefficient_table(1, 0.1, [0.0, 0.05, 0.2], p_val=0.0),
@@ -185,9 +186,10 @@ def test_non_finite_eps_and_nan_depth_are_refused(call):
 
 
 def _d_values(cf, t):
-    """Every sigma, phi1, phi2, V, B, psi1, psi2 and the dm drift at t."""
-    return [cf.sigma0(t), cf.sigma1d(t), cf.sigma2(t), cf.sigma2d(t), cf.sigma3(t), cf.sigma3d(t),
-            *cf.phi(t), cf.potential_v(t, 0.7), cf.b_function(t), *cf.dm_coeffs(t).values()]
+    """Every sigma, phi1, phi2, V, B, psi1, psi2 and the ball average's drift at t."""
+    table = cf.table(t, 0.7)
+    return [table[k] for k in ("s0", "s1d", "s2", "s2d", "s3", "s3d", "phi1", "phi2", "V", "B",
+                               "psi1", "psi2", "drift")]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -207,30 +209,31 @@ def test_d_array_matches_scalar_calls(d):
 
 def test_phi_values():
     cf = AnalyticCoeffs(1, 1.0)
-    assert abs(cf.phi(0.0)[1] + 1.0 / 12.0) < 1e-12
+    assert abs(cf.table(0.0)["phi2"] + 1.0 / 12.0) < 1e-12
     for d in (1, 2, 3, 6):
         cfd = AnalyticCoeffs(d, 0.5)
         interior = 1.0 / (2.0 * (d + 2))
-        assert cfd.phi(0.5)[0] == interior
-        assert cfd.phi(0.5)[1] == interior
-        assert cfd.phi(2.0) == (interior, interior)
+        assert cfd.table(0.5)["phi1"] == interior
+        assert cfd.table(0.5)["phi2"] == interior
+        far = cfd.table(2.0)
+        assert (far["phi1"], far["phi2"]) == (interior, interior)
     # phi2 vanishes at the degeneracy depth
     t0 = (2.0 - SQRT3) * 1.0
-    assert abs(cf.phi(t0)[1]) < 1e-10
+    assert abs(cf.table(t0)["phi2"]) < 1e-10
 
 
 def test_potential_values():
     cf = AnalyticCoeffs(1, 1.0)
-    assert abs(cf.potential_v(0.0, 1.0) + 6.0) < 1e-12
-    assert abs(cf.potential_v(0.5, 1.0) + 8.0 / 9.0) < 1e-12
+    assert abs(cf.table(0.0, 1.0)["V"] + 6.0) < 1e-12
+    assert abs(cf.table(0.5, 1.0)["V"] + 8.0 / 9.0) < 1e-12
     for d in (1, 2, 4):
         cfd = AnalyticCoeffs(d, 0.3)
-        assert cfd.potential_v(0.3, 2.0) == 0.0
-        assert cfd.potential_v(1.0, 2.0) == 0.0
+        assert cfd.table(0.3, 2.0)["V"] == 0.0
+        assert cfd.table(1.0, 2.0)["V"] == 0.0
         ts = np.linspace(0.0, 0.3, 40)
-        assert np.all(cfd.potential_v(ts, 1.3) <= 0.0)
+        assert np.all(cfd.table(ts, 1.3)["V"] <= 0.0)
     with pytest.raises(ValueError):
-        cf.potential_v(0.1, 0.0)
+        cf.table(0.1, 0.0)
 
 
 def test_tstar_refuses_a_bracket_without_a_sign_change(monkeypatch):
@@ -267,21 +270,19 @@ def test_monotone_sigmas_on_layer():
         ts = np.linspace(0.0, 0.8, 120)  # the layer and as far again into the interior
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            for fn in (cf.sigma0, cf.sigma1d, cf.sigma2, cf.sigma2d):
-                vals = fn(ts)
-                assert np.all(np.diff(vals) >= -1e-14)
-                with pytest.raises(ValueError):
-                    fn(np.array([0.1, -1e-12]))
-            for fn in (cf.sigma3, cf.sigma3d, cf.b_function, cf.phi, cf.dm_coeffs,
-                       lambda t: cf.potential_v(t, 1.0)):
-                fn(ts)
+            table = cf.table(ts, 1.0)  # every column, under RuntimeWarning as an error
+            for key in ("s0", "s1d", "s2", "s2d"):
+                assert np.all(np.diff(table[key]) >= -1e-14)
+            with pytest.raises(ValueError):
+                cf.table(np.array([0.1, -1e-12]))
 
 
 def test_phi1_positive_and_phi2_single_sign_change():
     for d in (1, 2, 3, 5):
         cf = AnalyticCoeffs(d, 1.0)
         ts = np.linspace(0.0, 1.0, 400)
-        phi = np.column_stack(cf.phi(ts))
+        table = cf.table(ts)
+        phi = np.column_stack((table["phi1"], table["phi2"]))
         assert np.all(phi[:, 0] > 0.0)
         signs = np.sign(phi[:, 1])
         changes = np.nonzero(np.diff(signs) != 0)[0]
@@ -335,7 +336,8 @@ def test_d_epsilon_dual_path():
         cf, p_val = AnalyticCoeffs(1, eps), 1.0 / a
         _, r, layer = _one_d_grid(eps, a)
         s = r / eps
-        phi2, drift = cf.phi(r)[1], cf.potential_v(r, p_val)
+        table = cf.table(r, p_val)
+        phi2, drift = table["phi2"], table["V"]
         assert np.abs(phi2 + (1.0 - 4.0 * s + s * s) / 12.0)[layer].max() < 1e-14
         closed_v = -6.0 * (1.0 - s) / (p_val * (1.0 + s) ** 3)
         assert np.abs(drift - closed_v)[layer].max() < 1e-14 * 6.0 / p_val
@@ -410,29 +412,30 @@ def test_operator_demo_lines_agree():
 
 
 def test_b_function():
-    # B(0) = b_function(0) against its closed form from cap_coefficient and sphere_volume
+    # B(0), the table's B at t = 0, against its closed form from cap_coefficient
+    # and sphere_volume
     cf1 = AnalyticCoeffs(1, 1.0)
-    assert abs(cf1.b_function(0.0) - 0.75) < 1e-12
+    assert abs(cf1.table(0.0)["B"] - 0.75) < 1e-12
     assert abs(b_zero_closed_form(1) - 0.75) < 1e-12
     cf2 = AnalyticCoeffs(2, 1.0)
-    assert abs(cf2.b_function(0.0) - 64.0 / (9.0 * math.pi ** 2)) < 1e-12
-    assert abs(b_zero_closed_form(2) - cf2.b_function(0.0)) < 1e-12
+    assert abs(cf2.table(0.0)["B"] - 64.0 / (9.0 * math.pi ** 2)) < 1e-12
+    assert abs(b_zero_closed_form(2) - cf2.table(0.0)["B"]) < 1e-12
     for d in (1, 2, 3):
         cfd = AnalyticCoeffs(d, 0.4)
-        assert cfd.b_function(0.4) == 0.0
-        assert cfd.b_function(2.0) == 0.0
+        assert cfd.table(0.4)["B"] == 0.0
+        assert cfd.table(2.0)["B"] == 0.0
         ts = np.linspace(0.0, 0.4, 80)
-        assert np.all(np.diff(cfd.b_function(ts)) <= 1e-14)
-        assert abs(b_zero_closed_form(d) - cfd.b_function(0.0)) < 1e-12
+        assert np.all(np.diff(cfd.table(ts)["B"]) <= 1e-14)
+        assert abs(b_zero_closed_form(d) - cfd.table(0.0)["B"]) < 1e-12
 
 
 def test_kernel_limits():
-    # the kernel infimum 1 + sigma1d(0)/sigma2d(0) against its closed form; in
-    # the interior sigma1d is exactly 0, so the kernel is flat there
+    # the kernel infimum 1 + s1d/s2d at t = 0 against its closed form; in the
+    # interior s1d is exactly 0, so the kernel is flat there
     cf1 = AnalyticCoeffs(1, 0.3)
     assert abs(kernel_inf(cf1) + 0.5) < 1e-12
     assert abs(kernel_inf_closed_form(1) + 0.5) < 1e-12
-    assert cf1.sigma1d(0.3) == 0.0
+    assert cf1.table(0.3)["s1d"] == 0.0
     cf2 = AnalyticCoeffs(2, 0.3)
     assert abs(kernel_inf(cf2) - (1.0 - 16.0 / (3.0 * math.pi))) < 1e-12
     for d in range(1, 8):
@@ -444,12 +447,12 @@ def test_kernel_limits():
 def test_dm_coeffs():
     for d in (1, 2, 5):
         cf = AnalyticCoeffs(d, 0.2)
-        vals = cf.dm_coeffs(0.2)
+        vals = cf.table(0.2)
         assert vals["psi1"] == vals["psi2"] == 1.0 / (2 * (d + 2))
         assert vals["drift"] == 0.0
-        assert cf.dm_coeffs(0.0)["psi2"] > 0.0
+        assert cf.table(0.0)["psi2"] > 0.0
     cf1 = AnalyticCoeffs(1, 0.2)
-    assert abs(cf1.dm_coeffs(0.0)["drift"] + 0.5) < 1e-12
+    assert abs(cf1.table(0.0)["drift"] + 0.5) < 1e-12
 
 
 def local_cov_check(d: int, eps: float, t_bd: float, p_val: float,
@@ -475,8 +478,8 @@ def local_cov_check(d: int, eps: float, t_bd: float, p_val: float,
             C[i, j] = C[j, i] = p_val * moments_oracle(d, eps, t_bd, vv)
     lam = np.linalg.eigvalsh(C)[::-1]
     # reference values from the closed forms, not the quadrature
-    cf = AnalyticCoeffs(d, eps)
-    mu2 = [cf.sigma2(t_bd) * eps ** (d + 2)] * (d - 1) + [cf.sigma2d(t_bd) * eps ** (d + 2)]
+    table = AnalyticCoeffs(d, eps).table(t_bd)
+    mu2 = [table["s2"] * eps ** (d + 2)] * (d - 1) + [table["s2d"] * eps ** (d + 2)]
     expected = np.sort(p_val * np.asarray(mu2))[::-1]
     lead_ok = np.allclose(lam[:d], expected, rtol=rtol, atol=1e-300)
     trail_ok = np.all(np.abs(lam[d:]) <= 1e-8 * max(lam[0], 1e-300))
@@ -500,15 +503,15 @@ def test_coefficient_table():
     assert table.shape == (3, 11)
     assert abs(table[0, 8] + 1.0 / 12.0) < 1e-12  # phi2 column at t = 0
     assert abs(table[0, 10] - 0.75) < 1e-12       # B column at t = 0
-    # each row equals the scalar calls at its depth, for d = 1..5
+    # each row equals the scalar table at its depth, for d = 1..5
     for d in range(1, 6):
         cf = AnalyticCoeffs(d, 0.25)
         ts = [0.0, 0.1, 0.2, 0.25, 0.4]
         table = coefficient_table(d, 0.25, ts, p_val=0.7)
         for row, t in zip(table, ts):
-            ref = (t / 0.25, cf.sigma0(t), cf.sigma1d(t), cf.sigma2(t), cf.sigma2d(t),
-                   cf.sigma3(t), cf.sigma3d(t), *cf.phi(t), cf.potential_v(t, 0.7),
-                   cf.b_function(t))
+            at_t = cf.table(t, 0.7)
+            ref = (t / 0.25, *(at_t[k] for k in ("s0", "s1d", "s2", "s2d", "s3", "s3d",
+                                                  "phi1", "phi2", "V", "B")))
             assert np.allclose(row, ref, rtol=1e-14, atol=0.0)
     assert coefficient_table(2, 0.25, []).shape == (0, 11)
 

@@ -120,17 +120,17 @@ def test_negative_or_nan_boundary_distance_is_refused(bad):
 
 
 def _bisect_depth(cf, b):
-    """Scalar bisection for the t in [0, eps] with b_function(t) = b."""
+    """Scalar bisection for the t in [0, eps] where the table's B equals b."""
     if not np.isfinite(b):
         return np.inf
-    if b >= cf.b_function(0.0):
+    if b >= cf.table(0.0)["B"]:
         return 0.0
     if b <= 0.0:
         return cf.eps
     lo, hi = 0.0, cf.eps
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if cf.b_function(mid) > b:
+        if cf.table(mid)["B"] > b:
             lo = mid
         else:
             hi = mid
@@ -154,7 +154,7 @@ def test_proxy_partition_matches_scalar_bisection(d):
     eps = 0.3
     cf = AnalyticCoeffs(d, eps)
     tstar = cf.tstar()
-    b0 = cf.b_function(0.0)
+    b0 = cf.table(0.0)["B"]
     b = np.concatenate([np.linspace(-0.1, b0 + 0.1, 301),
                         [0.0, -1.0, b0, 2.0 * b0, np.nan, np.inf, -np.inf]])
     cloud = PointCloud(np.zeros((len(b), d)), intrinsic_dim=d, seed=0, manifold_tag="raw")
@@ -166,7 +166,7 @@ def test_proxy_partition_matches_scalar_bisection(d):
     assert {"wave", "near_boundary", "interior"} == set(regions)
     # B exactly b(t*) is on the near-boundary side of the cut, as dist = t* is
     one = PointCloud(np.zeros((1, d)), intrinsic_dim=d, seed=0, manifold_tag="raw")
-    at_cut = BoundaryReport(b_values=np.array([cf.b_function(tstar)]), d=d, eps=eps, c=1e-3,
+    at_cut = BoundaryReport(b_values=np.array([cf.table(tstar)["B"]]), d=d, eps=eps, c=1e-3,
                             missing=np.zeros(1, dtype=bool))
     assert partition_regions(one, eps, tstar, report=at_cut).tolist() == ["near_boundary"]
 
@@ -202,7 +202,7 @@ def test_interval_profile_tracks_limit(interval_runs):
     for lo, hi in zip(edges[:-1], edges[1:]):
         sel = (bd >= lo) & (bd < hi)
         assert sel.sum() > 10
-        limit = cf.b_function(0.5 * (lo + hi))
+        limit = cf.table(0.5 * (lo + hi))["B"]
         assert abs(rep.b_values[sel].mean() - limit) <= 0.15
 
 

@@ -179,6 +179,19 @@ def test_a_config_key_the_subcommand_does_not_read_is_refused(tmp_path, capsys):
     assert _settings(["indicator", argsfile])[1]["tau"] == 0.3
 
 
+@pytest.mark.parametrize("below", ["", "sub/dir"], ids=["the-file", "below-the-file"])
+def test_out_naming_a_file_is_refused(tmp_path, capsys, monkeypatch, below):
+    # refused before sampling, with exit 2 and no traceback; nothing is created
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    out = taken / below
+    monkeypatch.setattr(cli, "sample", lambda cfg: pytest.fail("sampled before --out was checked"))
+    assert main(["sample", "--n", "5", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"lleboundary sample: --out {out}: {taken} ")
+    assert taken.read_text() == "kept\n" and list(tmp_path.iterdir()) == [taken]
+
+
 def test_a_missing_args_file_is_refused(tmp_path, capsys):
     out = tmp_path / "D"
     with pytest.raises(SystemExit) as exc:

@@ -129,9 +129,9 @@ def test_interval_near_boundary_operator_value(interval_runs):
     cf = AnalyticCoeffs(1, eps)
     band = (t > 0.4 * eps) & (t < 0.6 * eps)
     assert band.sum() >= 5
-    target = np.array([cf.phi(ti)[1] * 2.0 + cf.potential_v(ti, 1.0) * (-2.0 * ti)
+    target = np.array([cf.table(ti)["phi2"] * 2.0 + cf.table(ti, 1.0)["V"] * (-2.0 * ti)
                        for ti in t[band]])
-    assert abs(cf.potential_v(eps / 2, 1.0) + 8.0 / 9.0) < 1e-12
+    assert abs(cf.table(eps / 2, 1.0)["V"] + 8.0 / 9.0) < 1e-12
     assert abs(vals[band].mean() - target.mean()) <= 0.06
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import s1_grid_cloud, s1_grid_eps, ten_point_cloud
+from conftest import s1_lle, ten_point_cloud
 from lleboundary import io as lio
 from lleboundary.boundary import classify, indicator
 from lleboundary.lle import build_lle_matrix
@@ -16,12 +16,6 @@ from lleboundary.neighbors import EpsilonBall, Knn, build_graph
 from lleboundary.boundary import BoundaryReport
 from lleboundary.samplers import PointCloud, sample_disk, sample_interval
 from lleboundary.spectral import Spectrum, eig
-
-
-def s1_lle(m):
-    cloud = s1_grid_cloud(m)
-    graph = build_graph(cloud, EpsilonBall(s1_grid_eps(m)))
-    return build_lle_matrix(cloud, graph, c_rule=1e-3)
 
 
 def test_matrix_round_trip_exact(tmp_path):
@@ -320,6 +314,17 @@ def _extreme_spectrum(with_residuals):
     vecs = np.outer(EXTREMES, [1.0, -1.0j, 0.5 + 0.5j])
     res = np.abs(EXTREMES) if with_residuals else None
     return Spectrum(vals, vecs, "real_desc", "dense", res)
+
+
+def test_eigenvector_sidecar_keeps_the_keys_it_computes(tmp_path):
+    # meta adds keys, but the ones describing the file written are not replaced
+    spec = eig(s1_lle(5).weights)
+    lio.save_eigenvectors(spec, tmp_path / "v.csv",
+                          meta={"n": 99, "k": 0, "ordering": "none", "method": "none",
+                                "layout": "row-major", "seed": 4})
+    sidecar = json.loads((tmp_path / "v.csv.json").read_text())
+    assert sidecar == {"n": 10, "k": spec.eigenvectors.shape[1], "ordering": spec.ordering,
+                       "method": spec.method, "layout": "column-major", "seed": 4}
 
 
 @pytest.mark.parametrize("kind", ["s1", "extremes", "extremes_no_residuals", "no_vectors"])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import interval_grid, s1_grid_cloud, s1_grid_eps, ten_point_cloud
+from conftest import interval_grid, s1_grid_cloud, s1_grid_eps, s1_lle, ten_point_cloud
 from lleboundary import lle as lle_module
 from lleboundary.analytic import AnalyticCoeffs
 from lleboundary.cli import main
@@ -175,12 +175,6 @@ def test_affine_reproduction_by_barycentric_average():
     values = lin @ G  # linear function of the offsets, f(x_k) = 0
     recon = sol.w @ G.T
     assert abs(sol.w @ values - lin @ recon) < 1e-12
-
-
-def s1_lle(m=7):
-    """The LLE matrix of the 2m-point circle grid (two neighbors a row), c = 1e-3."""
-    cloud = s1_grid_cloud(m)
-    return build_lle_matrix(cloud, build_graph(cloud, EpsilonBall(s1_grid_eps(m))), c_rule=1e-3)
 
 
 def test_alpha_family():
@@ -385,6 +379,35 @@ def test_batched_nonpositive_row_sum_warns():
     assert rep.b_values[0] == 1.0
 
 
+FIRST_TEN = "[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, ...]"
+
+
+def test_row_lists_give_the_count_and_at_most_ten_indices():
+    # 30 points 1 apart in an eps = 0.5 ball: every point is isolated
+    cloud = PointCloud(np.arange(30.0)[:, None], intrinsic_dim=1, seed=0, manifold_tag="raw")
+    with pytest.raises(ValueError) as exc:
+        build_lle_matrix(cloud, build_graph(cloud, EpsilonBall(0.5)), c_rule=1e-3)
+    assert str(exc.value) == f"isolated points (no neighbors): 30 {FIRST_TEN}"
+    with pytest.raises(ValueError) as exc:
+        row_moments(sp.csr_matrix((30, 30)), cloud.points, np.ones((30, 1)))
+    assert str(exc.value) == f"W has rows without entries: 30 {FIRST_TEN}"
+    # twelve copies, 10 apart, of test_batched_nonpositive_row_sum_warns' cloud:
+    # rows 0, 4, ..., 44 have kernel sum 0
+    pts = (10.0 * np.arange(12)[:, None] + np.array([0.0, 1.0, 1.0, 1.0])).reshape(-1, 1)
+    cloud = PointCloud(pts, intrinsic_dim=1, seed=0, manifold_tag="raw")
+    with np.errstate(invalid="ignore"), pytest.warns(UserWarning) as record:
+        build_lle_matrix(cloud, build_graph(cloud, EpsilonBall(1.5)), c_rule=2.0 ** -70)
+    assert [str(w.message) for w in record] == [
+        "rows with nonpositive kernel sum (weights flip sign): "
+        "12 [0, 4, 8, 12, 16, 20, 24, 28, 32, 36, ...]"]
+    # alpha = 0 on the 14-point circle: every row is degenerate; the sidecar lists all
+    with pytest.warns(UserWarning) as record:
+        zero = build_alpha_kernel_matrix(s1_lle(7), alpha=0.0)
+    assert [str(w.message) for w in record] == [
+        f"alpha-kernel rows with nonpositive sum left unnormalized: 14 {FIRST_TEN}"]
+    assert zero.meta["degenerate_rows"] == list(range(14))
+
+
 def test_batched_knn_ties_to_smaller_index():
     # a 4 x 4 unit grid: an interior point has four neighbors at distance 1,
     # and Knn(3) keeps the three with the smallest indices
@@ -494,12 +517,13 @@ DEPTH_BANDS = ((0.0, 0.25), (0.25, 0.5), (0.5, 1.0), (2.0, 10.0))
 def ball_average_band_means(cloud, lle, eps):
     """Band means of (W - I) f / eps^2 for the alpha = 1 kernel W of the LLE matrix lle
     and f = |x|^2, measured
-    and as dm_coeffs predicts them: psi1 (Lap f - f_nn) + psi2 f_nn + (drift/eps) df/dn
+    and as the table's psi1, psi2 and drift predict them:
+    psi1 (Lap f - f_nn) + psi2 f_nn + (drift/eps) df/dn
     with Lap f = 2d, f_nn = 2 and df/dn = 2 x.n at the ground-truth depth and normal."""
     x, gt, d = cloud.points, cloud.ground_truth, cloud.intrinsic_dim
     W = build_alpha_kernel_matrix(lle, alpha=1.0).weights
     measured = apply_shifted(W, np.sum(x ** 2, axis=1)) / eps ** 2
-    cf = AnalyticCoeffs(d, eps).dm_coeffs(gt.boundary_dist)
+    cf = AnalyticCoeffs(d, eps).table(gt.boundary_dist)
     predicted = (cf["psi1"] * 2.0 * (d - 1) + cf["psi2"] * 2.0
                  + cf["drift"] / eps * 2.0 * np.sum(x * gt.outward_normal_tangent, axis=1))
     depth = gt.boundary_dist / eps

@@ -172,6 +172,15 @@ def test_negative_seed_is_refused():
             draw(-1, 3)
 
 
+@pytest.mark.parametrize("seed", [2 ** 128, 2 ** 200], ids=["2**128", "2**200"])
+def test_a_seed_beyond_the_128_bit_key_is_refused(seed):
+    # the message names the seed, not Philox's key
+    for draw in (rng.uniform, rng.normal):
+        with pytest.raises(ValueError, match=rf"^seed must .* below 2\*\*128, got {seed}$"):
+            draw(seed, 3)
+    assert rng.uniform(2 ** 128 - 1, 3).shape == (3,)
+
+
 @pytest.mark.parametrize("call, word", [
     (lambda: PointCloud(np.empty((0, 2)), intrinsic_dim=1, seed=0, manifold_tag="x"),
      "at least one point"),

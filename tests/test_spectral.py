@@ -7,7 +7,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.optimize import brentq
 
-from conftest import interval_grid, s1_grid_cloud, s1_grid_eps, ten_point_cloud
+from conftest import interval_grid, s1_lle, ten_point_cloud
 from lleboundary import rng, spectral
 from lleboundary.analytic import AnalyticCoeffs
 from lleboundary.boundary import clip, partition_regions
@@ -18,12 +18,6 @@ from lleboundary.samplers import PointCloud, sample_disk, sample_gaussian_null, 
 from lleboundary.spectral import (EigenConvergenceError, cluster_eigenvalues, eig,
                                   imaginary_diagnostics, spectral_radius_report,
                                   symmetric_split)
-
-
-def s1_lle(m):
-    cloud = s1_grid_cloud(m)
-    graph = build_graph(cloud, EpsilonBall(s1_grid_eps(m)))
-    return build_lle_matrix(cloud, graph, c_rule=1e-3)
 
 
 def s1_expected(m):
